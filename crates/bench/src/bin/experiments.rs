@@ -14,12 +14,25 @@
 use epidb_sim::experiments;
 use epidb_sim::Table;
 
+const IDS: [&str; 14] =
+    ["t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "f2", "f3", "f4", "f5", "f6", "audit"];
+
+fn usage() -> ! {
+    eprintln!("usage: experiments [--quick | -q] [--paranoid] [ID ...]\nids: {}", IDS.join(" "));
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let paranoid = args.iter().any(|a| a == "--paranoid");
-    let selected: Vec<&str> =
-        args.iter().filter(|a| !a.starts_with('-')).map(String::as_str).collect();
+    let (mut quick, mut paranoid) = (false, false);
+    let mut selected: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" | "-q" => quick = true,
+            "--paranoid" => paranoid = true,
+            id if IDS.iter().any(|known| known.eq_ignore_ascii_case(id)) => selected.push(arg),
+            _ => usage(),
+        }
+    }
 
     let run = |id: &str| selected.is_empty() || selected.iter().any(|s| s.eq_ignore_ascii_case(id));
 

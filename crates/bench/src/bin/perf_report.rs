@@ -5,8 +5,8 @@
 //! inputs and emits a machine-readable JSON report, so every perf PR has
 //! comparable before/after numbers (`BENCH_PR<k>.json` at the repo root).
 //!
-//! Unlike the criterion suites (statistical, interactive), this runner is
-//! a fixed-format trajectory point: small, scriptable, and diffable. A
+//! This runner is a fixed-format trajectory point: small, scriptable, and
+//! diffable (the statistical wall-clock instrument is `epibench/`). A
 //! counting global allocator reports allocation traffic per operation, so
 //! zero-copy claims are checkable, not aspirational.
 //!
@@ -823,15 +823,37 @@ fn extract_ns_per_op(report: &str, scenario: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: perf_report [--smoke] [--out PATH] [--baseline PATH] [--assert-zero-copy]\n\
+         \x20      [--assert-small-path] [--assert-sharded-gossip] [--assert-group-commit]\n\
+         \x20      [--assert-cold-start]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let opt = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::from)
-    };
+    // A gate that is misspelt must not pass by asserting nothing: unknown
+    // arguments and missing values end the run.
+    let mut flags: Vec<String> = Vec::new();
+    let mut out_path = String::from("BENCH_PR10.json");
+    let mut baseline_path = String::from("BENCH_PR8.json");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
+            "--baseline" => baseline_path = args.next().unwrap_or_else(|| usage()),
+            "--smoke"
+            | "--assert-zero-copy"
+            | "--assert-small-path"
+            | "--assert-sharded-gossip"
+            | "--assert-group-commit"
+            | "--assert-cold-start" => flags.push(arg),
+            _ => usage(),
+        }
+    }
+    let has = |flag: &str| flags.iter().any(|a| a == flag);
     let smoke = has("--smoke");
-    let out_path = opt("--out").unwrap_or_else(|| "BENCH_PR10.json".into());
-    let baseline_path = opt("--baseline").unwrap_or_else(|| "BENCH_PR8.json".into());
 
     let sizes = if smoke { Sizes::smoke() } else { Sizes::full() };
     eprintln!("perf_report: running {} scenarios...", if smoke { "smoke" } else { "full" });

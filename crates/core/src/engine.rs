@@ -5,18 +5,27 @@
 //! two-message pull (§5.1, Figs. 2–3), the four-message delta variant
 //! (§2's update-record shipping), and the one-item out-of-bound copy
 //! (§5.2). This module gives those exchanges a single vocabulary
-//! ([`ProtocolRequest`] / [`ProtocolResponse`]), a single responder entry
-//! point ([`Engine::handle`]), and initiator-side drivers
-//! ([`Engine::pull`], [`Engine::pull_delta`], [`Engine::oob`]) that run a
-//! full sync round against any [`Transport`].
+//! ([`ProtocolRequest`] / [`ProtocolResponse`]) and a single responder
+//! entry point ([`Engine::handle`]). The initiator's side is the
+//! [`Round`] machine in [`crate::rounds`]; the blocking drivers here
+//! ([`Engine::pull`], [`Engine::pull_delta`], [`Engine::pull_recon`],
+//! [`Engine::oob`]) are one loop that runs a `Round` to completion against
+//! any [`Transport`], wrapped in the [`RetryPolicy`] and the delta →
+//! whole-item degradation.
 //!
-//! Every runtime is a thin adapter over this module:
+//! Every runtime is a thin adapter over these two procedures:
 //!
-//! * the in-process helpers (`pull`, `pull_delta`, `oob_copy`) use
-//!   [`LocalTransport`] — two replicas in one address space;
-//! * `epidb-net`'s `ThreadedCluster` moves the same enums over channels;
-//! * `epidb-net`'s `TcpCluster` frames them with [`crate::codec`] — the
-//!   wire codec serializes exactly the values the engine executes.
+//! * the in-process helpers (`pull`, `pull_delta`, `oob_copy`) and
+//!   `epidb-sim` use [`LocalTransport`] — two replicas in one address
+//!   space;
+//! * `epidb-net`'s `ThreadedCluster` and `ShardedThreadedCluster` move the
+//!   same enums over channels;
+//! * `epidb-net`'s `TcpCluster`, `ShardedTcpCluster` (thread per
+//!   connection) and `AsyncTcpCluster` (reactor) frame them with
+//!   [`crate::codec`] — the wire codec serializes exactly the values the
+//!   engine executes; the sharded runtimes add the
+//!   [`ProtocolRequest::Shard`] envelope via [`ShardTransport`];
+//! * `epidb-mc` steps the same `Round`s one message at a time.
 //!
 //! Cost accounting ([`Costs::charge_message`](epidb_common::Costs)),
 //! protocol tracing, and paranoid post-step audits all live at this
@@ -33,9 +42,9 @@ use crate::delta::{DeltaOfferResponse, DeltaPayload, DeltaRequest};
 use crate::messages::{FullPullReply, OobReply, PropagationResponse, ReconReply};
 use crate::oob::OobOutcome;
 use crate::propagation::PullOutcome;
-use crate::recon::{ReconDriver, ReconStep};
 use crate::replica::Replica;
 use crate::retry::RetryPolicy;
+use crate::rounds::{Round, RoundOutcome, RoundStep};
 
 /// A request message of the protocol, as executed by [`Engine::handle`]
 /// and serialized by [`crate::codec`].
@@ -527,14 +536,15 @@ impl Engine {
     /// every extra attempt charges `retries`, and every corrupt frame
     /// observed — whichever layer detected it — charges
     /// `corrupt_frames_dropped` on the recipient.
-    /// `start` is the round's clock for the deadline check; callers that
-    /// chain loops (the delta→whole degradation) pass one shared start so
-    /// the whole ladder answers to one deadline.
+    /// `start` is the round's clock for the deadline check
+    /// ([`RetryPolicy::round_start`]: not read at all under a policy with no
+    /// deadline); callers that chain loops (the delta→whole degradation)
+    /// pass one shared start so the whole ladder answers to one deadline.
     fn retry_loop<H, T, R>(
         recipient: &mut H,
         transport: &mut T,
         policy: &RetryPolicy,
-        start: Instant,
+        start: Option<Instant>,
         mut round: impl FnMut(&mut H, &mut T) -> Result<R>,
     ) -> Result<R>
     where
@@ -550,19 +560,57 @@ impl Engine {
                         recipient.with(|r| r.note_corrupt_frame());
                     }
                     failed += 1;
-                    if !policy.retryable(&e)
-                        || failed >= policy.max_attempts
-                        || policy.deadline_exceeded(start)
-                    {
+                    let Some(pause) = policy.pause_before_retry(failed, start, &e) else {
                         return Err(e);
-                    }
+                    };
                     recipient.with(|r| r.note_retry());
-                    let pause = policy.backoff(failed);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
                     }
                 }
             }
+        }
+    }
+
+    /// Run one [`Round`] to completion: the single blocking initiator.
+    /// `start` builds (and charges) message 1; every reply is fed back
+    /// into the machine until it is done. The replica is borrowed only
+    /// inside each `with`, never across an exchange. An `Err` — from the
+    /// transport or from the machine — aborts the round; a fresh one may
+    /// be started (that is what [`Engine::retry_loop`] does).
+    fn drive<H, T>(
+        recipient: &mut H,
+        transport: &mut T,
+        start: impl FnOnce(&mut Replica, NodeId) -> (Round, ProtocolRequest),
+    ) -> Result<RoundOutcome>
+    where
+        H: ReplicaHost,
+        T: Transport,
+    {
+        let peer = transport.peer();
+        let (mut round, mut req) = recipient.with(|r| start(r, peer));
+        loop {
+            let resp = transport.exchange(req)?;
+            match recipient.with(|r| round.on_response(r, resp))? {
+                RoundStep::Send(next) => req = next,
+                RoundStep::Done(outcome) => return Ok(outcome),
+            }
+        }
+    }
+
+    /// [`Engine::drive`] for the rounds that end in a [`PullOutcome`].
+    fn drive_pull<H, T>(
+        recipient: &mut H,
+        transport: &mut T,
+        start: impl FnOnce(&mut Replica, NodeId) -> (Round, ProtocolRequest),
+    ) -> Result<PullOutcome>
+    where
+        H: ReplicaHost,
+        T: Transport,
+    {
+        match Self::drive(recipient, transport, start)? {
+            RoundOutcome::Pull(outcome) => Ok(outcome),
+            RoundOutcome::Oob(_) => unreachable!("a pull round ends in a pull outcome"),
         }
     }
 
@@ -587,33 +635,9 @@ impl Engine {
         H: ReplicaHost,
         T: Transport,
     {
-        Self::retry_loop(recipient, transport, policy, Instant::now(), Self::pull_round)
-    }
-
-    fn pull_round<H, T>(recipient: &mut H, transport: &mut T) -> Result<PullOutcome>
-    where
-        H: ReplicaHost,
-        T: Transport,
-    {
-        let source = transport.peer();
-        let req = recipient.with(|r| {
-            let req = ProtocolRequest::Pull { from: r.id(), dbvv: r.dbvv().clone() };
-            r.charge_message(req.control_bytes(), req.payload_bytes());
-            req
-        });
-        match transport.exchange(req)? {
-            ProtocolResponse::Pull(PropagationResponse::YouAreCurrent) => Ok(PullOutcome::UpToDate),
-            ProtocolResponse::Pull(PropagationResponse::Payload(payload)) => {
-                let outcome = recipient.with(|r| r.accept_propagation(source, payload))?;
-                Ok(PullOutcome::Propagated(outcome))
-            }
-            ProtocolResponse::Pull(PropagationResponse::NeedRecon) => {
-                // The responder's retention-pruned log cannot cover our
-                // gap: degrade to set reconciliation within this attempt.
-                Self::recon_round(recipient, transport, &GossipBudget::UNBOUNDED)
-            }
-            other => Err(unexpected("pull", &other)),
-        }
+        Self::retry_loop(recipient, transport, policy, policy.round_start(), |h, t| {
+            Self::drive_pull(h, t, Round::start_pull)
+        })
     }
 
     /// Drive one cold-start reconciliation (digest-tree descent, possibly
@@ -643,34 +667,9 @@ impl Engine {
         H: ReplicaHost,
         T: Transport,
     {
-        Self::retry_loop(recipient, transport, policy, Instant::now(), |h, t| {
-            Self::recon_round(h, t, budget)
+        Self::retry_loop(recipient, transport, policy, policy.round_start(), |h, t| {
+            Self::drive_pull(h, t, |r, peer| Round::start_recon(r, peer, budget))
         })
-    }
-
-    /// One reconciliation round: the blocking loop over the shared
-    /// [`ReconDriver`] — the same machine the step-wise
-    /// [`Round`](crate::rounds::Round) runs, so costs are byte-identical
-    /// across runtimes by construction.
-    fn recon_round<H, T>(
-        recipient: &mut H,
-        transport: &mut T,
-        budget: &GossipBudget,
-    ) -> Result<PullOutcome>
-    where
-        H: ReplicaHost,
-        T: Transport,
-    {
-        let peer = transport.peer();
-        let (mut driver, first) = recipient.with(|r| ReconDriver::start(r, budget.max_frame_items));
-        let mut req = first;
-        loop {
-            let resp = transport.exchange(req)?;
-            match recipient.with(|r| driver.on_response(r, peer, resp))? {
-                ReconStep::Send(next) => req = next,
-                ReconStep::Done(outcome) => return Ok(outcome),
-            }
-        }
     }
 
     /// Drive one delta-mode pull (§2's update-record shipping; messages
@@ -717,105 +716,22 @@ impl Engine {
         H: ReplicaHost,
         T: Transport,
     {
-        let start = Instant::now();
+        let start = policy.round_start();
         let delta = Self::retry_loop(recipient, transport, policy, start, |h, t| {
-            Self::pull_delta_round(h, t, budget)
+            Self::drive_pull(h, t, |r, peer| Round::start_delta(r, peer, budget))
         });
         match delta {
-            Err(e) if policy.retryable(&e) && !policy.deadline_exceeded(start) => {
+            Err(e) if policy.retryable(&e) && !policy.past_deadline(start) => {
                 // The degradation is exactly one more attempt at the
                 // round, in a cheaper mode, charged against the *same*
                 // round budget: no fresh retry loop, and no attempt at
                 // all once the round's deadline has passed — a degraded
                 // round must never outlive the policy that bounds it.
                 recipient.with(|r| r.note_retry());
-                Self::pull_round(recipient, transport)
+                Self::drive_pull(recipient, transport, Round::start_pull)
             }
             other => other,
         }
-    }
-
-    fn pull_delta_round<H, T>(
-        recipient: &mut H,
-        transport: &mut T,
-        budget: &GossipBudget,
-    ) -> Result<PullOutcome>
-    where
-        H: ReplicaHost,
-        T: Transport,
-    {
-        let source = transport.peer();
-        let req = recipient.with(|r| {
-            let req = ProtocolRequest::DeltaPull { from: r.id(), dbvv: r.dbvv().clone() };
-            r.charge_message(req.control_bytes(), req.payload_bytes());
-            req
-        });
-        let offer = match transport.exchange(req)? {
-            ProtocolResponse::DeltaOffer(DeltaOfferResponse::YouAreCurrent) => {
-                return Ok(PullOutcome::UpToDate);
-            }
-            ProtocolResponse::DeltaOffer(DeltaOfferResponse::NeedRecon) => {
-                // Coverage lost at the source: this round continues as a
-                // reconciliation descent under the same frame budget.
-                return Self::recon_round(recipient, transport, budget);
-            }
-            ProtocolResponse::DeltaOffer(DeltaOfferResponse::Offer(offer)) => offer,
-            other => return Err(unexpected("delta-pull", &other)),
-        };
-        let (wants, eval) = recipient.with(|r| r.evaluate_delta_offer(source, offer))?;
-        let mut remaining = wants.wants;
-        let cap = budget.max_frame_items.max(1);
-        let mut items = Vec::with_capacity(remaining.len());
-        let mut first = true;
-        // One fetch frame per `cap`-sized slice of the want-list (always
-        // at least one frame, even for an empty list — the exchange shape
-        // with an unbounded budget is identical to the unchunked
-        // protocol). The responder may answer any fetch with a shorter
-        // prefix (its frame-byte budget); the unserved suffix simply rides
-        // the next frame.
-        while first || !remaining.is_empty() {
-            first = false;
-            let take = remaining.len().min(cap);
-            // The chunk is *moved* into the fetch frame, not cloned — in
-            // the common fully-served case the round allocates nothing per
-            // want. Only the item IDs are kept (for the rare under-served
-            // suffix, whose IVVs are re-derived below: the recipient
-            // applies nothing until the round's single `apply_delta`, so
-            // its IVVs are stable).
-            let rest = remaining.split_off(take);
-            let chunk = std::mem::replace(&mut remaining, rest);
-            let ids: Vec<ItemId> = chunk.iter().map(|(x, _)| *x).collect();
-            let fetch = recipient.with(|r| {
-                let fetch = ProtocolRequest::DeltaFetch {
-                    from: r.id(),
-                    wants: DeltaRequest { wants: chunk },
-                };
-                r.charge_message(fetch.control_bytes(), fetch.payload_bytes());
-                fetch
-            });
-            match transport.exchange(fetch)? {
-                ProtocolResponse::DeltaPayload(payload) => {
-                    let served = payload.items.len().min(take);
-                    if served == 0 && take > 0 {
-                        return Err(Error::Network("delta fetch made no progress".into()));
-                    }
-                    if served < take {
-                        let mut unserved = recipient.with(|r| {
-                            ids[served..]
-                                .iter()
-                                .map(|&x| Ok((x, r.store.get(x)?.ivv.clone())))
-                                .collect::<Result<Vec<_>>>()
-                        })?;
-                        unserved.append(&mut remaining);
-                        remaining = unserved;
-                    }
-                    items.extend(payload.items);
-                }
-                other => return Err(unexpected("delta-fetch", &other)),
-            }
-        }
-        let outcome = recipient.with(|r| r.apply_delta(source, DeltaPayload { items }, eval))?;
-        Ok(PullOutcome::Propagated(outcome))
     }
 
     /// Drive one out-of-bound copy of `item` (§5.2) as the recipient,
@@ -839,26 +755,12 @@ impl Engine {
         H: ReplicaHost,
         T: Transport,
     {
-        Self::retry_loop(recipient, transport, policy, Instant::now(), |h, t| {
-            Self::oob_round(h, t, item)
+        Self::retry_loop(recipient, transport, policy, policy.round_start(), |h, t| {
+            match Self::drive(h, t, |r, peer| Round::start_oob(r, peer, item))? {
+                RoundOutcome::Oob(outcome) => Ok(outcome),
+                RoundOutcome::Pull(_) => unreachable!("an oob round ends in an oob outcome"),
+            }
         })
-    }
-
-    fn oob_round<H, T>(recipient: &mut H, transport: &mut T, item: ItemId) -> Result<OobOutcome>
-    where
-        H: ReplicaHost,
-        T: Transport,
-    {
-        let source = transport.peer();
-        let req = recipient.with(|r| {
-            let req = ProtocolRequest::Oob { from: r.id(), item };
-            r.charge_message(req.control_bytes(), req.payload_bytes());
-            req
-        });
-        match transport.exchange(req)? {
-            ProtocolResponse::Oob(reply) => recipient.with(|r| r.accept_oob(source, reply)),
-            other => Err(unexpected("oob", &other)),
-        }
     }
 }
 
@@ -1101,6 +1003,95 @@ mod tests {
         assert!(Engine::pull_delta_with(&mut b, &mut t, &policy).is_err());
         assert_eq!(t.0, 1, "deadline already expired: no retries, no degradation");
         assert_eq!(b.costs().retries, 0);
+    }
+
+    /// Fails exactly the `fail_at`-th exchange (1-based) and keeps every
+    /// request it was handed — no chaos rng, the schedule is the test's.
+    struct FailKth<'a> {
+        inner: LocalTransport<'a>,
+        fail_at: usize,
+        seen: Vec<ProtocolRequest>,
+    }
+    impl Transport for FailKth<'_> {
+        fn peer(&self) -> NodeId {
+            self.inner.peer()
+        }
+        fn exchange(&mut self, req: ProtocolRequest) -> Result<ProtocolResponse> {
+            self.seen.push(req.clone());
+            if self.seen.len() == self.fail_at {
+                return Err(Error::Network("dropped".into()));
+            }
+            self.inner.exchange(req)
+        }
+    }
+
+    /// A multi-message round whose `fail_at`-th exchange is lost: alone it
+    /// applies nothing; under `attempts(2)` it retries once, from message
+    /// 1 with the recipient's current DBVV, and ends where a clean run
+    /// ends. Returns the request kinds the retried run put on the wire.
+    fn abort_then_retry(
+        (a0, b0): (Replica, Replica),
+        fail_at: usize,
+        run: impl Fn(&mut Replica, &mut FailKth, &RetryPolicy) -> Result<PullOutcome>,
+    ) -> Vec<&'static str> {
+        let flaky = |a, fail_at| FailKth { inner: LocalTransport::new(a), fail_at, seen: vec![] };
+
+        let (mut a, mut b) = (a0.clone(), b0.clone());
+        assert!(run(&mut b, &mut flaky(&mut a, fail_at), &RetryPolicy::none()).is_err());
+        assert_eq!(b.fingerprint(), b0.fingerprint(), "the aborted attempt applied something");
+        assert_eq!(b.costs().retries, 0);
+
+        let (mut a, mut clean) = (a0.clone(), b0.clone());
+        run(&mut clean, &mut flaky(&mut a, usize::MAX), &RetryPolicy::none()).unwrap();
+        assert_ne!(clean.fingerprint(), b0.fingerprint(), "the round has work to do");
+
+        let (mut a, mut b) = (a0, b0.clone());
+        let mut t = flaky(&mut a, fail_at);
+        run(&mut b, &mut t, &RetryPolicy::attempts(2)).unwrap();
+        assert_eq!(b.costs().retries, 1);
+        assert_eq!(b.fingerprint(), clean.fingerprint());
+        // The retry is a fresh round: the request after the lost one is
+        // message 1 again, built from the recipient's current (and, the
+        // abort having applied nothing, unchanged) state.
+        assert_eq!(format!("{:?}", t.seen[fail_at]), format!("{:?}", t.seen[0]));
+        if let ProtocolRequest::DeltaPull { dbvv, .. } = &t.seen[fail_at] {
+            assert_eq!(dbvv, b0.dbvv());
+        }
+        t.seen.iter().map(ProtocolRequest::kind).collect()
+    }
+
+    #[test]
+    fn lost_second_delta_fetch_aborts_cleanly_and_retries_from_message_one() {
+        let mut a = Replica::new(NodeId(0), 2, 16);
+        let mut b = Replica::new(NodeId(1), 2, 16);
+        a.enable_delta(4096);
+        b.enable_delta(4096);
+        for i in 0..10 {
+            a.update(ItemId(i), UpdateOp::set(vec![i as u8; 8])).unwrap();
+        }
+        b.update(ItemId(12), UpdateOp::set(&b"mine"[..])).unwrap();
+        let kinds = abort_then_retry((a, b), 3, |b, t, policy| {
+            Engine::pull_delta_budgeted(b, t, policy, &GossipBudget::per_frame(4))
+        });
+        let attempt = ["delta-pull", "delta-fetch", "delta-fetch", "delta-fetch"];
+        assert_eq!(kinds, [&attempt[..3], &attempt[..]].concat());
+    }
+
+    #[test]
+    fn lost_second_recon_probe_aborts_cleanly_and_retries_from_the_root() {
+        let mut a = Replica::new(NodeId(0), 2, 32);
+        let mut b = Replica::new(NodeId(1), 2, 32);
+        for i in 0..32 {
+            a.update(ItemId(i), UpdateOp::set(vec![i as u8; 8])).unwrap();
+        }
+        Engine::pull(&mut b, &mut LocalTransport::new(&mut a)).unwrap();
+        for i in [2, 17, 30] {
+            a.update(ItemId(i), UpdateOp::append(&b"+late"[..])).unwrap();
+        }
+        let kinds = abort_then_retry((a, b), 2, |b, t, policy| {
+            Engine::pull_recon_with(b, t, policy, &GossipBudget::per_frame(2))
+        });
+        assert!(kinds.len() > 4 && kinds.iter().all(|&k| k == "recon"), "{kinds:?}");
     }
 
     /// Counts delta exchanges by kind, for pinning frame coalescing.

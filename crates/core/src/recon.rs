@@ -27,11 +27,11 @@
 //! space differs.
 //!
 //! Frames are capped by [`GossipBudget::max_frame_items`](crate::GossipBudget::max_frame_items) (ranges plus
-//! fetches per request), mirroring the delta path's fetch coalescing, and
-//! both the blocking driver ([`Engine::pull_recon`](crate::Engine)) and
-//! the step-wise [`Round`](crate::rounds::Round) run the *same*
-//! [`ReconDriver`], so per-node [`Costs`](epidb_common::Costs) are
-//! byte-identical across runtimes by construction.
+//! fetches per request), mirroring the delta path's fetch coalescing. The
+//! [`ReconDriver`] is owned by a [`Round`](crate::rounds::Round) — the one
+//! initiator every runtime and the model checker run — so per-node
+//! [`Costs`](epidb_common::Costs) are byte-identical across runtimes by
+//! construction.
 
 use epidb_common::trace::{OrdTag, TraceStep};
 use epidb_common::{ConflictEvent, ConflictSite, Error, ItemId, NodeId, Result};
@@ -329,9 +329,9 @@ enum ReconMode {
     Full,
 }
 
-/// The recipient-driven reconciliation state machine, shared verbatim by
-/// the blocking engine driver and the step-wise [`Round`](crate::rounds::Round) — which is what
-/// makes their per-node costs byte-identical. `Clone` so the model
+/// The recipient-driven reconciliation state machine: the part of a
+/// [`Round`](crate::rounds::Round) that runs the descent, whether the
+/// round was started as one or degraded into one. `Clone` so the model
 /// checker can fork systems with descents mid-flight.
 #[derive(Clone, Debug)]
 pub struct ReconDriver {

@@ -1,12 +1,12 @@
-//! Step-wise (non-blocking) protocol rounds: the initiator side of pull,
-//! delta-pull, and out-of-bound copy as an explicit state machine.
+//! The initiator side of every protocol exchange — pull, delta-pull,
+//! reconciliation, out-of-bound copy — as one explicit state machine.
 //!
-//! [`Engine::pull`](crate::Engine::pull) and friends drive a whole round
-//! to completion inside one call — natural for the blocking runtimes, but
-//! opaque to anything that needs to *interleave* rounds: the model checker
-//! must be able to stop a round between messages, fork the system, deliver
-//! a different message first, or crash a node mid-round. A [`Round`] is
-//! the same protocol with the blocking loop turned inside out:
+//! The paper gives each side of an exchange exactly one procedure (§5,
+//! Figs. 2–4). The responder's is [`Engine::handle`](crate::Engine::handle);
+//! the initiator's is [`Round`]. It is the only code that builds `Pull` /
+//! `DeltaPull` / `DeltaFetch` / `Oob` / `Recon` requests and interprets
+//! their replies (the descent itself lives in [`ReconDriver`], which a
+//! `Round` owns):
 //!
 //! ```text
 //! let (mut round, req) = Round::start_delta(&mut a, peer, &budget);
@@ -17,21 +17,24 @@
 //! }
 //! ```
 //!
-//! The machine mirrors the engine's drivers *exactly* — the same messages
-//! in the same order with the same charging (initiator charges its
-//! requests at send time; the responder charges responses inside
-//! [`Engine::handle`](crate::Engine::handle)) — so a schedule driven
-//! step-wise produces byte-identical [`Costs`](epidb_common::Costs) and
-//! state fingerprints to the same schedule driven by the blocking engine.
-//! The parity tests at the bottom pin that equivalence; it is what lets
-//! the model checker's conclusions transfer to every production runtime.
+//! Everything that initiates runs this machine. The blocking drivers
+//! ([`Engine::pull`](crate::Engine::pull) and friends) are one loop of
+//! start → exchange → `on_response` until done, wrapped in the retry
+//! policy; the model checker steps the same `Round` one message at a time
+//! so it can stop between messages, fork the system, deliver a different
+//! message first, or crash a node mid-round. Its conclusions transfer to
+//! every production runtime because they run the same code, not because
+//! two copies are tested to agree.
+//!
+//! Charging is part of the machine: the initiator charges each request as
+//! it is built; the responder charges responses inside `Engine::handle`.
 //!
 //! Retries are deliberately *not* part of the machine: a transport failure
-//! aborts the round (the caller may start a fresh one — rounds are
-//! idempotent). The model checker injects losses as first-class events
-//! instead of hiding them behind a retry loop. This is also the shape an
-//! async gossip initiator needs (the ROADMAP's "async initiator" item):
-//! one `Round` per in-flight peer exchange, resumed as responses land.
+//! aborts the round, having applied nothing (delta data and recon items
+//! are staged until the last reply), and the caller may start a fresh one
+//! — rounds are idempotent. The blocking drivers do that under a
+//! [`RetryPolicy`](crate::RetryPolicy); the model checker injects losses
+//! as first-class events instead.
 
 use epidb_common::{Error, ItemId, NodeId, Result};
 use epidb_vv::VersionVector;
@@ -66,6 +69,23 @@ pub enum RoundOutcome {
     Oob(OobOutcome),
 }
 
+/// A delta round between its offer and its last data frame.
+#[derive(Clone, Debug)]
+struct DeltaFetching {
+    /// Item ids of the in-flight fetch chunk (for under-served
+    /// re-requests).
+    ids: Vec<ItemId>,
+    /// Wants not yet put on the wire.
+    remaining: Vec<(ItemId, VersionVector)>,
+    /// Data collected so far, applied in one `apply_delta` at the end.
+    got: Vec<DeltaItem>,
+    /// The offer evaluation, carried into the apply step.
+    eval: OfferEvaluation,
+}
+
+/// The two fat payloads are boxed: a `Round` is moved on every start and
+/// every step, and the common rounds (an idle pull, an out-of-bound copy)
+/// carry no payload at all.
 #[derive(Clone, Debug)]
 enum State {
     /// Waiting for message 2 of the whole-item pull.
@@ -73,17 +93,7 @@ enum State {
     /// Waiting for message 2 of the delta pull (the offer).
     AwaitOffer,
     /// Waiting for a delta data frame (message 4, possibly chunked).
-    AwaitDelta {
-        /// Item ids of the in-flight fetch chunk (for under-served
-        /// re-requests).
-        ids: Vec<ItemId>,
-        /// Wants not yet put on the wire.
-        remaining: Vec<(ItemId, VersionVector)>,
-        /// Data collected so far, applied in one `apply_delta` at the end.
-        got: Vec<DeltaItem>,
-        /// The offer evaluation, carried into the apply step.
-        eval: OfferEvaluation,
-    },
+    AwaitDelta(Box<DeltaFetching>),
     /// Waiting for the out-of-bound reply.
     AwaitOob {
         /// The requested item.
@@ -92,10 +102,12 @@ enum State {
     /// Running a set-reconciliation descent (entered directly via
     /// [`Round::start_recon`] or by degradation when a pull or offer
     /// answers `NeedRecon`).
-    Recon(ReconDriver),
+    Recon(Box<ReconDriver>),
     /// Finished (or aborted by an error).
     Done,
 }
+
+const UP_TO_DATE: RoundStep = RoundStep::Done(RoundOutcome::Pull(PullOutcome::UpToDate));
 
 /// One in-flight initiator-side protocol round. `Clone` so the model
 /// checker can fork a system with rounds mid-flight.
@@ -130,8 +142,7 @@ impl Round {
     }
 
     /// Start a set-reconciliation round from `initiator` toward `peer`,
-    /// capping request frames under `budget` — the step-wise twin of
-    /// [`Engine::pull_recon`](crate::Engine::pull_recon).
+    /// capping request frames under `budget`.
     pub fn start_recon(
         initiator: &mut Replica,
         peer: NodeId,
@@ -139,7 +150,7 @@ impl Round {
     ) -> (Round, ProtocolRequest) {
         let cap = budget.max_frame_items.max(1);
         let (driver, req) = ReconDriver::start(initiator, cap);
-        (Round { peer, cap, state: State::Recon(driver) }, req)
+        (Round { peer, cap, state: State::Recon(Box::new(driver)) }, req)
     }
 
     /// Start an out-of-bound copy of `item` (§5.2) from `initiator` toward
@@ -166,124 +177,155 @@ impl Round {
 
     /// Feed the responder's reply to the last sent request into the
     /// machine. Returns the next request to deliver or the round's
-    /// outcome. On `Err` the round is aborted (state becomes done); the
-    /// error is the same the blocking engine would surface.
+    /// outcome. On `Err` the round is aborted (state becomes done).
+    ///
+    /// The two-message rounds — a pull, an out-of-bound copy — are decided
+    /// here. A whole idle round is ~90 ns, so this frame is kept small: the
+    /// later messages of the longer rounds are handled out of line
+    /// (`#[inline(never)]`, or the optimizer folds them back in).
     pub fn on_response(
         &mut self,
         initiator: &mut Replica,
         resp: ProtocolResponse,
     ) -> Result<RoundStep> {
-        let state = std::mem::replace(&mut self.state, State::Done);
-        match (state, resp) {
-            (State::AwaitPull, ProtocolResponse::Pull(PropagationResponse::YouAreCurrent)) => {
-                Ok(RoundStep::Done(RoundOutcome::Pull(PullOutcome::UpToDate)))
-            }
-            (State::AwaitPull, ProtocolResponse::Pull(PropagationResponse::Payload(payload))) => {
-                let outcome = initiator.accept_propagation(self.peer, payload)?;
-                Ok(RoundStep::Done(RoundOutcome::Pull(PullOutcome::Propagated(outcome))))
-            }
-            (State::AwaitPull, ProtocolResponse::Pull(PropagationResponse::NeedRecon)) => {
-                // Degrade exactly as the blocking engine: a plain pull
-                // reconciles unbudgeted.
-                let (driver, req) = ReconDriver::start(initiator, usize::MAX);
-                self.state = State::Recon(driver);
-                Ok(RoundStep::Send(req))
-            }
-            (State::AwaitPull, other) => Err(unexpected("pull", &other)),
-
-            (
-                State::AwaitOffer,
-                ProtocolResponse::DeltaOffer(DeltaOfferResponse::YouAreCurrent),
-            ) => Ok(RoundStep::Done(RoundOutcome::Pull(PullOutcome::UpToDate))),
-            (State::AwaitOffer, ProtocolResponse::DeltaOffer(DeltaOfferResponse::Offer(offer))) => {
-                let (wants, eval) = initiator.evaluate_delta_offer(self.peer, offer)?;
-                // The engine always sends at least one fetch, even for an
-                // empty want-list — the exchange shape must match.
-                Ok(RoundStep::Send(self.next_fetch(initiator, wants.wants, Vec::new(), eval)))
-            }
-            (State::AwaitOffer, ProtocolResponse::DeltaOffer(DeltaOfferResponse::NeedRecon)) => {
-                // Degrade under the round's own frame cap, like
-                // `pull_delta_round`.
-                let (driver, req) = ReconDriver::start(initiator, self.cap);
-                self.state = State::Recon(driver);
-                Ok(RoundStep::Send(req))
-            }
-            (State::AwaitOffer, other) => Err(unexpected("delta-pull", &other)),
-
-            (
-                State::AwaitDelta { ids, mut remaining, mut got, eval },
-                ProtocolResponse::DeltaPayload(payload),
-            ) => {
-                let take = ids.len();
-                let served = payload.items.len().min(take);
-                if served == 0 && take > 0 {
-                    return Err(Error::Network("delta fetch made no progress".into()));
-                }
-                if served < take {
-                    // Under-served suffix: re-derive the IVVs from the
-                    // store (nothing has been applied yet, so they are
-                    // stable) and put them back at the head of the queue.
-                    let mut unserved = ids[served..]
-                        .iter()
-                        .map(|&x| Ok((x, initiator.store.get(x)?.ivv.clone())))
-                        .collect::<Result<Vec<_>>>()?;
-                    unserved.append(&mut remaining);
-                    remaining = unserved;
-                }
-                got.extend(payload.items);
-                if remaining.is_empty() {
-                    let outcome =
-                        initiator.apply_delta(self.peer, DeltaPayload { items: got }, eval)?;
+        match std::mem::replace(&mut self.state, State::Done) {
+            State::AwaitPull => match resp {
+                ProtocolResponse::Pull(PropagationResponse::YouAreCurrent) => Ok(UP_TO_DATE),
+                ProtocolResponse::Pull(PropagationResponse::Payload(payload)) => {
+                    let outcome = initiator.accept_propagation(self.peer, payload)?;
                     Ok(RoundStep::Done(RoundOutcome::Pull(PullOutcome::Propagated(outcome))))
-                } else {
-                    Ok(RoundStep::Send(self.next_fetch(initiator, remaining, got, eval)))
                 }
-            }
-            (State::AwaitDelta { .. }, other) => Err(unexpected("delta-fetch", &other)),
-
-            (State::AwaitOob { .. }, ProtocolResponse::Oob(reply)) => {
-                let outcome = initiator.accept_oob(self.peer, reply)?;
-                Ok(RoundStep::Done(RoundOutcome::Oob(outcome)))
-            }
-            (State::AwaitOob { .. }, other) => Err(unexpected("oob", &other)),
-
-            (State::Recon(mut driver), resp) => {
-                match driver.on_response(initiator, self.peer, resp)? {
-                    ReconStep::Send(req) => {
-                        self.state = State::Recon(driver);
-                        Ok(RoundStep::Send(req))
-                    }
-                    ReconStep::Done(outcome) => Ok(RoundStep::Done(RoundOutcome::Pull(outcome))),
+                // The responder's retention-pruned log cannot cover our
+                // gap: the round continues as a reconciliation descent
+                // under its own frame cap (unbounded for a plain pull).
+                ProtocolResponse::Pull(PropagationResponse::NeedRecon) => {
+                    Ok(RoundStep::Send(self.start_descent(initiator)))
                 }
-            }
-
-            (State::Done, _) => {
-                Err(Error::Network("response delivered to a completed round".into()))
-            }
+                other => Err(unexpected("pull", &other)),
+            },
+            State::AwaitOob { .. } => match resp {
+                ProtocolResponse::Oob(reply) => {
+                    let outcome = initiator.accept_oob(self.peer, reply)?;
+                    Ok(RoundStep::Done(RoundOutcome::Oob(outcome)))
+                }
+                other => Err(unexpected("oob", &other)),
+            },
+            State::AwaitOffer => self.on_offer(initiator, resp),
+            State::AwaitDelta(f) => self.on_delta_frame(initiator, f, resp),
+            State::Recon(driver) => self.on_recon_reply(initiator, driver, resp),
+            State::Done => Err(Error::Network("response delivered to a completed round".into())),
         }
     }
 
+    /// Message 2 of the delta pull.
+    #[inline(never)]
+    fn on_offer(&mut self, initiator: &mut Replica, resp: ProtocolResponse) -> Result<RoundStep> {
+        match resp {
+            ProtocolResponse::DeltaOffer(DeltaOfferResponse::YouAreCurrent) => Ok(UP_TO_DATE),
+            ProtocolResponse::DeltaOffer(DeltaOfferResponse::Offer(offer)) => {
+                let (wants, eval) = initiator.evaluate_delta_offer(self.peer, offer)?;
+                // Always at least one fetch, even for an empty want-list:
+                // with an unbounded budget the exchange shape is that of
+                // the unchunked protocol.
+                let fetching = Box::new(DeltaFetching {
+                    ids: Vec::new(),
+                    remaining: wants.wants,
+                    got: Vec::new(),
+                    eval,
+                });
+                Ok(RoundStep::Send(self.next_fetch(initiator, fetching)))
+            }
+            ProtocolResponse::DeltaOffer(DeltaOfferResponse::NeedRecon) => {
+                Ok(RoundStep::Send(self.start_descent(initiator)))
+            }
+            other => Err(unexpected("delta-pull", &other)),
+        }
+    }
+
+    /// One delta data frame. The responder may answer any fetch with a
+    /// shorter prefix (its frame-byte budget); the unserved suffix rides
+    /// the next frame.
+    #[inline(never)]
+    fn on_delta_frame(
+        &mut self,
+        initiator: &mut Replica,
+        mut f: Box<DeltaFetching>,
+        resp: ProtocolResponse,
+    ) -> Result<RoundStep> {
+        let ProtocolResponse::DeltaPayload(payload) = resp else {
+            return Err(unexpected("delta-fetch", &resp));
+        };
+        let take = f.ids.len();
+        let served = payload.items.len().min(take);
+        if served == 0 && take > 0 {
+            return Err(Error::Network("delta fetch made no progress".into()));
+        }
+        if served < take {
+            // Re-derive the suffix's IVVs from the store (nothing is
+            // applied before the round's single `apply_delta`, so they
+            // are stable) and put them back at the head of the queue.
+            let mut unserved = f.ids[served..]
+                .iter()
+                .map(|&x| Ok((x, initiator.store.get(x)?.ivv.clone())))
+                .collect::<Result<Vec<_>>>()?;
+            unserved.append(&mut f.remaining);
+            f.remaining = unserved;
+        }
+        f.got.extend(payload.items);
+        if f.remaining.is_empty() {
+            let DeltaFetching { got, eval, .. } = *f;
+            let outcome = initiator.apply_delta(self.peer, DeltaPayload { items: got }, eval)?;
+            Ok(RoundStep::Done(RoundOutcome::Pull(PullOutcome::Propagated(outcome))))
+        } else {
+            Ok(RoundStep::Send(self.next_fetch(initiator, f)))
+        }
+    }
+
+    /// One reply of the reconciliation descent.
+    #[inline(never)]
+    fn on_recon_reply(
+        &mut self,
+        initiator: &mut Replica,
+        mut driver: Box<ReconDriver>,
+        resp: ProtocolResponse,
+    ) -> Result<RoundStep> {
+        match driver.on_response(initiator, self.peer, resp)? {
+            ReconStep::Send(req) => {
+                self.state = State::Recon(driver);
+                Ok(RoundStep::Send(req))
+            }
+            ReconStep::Done(outcome) => Ok(RoundStep::Done(RoundOutcome::Pull(outcome))),
+        }
+    }
+
+    /// Continue this round as a reconciliation descent under its frame cap.
+    fn start_descent(&mut self, initiator: &mut Replica) -> ProtocolRequest {
+        let (driver, req) = ReconDriver::start(initiator, self.cap);
+        self.state = State::Recon(Box::new(driver));
+        req
+    }
+
     /// Carve the next `cap`-sized chunk off the want-list, charge and
-    /// build its `DeltaFetch`, and park the rest in the state. Mirrors the
-    /// engine's chunk loop: the chunk is *moved* into the frame, only the
-    /// ids are kept.
+    /// build its `DeltaFetch`, and park the rest in the state. The chunk
+    /// is *moved* into the frame, not cloned — in the common fully-served
+    /// case the round allocates nothing per want; only the ids are kept,
+    /// for the rare under-served suffix.
     fn next_fetch(
         &mut self,
         initiator: &mut Replica,
-        mut remaining: Vec<(ItemId, VersionVector)>,
-        got: Vec<DeltaItem>,
-        eval: OfferEvaluation,
+        mut f: Box<DeltaFetching>,
     ) -> ProtocolRequest {
-        let take = remaining.len().min(self.cap);
-        let rest = remaining.split_off(take);
-        let chunk = std::mem::replace(&mut remaining, rest);
-        let ids: Vec<ItemId> = chunk.iter().map(|(x, _)| *x).collect();
+        let take = f.remaining.len().min(self.cap);
+        let rest = f.remaining.split_off(take);
+        let chunk = std::mem::replace(&mut f.remaining, rest);
+        f.ids.clear();
+        f.ids.extend(chunk.iter().map(|(x, _)| *x));
         let fetch = ProtocolRequest::DeltaFetch {
             from: initiator.id(),
             wants: DeltaRequest { wants: chunk },
         };
         initiator.charge_message(fetch.control_bytes(), fetch.payload_bytes());
-        self.state = State::AwaitDelta { ids, remaining, got, eval };
+        self.state = State::AwaitDelta(f);
         fetch
     }
 
@@ -297,7 +339,8 @@ impl Round {
         match &self.state {
             State::AwaitPull => w.u8(0),
             State::AwaitOffer => w.u8(1),
-            State::AwaitDelta { ids, remaining, got, eval } => {
+            State::AwaitDelta(f) => {
+                let DeltaFetching { ids, remaining, got, eval } = &**f;
                 w.u8(2);
                 w.u32(ids.len() as u32);
                 for x in ids {
@@ -361,172 +404,13 @@ impl Round {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, LocalTransport};
     use epidb_store::UpdateOp;
-
-    /// Drive one round step-wise against `Engine::handle` on the
-    /// responder, exactly as the model checker does.
-    fn drive(
-        initiator: &mut Replica,
-        responder: &mut Replica,
-        (mut round, first): (Round, ProtocolRequest),
-    ) -> Result<RoundOutcome> {
-        let mut req = first;
-        loop {
-            let resp = Engine::handle(responder, req)?;
-            match round.on_response(initiator, resp)? {
-                RoundStep::Send(next) => req = next,
-                RoundStep::Done(outcome) => return Ok(outcome),
-            }
-        }
-    }
-
-    fn seeded_pair(delta: bool) -> (Replica, Replica) {
-        let mut a = Replica::new(NodeId(0), 2, 10);
-        let mut b = Replica::new(NodeId(1), 2, 10);
-        if delta {
-            a.enable_delta(4096);
-            b.enable_delta(4096);
-        }
-        for i in 0..6u32 {
-            b.update(ItemId(i), UpdateOp::set(vec![i as u8; 12])).unwrap();
-        }
-        b.update(ItemId(1), UpdateOp::append(&b"+x"[..])).unwrap();
-        (a, b)
-    }
-
-    #[test]
-    fn stepwise_pull_matches_engine_exactly() {
-        let (a0, b0) = seeded_pair(false);
-
-        let (mut ae, mut be) = (a0.clone(), b0.clone());
-        Engine::pull(&mut ae, &mut LocalTransport::new(&mut be)).unwrap();
-
-        let (mut ar, mut br) = (a0, b0);
-        let start = Round::start_pull(&mut ar, NodeId(1));
-        let out = drive(&mut ar, &mut br, start).unwrap();
-        assert!(matches!(out, RoundOutcome::Pull(PullOutcome::Propagated(_))));
-
-        assert_eq!(ae.costs(), ar.costs(), "initiator costs diverged");
-        assert_eq!(be.costs(), br.costs(), "responder costs diverged");
-        assert_eq!(ae.fingerprint(), ar.fingerprint());
-        assert_eq!(be.fingerprint(), br.fingerprint());
-    }
-
-    #[test]
-    fn stepwise_delta_matches_engine_exactly() {
-        // A chunked budget exercises the multi-fetch path.
-        for budget in [GossipBudget::UNBOUNDED, GossipBudget::per_frame(2)] {
-            let (a0, b0) = seeded_pair(true);
-
-            let (mut ae, mut be) = (a0.clone(), b0.clone());
-            Engine::pull_delta_budgeted(
-                &mut ae,
-                &mut LocalTransport::new(&mut be),
-                &crate::RetryPolicy::none(),
-                &budget,
-            )
-            .unwrap();
-
-            let (mut ar, mut br) = (a0, b0);
-            let start = Round::start_delta(&mut ar, NodeId(1), &budget);
-            let out = drive(&mut ar, &mut br, start).unwrap();
-            assert!(matches!(out, RoundOutcome::Pull(PullOutcome::Propagated(_))));
-
-            assert_eq!(ae.costs(), ar.costs(), "initiator costs diverged");
-            assert_eq!(be.costs(), br.costs(), "responder costs diverged");
-            assert_eq!(ae.fingerprint(), ar.fingerprint());
-            assert_eq!(be.fingerprint(), br.fingerprint());
-        }
-    }
-
-    #[test]
-    fn stepwise_uptodate_and_oob_match_engine() {
-        let (a0, b0) = seeded_pair(false);
-
-        // Up-to-date pull: b pulls from a, which has nothing for it.
-        let (mut be, mut ae) = (b0.clone(), a0.clone());
-        Engine::pull(&mut be, &mut LocalTransport::new(&mut ae)).unwrap();
-        let (mut br, mut ar) = (b0.clone(), a0.clone());
-        let start = Round::start_pull(&mut br, NodeId(0));
-        let out = drive(&mut br, &mut ar, start).unwrap();
-        assert!(matches!(out, RoundOutcome::Pull(PullOutcome::UpToDate)));
-        assert_eq!(be.costs(), br.costs());
-        assert_eq!(ae.costs(), ar.costs());
-
-        // OOB copy of one item.
-        let (mut ae, mut be) = (a0.clone(), b0.clone());
-        Engine::oob(&mut ae, &mut LocalTransport::new(&mut be), ItemId(2)).unwrap();
-        let (mut ar, mut br) = (a0, b0);
-        let start = Round::start_oob(&mut ar, NodeId(1), ItemId(2));
-        let out = drive(&mut ar, &mut br, start).unwrap();
-        assert!(matches!(out, RoundOutcome::Oob(OobOutcome::Adopted { .. })));
-        assert_eq!(ae.costs(), ar.costs());
-        assert_eq!(be.costs(), br.costs());
-        assert_eq!(ae.fingerprint(), ar.fingerprint());
-    }
-
-    #[test]
-    fn stepwise_recon_matches_engine_exactly() {
-        for budget in [GossipBudget::UNBOUNDED, GossipBudget::per_frame(2)] {
-            let mut a0 = Replica::new(NodeId(0), 2, 32);
-            let mut b0 = Replica::new(NodeId(1), 2, 32);
-            for i in 0..32u32 {
-                b0.update(ItemId(i), UpdateOp::set(vec![i as u8; 8])).unwrap();
-            }
-            Engine::pull(&mut a0, &mut LocalTransport::new(&mut b0)).unwrap();
-            for i in [2u32, 17, 30] {
-                b0.update(ItemId(i), UpdateOp::append(&b"+late"[..])).unwrap();
-            }
-
-            let (mut ae, mut be) = (a0.clone(), b0.clone());
-            Engine::pull_recon_with(
-                &mut ae,
-                &mut LocalTransport::new(&mut be),
-                &crate::RetryPolicy::none(),
-                &budget,
-            )
-            .unwrap();
-
-            let (mut ar, mut br) = (a0, b0);
-            let start = Round::start_recon(&mut ar, NodeId(1), &budget);
-            let out = drive(&mut ar, &mut br, start).unwrap();
-            assert!(matches!(out, RoundOutcome::Pull(PullOutcome::Propagated(_))));
-
-            assert_eq!(ae.costs(), ar.costs(), "initiator costs diverged");
-            assert_eq!(be.costs(), br.costs(), "responder costs diverged");
-            assert_eq!(ae.fingerprint(), ar.fingerprint());
-            assert_eq!(be.fingerprint(), br.fingerprint());
-        }
-    }
-
-    #[test]
-    fn stepwise_pull_degrades_to_recon_like_the_engine() {
-        let mut a0 = Replica::new(NodeId(0), 2, 16);
-        let mut b0 = Replica::new(NodeId(1), 2, 16);
-        b0.set_log_retention(1);
-        for i in 0..16u32 {
-            b0.update(ItemId(i), UpdateOp::set(vec![i as u8; 8])).unwrap();
-        }
-        a0.update(ItemId(0), UpdateOp::set(&b"mine"[..])).unwrap();
-
-        let (mut ae, mut be) = (a0.clone(), b0.clone());
-        Engine::pull(&mut ae, &mut LocalTransport::new(&mut be)).unwrap();
-
-        let (mut ar, mut br) = (a0, b0);
-        let start = Round::start_pull(&mut ar, NodeId(1));
-        let out = drive(&mut ar, &mut br, start).unwrap();
-        assert!(matches!(out, RoundOutcome::Pull(PullOutcome::Propagated(_))));
-
-        assert_eq!(ae.costs(), ar.costs(), "initiator costs diverged");
-        assert_eq!(be.costs(), br.costs(), "responder costs diverged");
-        assert_eq!(ae.fingerprint(), ar.fingerprint());
-        assert_eq!(be.fingerprint(), br.fingerprint());
-    }
 
     #[test]
     fn round_fingerprint_distinguishes_states() {
-        let (mut a, _b) = seeded_pair(true);
+        let mut a = Replica::new(NodeId(0), 2, 10);
+        a.enable_delta(4096);
+        a.update(ItemId(1), UpdateOp::set(&b"x"[..])).unwrap();
         let (pull_round, _) = Round::start_pull(&mut a.clone(), NodeId(1));
         let (delta_round, _) = Round::start_delta(&mut a, NodeId(1), &GossipBudget::UNBOUNDED);
         let mut h1 = FnvHasher::new();

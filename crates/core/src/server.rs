@@ -9,7 +9,6 @@
 //! protocol once per database they share.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use epidb_common::{Costs, Error, ItemId, NodeId, Result, RouteTarget};
 use epidb_store::{ItemValue, UpdateOp};
@@ -218,7 +217,7 @@ impl Engine {
         mode: SyncMode,
         policy: &RetryPolicy,
     ) -> Result<ServerPullOutcome> {
-        let start = Instant::now();
+        let start = policy.round_start();
         let mut failed = 0u32;
         let names = loop {
             let list = ProtocolRequest::ListDatabases { from: recipient.id };
@@ -231,14 +230,10 @@ impl Engine {
                         recipient.meta_costs.corrupt_frames_dropped += 1;
                     }
                     failed += 1;
-                    if !policy.retryable(&e)
-                        || failed >= policy.max_attempts
-                        || policy.deadline_exceeded(start)
-                    {
+                    let Some(pause) = policy.pause_before_retry(failed, start, &e) else {
                         return Err(e);
-                    }
+                    };
                     recipient.meta_costs.retries += 1;
-                    let pause = policy.backoff(failed);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
                     }

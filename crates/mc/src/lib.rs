@@ -14,11 +14,12 @@
 //!
 //! Three layers of the workspace make this possible:
 //!
-//! * **Step-wise rounds** ([`epidb_core::rounds`]): the initiator state
-//!   machine with the blocking loop turned inside out, byte-identical in
-//!   costs and state to the blocking engine (pinned by parity tests) — so
-//!   the checker can park a round between messages, fork the system, and
-//!   interleave everything.
+//! * **Step-wise rounds** ([`epidb_core::rounds`]): the initiator is an
+//!   explicit state machine, and it is the *only* initiator — the blocking
+//!   `Engine` drivers every runtime calls are a loop over the same
+//!   `Round`. The checker can park a round between messages, fork the
+//!   system, and interleave everything, and what it explores is the code
+//!   production runs.
 //! * **Snapshot/fingerprint surface** ([`epidb_core::mc_state`]): cheap
 //!   forking and a canonical 64-bit digest of behaviorally relevant state.
 //! * **Grounded crash semantics** (`epidb_durable::crash_recovered_twin`,

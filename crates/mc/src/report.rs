@@ -7,9 +7,9 @@
 //! replay the remainder against a fresh system — skipping events the
 //! shortened prefix makes inapplicable — keeping the shorter schedule
 //! whenever the *same* check still trips. Replay is deterministic (same
-//! events ⇒ same states, pinned by the step-wise/blocking parity tests in
-//! `epidb-core::rounds`), so an accepted candidate is a genuine
-//! counterexample, not a flake.
+//! events ⇒ same states: a `Round` and `Engine::handle` read no clock and
+//! no rng), so an accepted candidate is a genuine counterexample, not a
+//! flake.
 //!
 //! The final render replays the minimized schedule once more with replica
 //! tracing enabled, producing a human-readable report: the numbered event

@@ -18,7 +18,7 @@
 //!   outcomes the checker must reach.
 //! * **Drop** — lose the pending message outright (bounded by the
 //!   scenario's loss budget); the round aborts, exactly as a transport
-//!   failure aborts the blocking engine's exchange.
+//!   failure aborts a blocking `Engine` driver's round.
 //! * **Crash** — replace a node by its crash image: the state
 //!   `epidb-durable` recovery would rebuild, via
 //!   [`crash_recovered_twin`] / [`ShardedNode::crash_recovered`] (grounded
@@ -496,8 +496,8 @@ impl System {
                         self.rounds.insert(rid, ctx);
                     }
                     Ok(RoundStep::Done(_)) => {}
-                    // Same contract as the blocking engine surfacing the
-                    // error to its driver: the round is over.
+                    // Same contract as `Engine::drive` surfacing the error
+                    // to its retry loop: the round is over.
                     Err(_) => applied.aborted_rounds += 1,
                 }
             }

@@ -29,25 +29,24 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use epidb_common::{Error, ItemId, NodeId, Result};
 use epidb_core::codec::{
     check_frame_len, decode_request_checked, encode_response_to, Writer, CHECKED_HEADER, MAX_FRAME,
 };
 use epidb_core::{
-    ChaosLink, ChaosTransport, ConflictPolicy, Engine, GossipBudget, OobOutcome, ProtocolResponse,
-    PullOutcome, Replica, RetryPolicy, ShardedNode, Transport,
+    ChaosLink, ChaosTransport, ConflictPolicy, Engine, OobOutcome, ProtocolResponse, PullOutcome,
+    Replica, RetryPolicy, ShardedNode, Transport,
 };
 use epidb_durable::{DurabilityConfig, GroupCommitStats, GroupWal, StreamSpec};
 use epidb_store::UpdateOp;
 use epidb_vv::VvOrd;
 use parking_lot::Mutex;
 use polling::{Event, Interest, Notify, Poller};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-use crate::tcp::{refusal_or_error, TcpConfig, TcpTransport};
+use crate::gossip::{gossip_loop, Gossiped};
+use crate::tcp::{connector, refusal_or_error, TcpConfig, TcpTransport};
 use crate::transport::MutexHost;
 
 /// Serves one request-frame body and encodes the response. This is the
@@ -630,7 +629,16 @@ impl AsyncTcpCluster {
                 let peer_addrs = addrs.clone();
                 let run = running.clone();
                 let cfg = base.clone();
-                std::thread::spawn(move || gossip_loop(me, node, peer_addrs, run, cfg))
+                // The C10K work is all on the serving side: initiators
+                // stay simple blocking clients, as in `TcpCluster`.
+                std::thread::spawn(move || {
+                    let gossiped = Gossiped::Replica {
+                        replica: &node.replica,
+                        after_pull: &|| node.after_mutation(),
+                    };
+                    let connect = connector(peer_addrs, cfg.socket);
+                    gossip_loop(me, n_nodes, cfg.gossip(), &run, &node.alive, gossiped, connect)
+                })
             })
             .collect();
         Ok(AsyncTcpCluster {
@@ -922,58 +930,6 @@ impl Drop for AsyncTcpCluster {
     fn drop(&mut self) {
         if self.running.load(Ordering::SeqCst) {
             self.stop();
-        }
-    }
-}
-
-/// Initiator-side gossip, identical to the thread-per-connection
-/// runtime's: the C10K work is all on the serving side, so initiators
-/// stay simple blocking clients. One tick = one pull from one random
-/// peer through a persistent per-peer chaos link.
-fn gossip_loop(
-    me: NodeId,
-    node: Arc<AsyncNode>,
-    addrs: Vec<SocketAddr>,
-    running: Arc<AtomicBool>,
-    cfg: TcpConfig,
-) {
-    let n = addrs.len();
-    let budget = GossipBudget::per_frame(cfg.max_frame_items);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (me.index() as u64).wrapping_mul(0x51_7C_C1));
-    let plan = cfg.effective_plan();
-    let mut links: Vec<ChaosLink> = (0..n)
-        .map(|peer| {
-            let link_seed = cfg
-                .seed
-                .wrapping_add(((me.index() * n + peer) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            ChaosLink::new(link_seed, plan.clone())
-        })
-        .collect();
-    while running.load(Ordering::SeqCst) {
-        let wake = Instant::now() + cfg.gossip_interval;
-        while Instant::now() < wake {
-            if !running.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep((wake - Instant::now()).min(Duration::from_millis(20)));
-        }
-        if !node.alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        let mut peer = rng.gen_range(0..n);
-        if peer == me.index() {
-            peer = (peer + 1) % n;
-        }
-        let tcp = TcpTransport::with_options(NodeId::from_index(peer), addrs[peer], cfg.socket);
-        let mut transport = ChaosTransport::new(tcp, &mut links[peer]);
-        let mut host = MutexHost(&node.replica);
-        let result = if cfg.delta_budget > 0 {
-            Engine::pull_delta_budgeted(&mut host, &mut transport, &cfg.retry, &budget)
-        } else {
-            Engine::pull_with(&mut host, &mut transport, &cfg.retry)
-        };
-        if result.is_ok() {
-            node.after_mutation();
         }
     }
 }

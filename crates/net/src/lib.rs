@@ -36,6 +36,7 @@
 //! ```
 
 pub mod async_tcp;
+mod gossip;
 pub mod message;
 pub mod runtime;
 pub mod sharded;

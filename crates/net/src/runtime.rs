@@ -11,21 +11,20 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use epidb_common::{Error, ItemId, NodeId, Result};
 use epidb_core::{
-    ChaosLink, ChaosTransport, ConflictPolicy, Engine, FaultPlan, GossipBudget, OobOutcome,
-    ProtocolRequest, ProtocolResponse, PullOutcome, Replica, RetryPolicy, Transport,
+    ChaosLink, ChaosTransport, ConflictPolicy, Engine, FaultPlan, OobOutcome, ProtocolRequest,
+    ProtocolResponse, PullOutcome, Replica, RetryPolicy, Transport,
 };
 use epidb_durable::{DurabilityConfig, NodeDurability};
 use epidb_store::UpdateOp;
 use epidb_vv::VvOrd;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
+use crate::gossip::{gossip_loop, GossipConfig, Gossiped, CHANNEL_RNG_SALT};
 use crate::message::NetMessage;
 use crate::transport::MutexHost;
 
@@ -103,6 +102,18 @@ impl ClusterConfig {
             latency: self.latency,
             ..FaultPlan::lossy(self.loss_probability)
         })
+    }
+
+    fn gossip(&self) -> GossipConfig {
+        GossipConfig {
+            interval: self.gossip_interval,
+            seed: self.seed,
+            rng_salt: CHANNEL_RNG_SALT,
+            plan: self.effective_plan(),
+            retry: self.retry.clone(),
+            delta: self.delta_budget > 0,
+            max_frame_items: self.max_frame_items,
+        }
     }
 }
 
@@ -248,7 +259,19 @@ impl ThreadedCluster {
             let peers = senders.clone();
             let run = running.clone();
             let cfg = config.clone();
-            handles.push(std::thread::spawn(move || gossip_loop(me, shared, peers, run, cfg)));
+            // The initiator side: periodically pull from a random peer.
+            handles.push(std::thread::spawn(move || {
+                let connect = |peer: NodeId| ChannelTransport {
+                    peer,
+                    sender: &peers[peer.index()],
+                    timeout: cfg.exchange_timeout,
+                };
+                let gossiped = Gossiped::Replica {
+                    replica: &shared.replica,
+                    after_pull: &|| shared.after_mutation(),
+                };
+                gossip_loop(me, peers.len(), cfg.gossip(), &run, &shared.alive, gossiped, connect)
+            }));
         }
         ThreadedCluster { nodes, senders, running, handles, config }
     }
@@ -517,66 +540,6 @@ fn serve_loop(shared: Arc<NodeShared>, rx: Receiver<NetMessage>) {
                 let result = Engine::handle(&mut shared.replica.lock(), req);
                 let _ = reply.send(result);
             }
-        }
-    }
-}
-
-/// The initiator side of a node: periodically pull from a random peer.
-fn gossip_loop(
-    me: NodeId,
-    shared: Arc<NodeShared>,
-    senders: Vec<Sender<NetMessage>>,
-    running: Arc<AtomicBool>,
-    cfg: ClusterConfig,
-) {
-    let n = senders.len();
-    let budget = GossipBudget::per_frame(cfg.max_frame_items);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (me.index() as u64).wrapping_mul(0x9E37_79B9));
-    // One persistent chaos link per peer: the fault process on each link
-    // is continuous across gossip rounds and deterministic in
-    // (seed, me, peer).
-    let plan = cfg.effective_plan();
-    let mut links: Vec<ChaosLink> = (0..n)
-        .map(|peer| {
-            let link_seed = cfg
-                .seed
-                .wrapping_add(((me.index() * n + peer) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            ChaosLink::new(link_seed, plan.clone())
-        })
-        .collect();
-    while running.load(Ordering::SeqCst) {
-        // Sleep the gossip interval in small slices so shutdown is prompt
-        // even with long intervals.
-        let wake = Instant::now() + cfg.gossip_interval;
-        while Instant::now() < wake {
-            if !running.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep((wake - Instant::now()).min(Duration::from_millis(20)));
-        }
-        if !shared.alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        let mut peer = rng.gen_range(0..n);
-        if peer == me.index() {
-            peer = (peer + 1) % n;
-        }
-        let channel = ChannelTransport {
-            peer: NodeId::from_index(peer),
-            sender: &senders[peer],
-            timeout: cfg.exchange_timeout,
-        };
-        let mut transport = ChaosTransport::new(channel, &mut links[peer]);
-        let mut host = MutexHost(&shared.replica);
-        // Faults and crashed peers exhaust the in-round retry policy and
-        // surface as errors; gossip then just retries on the next tick.
-        let result = if cfg.delta_budget > 0 {
-            Engine::pull_delta_budgeted(&mut host, &mut transport, &cfg.retry, &budget)
-        } else {
-            Engine::pull_with(&mut host, &mut transport, &cfg.retry)
-        };
-        if result.is_ok() {
-            shared.after_mutation();
         }
     }
 }

@@ -25,24 +25,27 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use epidb_common::{Costs, Error, ItemId, NodeId, Result, ShardId};
 use epidb_core::codec::{decode_request_checked, encode_response_to, Writer};
 use epidb_core::{
-    ChaosLink, ChaosTransport, ConflictPolicy, Engine, FaultPlan, GossipBudget, PullOutcome,
-    Replica, ReplicaHost, RetryPolicy, ShardMap, ShardTransport, ShardedNode, ShardedOob,
+    ChaosLink, ChaosTransport, ConflictPolicy, Engine, FaultPlan, PullOutcome, Replica,
+    ReplicaHost, RetryPolicy, ShardMap, ShardTransport, ShardedNode, ShardedOob,
 };
 use epidb_store::UpdateOp;
 use epidb_vv::VvOrd;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
+use crate::gossip::{gossip_loop, GossipConfig, Gossiped, CHANNEL_RNG_SALT, TCP_RNG_SALT};
 use crate::message::NetMessage;
 use crate::runtime::ChannelTransport;
-use crate::tcp::{read_frame_into, refusal_or_error, write_frame, TcpSocketOptions, TcpTransport};
+use crate::tcp::{
+    connector, read_frame_into, refusal_or_error, write_frame, TcpSocketOptions, TcpTransport,
+};
 
 /// Tuning and fault-injection knobs shared by both sharded runtimes.
 /// (The channel runtime ignores `socket`; the TCP runtime ignores
@@ -89,8 +92,16 @@ impl Default for ShardedConfig {
 }
 
 impl ShardedConfig {
-    fn effective_plan(&self) -> FaultPlan {
-        self.fault_plan.clone().unwrap_or(FaultPlan::lossy(0.0))
+    fn gossip(&self, rng_salt: u64) -> GossipConfig {
+        GossipConfig {
+            interval: self.gossip_interval,
+            seed: self.seed,
+            rng_salt,
+            plan: self.fault_plan.clone().unwrap_or(FaultPlan::lossy(0.0)),
+            retry: self.retry.clone(),
+            delta: self.delta_budget > 0,
+            max_frame_items: self.max_frame_items,
+        }
     }
 }
 
@@ -109,9 +120,9 @@ fn build_node(id: NodeId, n_nodes: usize, map: &ShardMap, cfg: &ShardedConfig) -
 /// [`ShardedNode`]: the lock is taken per engine callback, never across a
 /// network exchange (the same discipline as
 /// [`MutexHost`](crate::transport::MutexHost)).
-struct ShardHost<'a> {
-    node: &'a Mutex<ShardedNode>,
-    shard: ShardId,
+pub(crate) struct ShardHost<'a> {
+    pub(crate) node: &'a Mutex<ShardedNode>,
+    pub(crate) shard: ShardId,
 }
 
 impl ReplicaHost for ShardHost<'_> {
@@ -199,7 +210,14 @@ impl ShardedThreadedCluster {
             let me = NodeId::from_index(i);
             let cfg = config.clone();
             handles.push(std::thread::spawn(move || {
-                gossip_loop_sharded(me, shared, peer_senders, run, cfg)
+                let connect = |peer: NodeId| ChannelTransport {
+                    peer,
+                    sender: &peer_senders[peer.index()],
+                    timeout: cfg.exchange_timeout,
+                };
+                let gossip = cfg.gossip(CHANNEL_RNG_SALT);
+                let gossiped = Gossiped::Shards(&shared.node);
+                gossip_loop(me, n_nodes, gossip, &run, &shared.alive, gossiped, connect)
             }));
         }
         ShardedThreadedCluster { nodes, senders, running, handles, map, config }
@@ -423,68 +441,10 @@ fn serve_loop_sharded(shared: Arc<ShardedShared>, rx: Receiver<NetMessage>) {
     }
 }
 
-/// The initiator side: each tick, walk the owned shards and pull every
-/// one from a random co-owner in its replica group. A node with no
-/// co-owned shards (singleton groups) simply idles.
-fn gossip_loop_sharded(
-    me: NodeId,
-    shared: Arc<ShardedShared>,
-    senders: Vec<Sender<NetMessage>>,
-    running: Arc<AtomicBool>,
-    cfg: ShardedConfig,
-) {
-    let n = senders.len();
-    let budget = GossipBudget::per_frame(cfg.max_frame_items);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (me.index() as u64).wrapping_mul(0x9E37_79B9));
-    // One persistent chaos link per peer, deterministic in (seed, me, peer)
-    // — the same link discipline as the unsharded runtimes.
-    let plan = cfg.effective_plan();
-    let mut links: Vec<ChaosLink> = (0..n)
-        .map(|peer| {
-            let link_seed = cfg
-                .seed
-                .wrapping_add(((me.index() * n + peer) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            ChaosLink::new(link_seed, plan.clone())
-        })
-        .collect();
-    while running.load(Ordering::SeqCst) {
-        let wake = Instant::now() + cfg.gossip_interval;
-        while Instant::now() < wake {
-            if !running.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep((wake - Instant::now()).min(Duration::from_millis(20)));
-        }
-        if !shared.alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        // Snapshot the gossip plan under the lock, then exchange without it.
-        let rounds = gossip_rounds(&shared.node, me, &mut rng);
-        for (shard, peer) in rounds {
-            let channel = ChannelTransport {
-                peer,
-                sender: &senders[peer.index()],
-                timeout: cfg.exchange_timeout,
-            };
-            let mut chaos = ChaosTransport::new(channel, &mut links[peer.index()]);
-            let mut transport = ShardTransport::new(&mut chaos, shard);
-            let mut host = ShardHost { node: &shared.node, shard };
-            // Faults, refusals, and crashed peers exhaust the in-round
-            // retry policy and surface as errors; gossip then just retries
-            // on the next tick.
-            let _ = if cfg.delta_budget > 0 {
-                Engine::pull_delta_budgeted(&mut host, &mut transport, &cfg.retry, &budget)
-            } else {
-                Engine::pull_with(&mut host, &mut transport, &cfg.retry)
-            };
-        }
-    }
-}
-
 /// One tick's gossip plan for `me`: for each owned, non-moving shard,
 /// a random co-owner from that shard's replica group (per the node's
 /// *current* map copy, so a reassignment redirects gossip immediately).
-fn gossip_rounds(
+pub(crate) fn gossip_rounds(
     node: &Mutex<ShardedNode>,
     me: NodeId,
     rng: &mut StdRng,
@@ -563,7 +523,10 @@ impl ShardedTcpCluster {
             let me = NodeId::from_index(i);
             let cfg = config.clone();
             handles.push(std::thread::spawn(move || {
-                tcp_gossip_loop_sharded(me, shared, peer_addrs, run, cfg)
+                let connect = connector(peer_addrs, cfg.socket);
+                let gossip = cfg.gossip(TCP_RNG_SALT);
+                let gossiped = Gossiped::Shards(&shared.node);
+                gossip_loop(me, n_nodes, gossip, &run, &shared.alive, gossiped, connect)
             }));
         }
         Ok(ShardedTcpCluster { nodes, addrs, running, handles, map, config })
@@ -805,51 +768,6 @@ fn serve_conn_sharded(
         encode_response_to(&resp, &mut writer);
         if write_frame(&mut stream, &writer).is_err() {
             return;
-        }
-    }
-}
-
-fn tcp_gossip_loop_sharded(
-    me: NodeId,
-    shared: Arc<ShardedShared>,
-    addrs: Vec<SocketAddr>,
-    running: Arc<AtomicBool>,
-    cfg: ShardedConfig,
-) {
-    let n = addrs.len();
-    let budget = GossipBudget::per_frame(cfg.max_frame_items);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (me.index() as u64).wrapping_mul(0x51_7C_C1));
-    let plan = cfg.effective_plan();
-    let mut links: Vec<ChaosLink> = (0..n)
-        .map(|peer| {
-            let link_seed = cfg
-                .seed
-                .wrapping_add(((me.index() * n + peer) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            ChaosLink::new(link_seed, plan.clone())
-        })
-        .collect();
-    while running.load(Ordering::SeqCst) {
-        let wake = Instant::now() + cfg.gossip_interval;
-        while Instant::now() < wake {
-            if !running.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep((wake - Instant::now()).min(Duration::from_millis(20)));
-        }
-        if !shared.alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        let rounds = gossip_rounds(&shared.node, me, &mut rng);
-        for (shard, peer) in rounds {
-            let tcp = TcpTransport::with_options(peer, addrs[peer.index()], cfg.socket);
-            let mut chaos = ChaosTransport::new(tcp, &mut links[peer.index()]);
-            let mut transport = ShardTransport::new(&mut chaos, shard);
-            let mut host = ShardHost { node: &shared.node, shard };
-            let _ = if cfg.delta_budget > 0 {
-                Engine::pull_delta_budgeted(&mut host, &mut transport, &cfg.retry, &budget)
-            } else {
-                Engine::pull_with(&mut host, &mut transport, &cfg.retry)
-            };
         }
     }
 }

@@ -17,7 +17,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use epidb_common::{Error, ItemId, NodeId, Result};
@@ -26,16 +26,15 @@ use epidb_core::codec::{
     encode_response_to, DecodeScratch, Writer, CHECKED_HEADER, MAX_FRAME,
 };
 use epidb_core::{
-    ChaosLink, ChaosTransport, Engine, FaultPlan, GossipBudget, OobOutcome, ProtocolRequest,
-    ProtocolResponse, PullOutcome, Replica, RetryPolicy, Transport,
+    ChaosLink, ChaosTransport, Engine, FaultPlan, OobOutcome, ProtocolRequest, ProtocolResponse,
+    PullOutcome, Replica, RetryPolicy, Transport,
 };
 use epidb_durable::{DurabilityConfig, NodeDurability};
 use epidb_store::UpdateOp;
 use epidb_vv::VvOrd;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
+use crate::gossip::{gossip_loop, GossipConfig, Gossiped, TCP_RNG_SALT};
 use crate::runtime::open_durable_node;
 use crate::transport::MutexHost;
 
@@ -134,6 +133,27 @@ impl TcpConfig {
     pub fn effective_plan(&self) -> FaultPlan {
         self.fault_plan.clone().unwrap_or(FaultPlan::lossy(self.loss_probability))
     }
+
+    pub(crate) fn gossip(&self) -> GossipConfig {
+        GossipConfig {
+            interval: self.gossip_interval,
+            seed: self.seed,
+            rng_salt: TCP_RNG_SALT,
+            plan: self.effective_plan(),
+            retry: self.retry.clone(),
+            delta: self.delta_budget > 0,
+            max_frame_items: self.max_frame_items,
+        }
+    }
+}
+
+/// How a socket runtime's gossip thread reaches a peer: a fresh connection
+/// per round.
+pub(crate) fn connector(
+    addrs: Vec<SocketAddr>,
+    socket: TcpSocketOptions,
+) -> impl Fn(NodeId) -> TcpTransport {
+    move |peer| TcpTransport::with_options(peer, addrs[peer.index()], socket)
 }
 
 struct TcpNode {
@@ -416,7 +436,14 @@ impl TcpCluster {
             let peer_addrs = addrs.clone();
             let me = NodeId::from_index(i);
             let cfg = config.clone();
-            handles.push(std::thread::spawn(move || gossip_loop(me, node, peer_addrs, run, cfg)));
+            handles.push(std::thread::spawn(move || {
+                let gossiped = Gossiped::Replica {
+                    replica: &node.replica,
+                    after_pull: &|| node.after_mutation(),
+                };
+                let connect = connector(peer_addrs, cfg.socket);
+                gossip_loop(me, n_nodes, cfg.gossip(), &run, &node.alive, gossiped, connect)
+            }));
         }
         Ok(TcpCluster { nodes, addrs, running, handles, config })
     }
@@ -768,60 +795,6 @@ fn serve_conn(
         encode_response_to(&resp, &mut writer);
         if write_frame(&mut stream, &writer).is_err() {
             return;
-        }
-    }
-}
-
-fn gossip_loop(
-    me: NodeId,
-    node: Arc<TcpNode>,
-    addrs: Vec<SocketAddr>,
-    running: Arc<AtomicBool>,
-    cfg: TcpConfig,
-) {
-    let n = addrs.len();
-    let budget = GossipBudget::per_frame(cfg.max_frame_items);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (me.index() as u64).wrapping_mul(0x51_7C_C1));
-    // One persistent chaos link per peer, deterministic in (seed, me, peer).
-    let plan = cfg.effective_plan();
-    let mut links: Vec<ChaosLink> = (0..n)
-        .map(|peer| {
-            let link_seed = cfg
-                .seed
-                .wrapping_add(((me.index() * n + peer) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            ChaosLink::new(link_seed, plan.clone())
-        })
-        .collect();
-    while running.load(Ordering::SeqCst) {
-        // Sleep the gossip interval in small slices so shutdown is prompt
-        // even with long intervals.
-        let wake = Instant::now() + cfg.gossip_interval;
-        while Instant::now() < wake {
-            if !running.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep((wake - Instant::now()).min(Duration::from_millis(20)));
-        }
-        if !node.alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        let mut peer = rng.gen_range(0..n);
-        if peer == me.index() {
-            peer = (peer + 1) % n;
-        }
-        let tcp = TcpTransport::with_options(NodeId::from_index(peer), addrs[peer], cfg.socket);
-        let mut transport = ChaosTransport::new(tcp, &mut links[peer]);
-        let mut host = MutexHost(&node.replica);
-        // Connection failures and injected faults exhaust the in-round
-        // retry policy and surface as errors; gossip then just retries on
-        // the next tick.
-        let result = if cfg.delta_budget > 0 {
-            Engine::pull_delta_budgeted(&mut host, &mut transport, &cfg.retry, &budget)
-        } else {
-            Engine::pull_with(&mut host, &mut transport, &cfg.retry)
-        };
-        if result.is_ok() {
-            node.after_mutation();
         }
     }
 }
