@@ -30,7 +30,7 @@ cargo run --release -q --offline --manifest-path epibench/Cargo.toml -- --smoke 
 echo "== perf_report smoke =="
 cargo run --release -q -p epidb-bench --bin perf_report -- \
   --smoke --assert-zero-copy --assert-small-path --assert-sharded-gossip \
-  --assert-group-commit --assert-cold-start \
+  --assert-group-commit --assert-cold-start --assert-conn-reuse \
   --out target/bench_smoke.json
 grep -q '"schema": "epidb-perf-report/v1"' target/bench_smoke.json
 

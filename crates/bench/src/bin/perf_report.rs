@@ -16,7 +16,8 @@
 //! cargo run --release -p epidb-bench --bin perf_report -- \
 //!     [--smoke] [--assert-zero-copy] [--assert-small-path] \
 //!     [--assert-sharded-gossip] [--assert-group-commit] \
-//!     [--assert-cold-start] [--out PATH] [--baseline PATH]
+//!     [--assert-cold-start] [--assert-conn-reuse] [--out PATH] \
+//!     [--baseline PATH]
 //! ```
 //!
 //! * `--smoke` — tiny sizes and budgets (CI: validates the harness and the
@@ -40,6 +41,11 @@
 //!   ship ≥ 10× less payload than the whole-database pull, with total
 //!   traffic bounded by O(diff · log N) — the cold-start degradation rung
 //!   must beat the O(database) bottom rung it shields.
+//! * `--assert-conn-reuse` — assert the connection-count law of the socket
+//!   runtimes: 1,000 idle rounds from a cold pool open one connection per
+//!   peer address and no more, a crash / revive of a peer costs the next
+//!   round to it exactly one transparent reconnect, and a shut-down
+//!   cluster leaves no stream parked.
 //! * `--baseline PATH` — a previous report to embed and compute speedups
 //!   against (default `BENCH_PR8.json` if present).
 //! * `--out PATH` — where to write the report (default `BENCH_PR10.json`).
@@ -60,7 +66,10 @@ use epidb_core::{
 };
 use epidb_durable::testdir::TempDir;
 use epidb_durable::DurabilityConfig;
-use epidb_net::{AsyncTcpCluster, AsyncTcpConfig, TcpConfig, TcpTransport};
+use epidb_net::{
+    pool, AsyncTcpCluster, AsyncTcpConfig, ShardedConfig, ShardedTcpCluster, TcpConfig,
+    TcpTransport,
+};
 use epidb_store::UpdateOp;
 
 // --- counting allocator -----------------------------------------------------
@@ -641,11 +650,18 @@ fn scenario_c10k(name: &'static str, s: &Sizes) -> Measure {
         .expect("the reactor must keep every client connection open");
     let payload = (s.c10k_conns * s.c10k_val) as u64;
     let measure = bench(name, s.target, payload, || (), |()| c10k_sweep(&mut chunks, &probe));
-    assert!(
-        cluster.open_connections() >= s.c10k_conns,
-        "c10k: connections were dropped during the sweeps ({} open)",
-        cluster.open_connections()
-    );
+    // As above: a connection served a moment ago is out of the reactor's
+    // set until its worker has re-armed it.
+    RetryPolicy::default()
+        .poll_until("parked c10k connections", Duration::from_secs(10), || {
+            cluster.open_connections() >= s.c10k_conns
+        })
+        .unwrap_or_else(|_| {
+            panic!(
+                "c10k: connections were dropped during the sweeps ({} open)",
+                cluster.open_connections()
+            )
+        });
     drop(chunks);
     cluster.shutdown();
     measure
@@ -766,6 +782,97 @@ fn assert_group_commit_batching() {
     );
 }
 
+/// The connection-count law on one cluster, from a cold pool: `ROUNDS`
+/// idle rounds (`round(k)` is the k-th) over `peers` peer addresses open at
+/// most `peers` connections, and after `restart_a_peer` the next hundred
+/// rounds reconnect exactly once, inside an exchange.
+fn conn_reuse_law(what: &str, peers: u64, round: &dyn Fn(usize), restart_a_peer: &dyn Fn()) {
+    const ROUNDS: usize = 1_000;
+    let moved = |before: pool::PoolStats| {
+        let now = pool::stats();
+        (now.connects - before.connects, now.stale_reconnects - before.stale_reconnects)
+    };
+    let before = pool::stats();
+    (0..ROUNDS).for_each(round);
+    let (connects, stale) = moved(before);
+    assert!(
+        connects <= peers && stale == 0,
+        "connection-reuse regression ({what}): {ROUNDS} idle rounds over {peers} peer addresses \
+         opened {connects} connections ({stale} stale reconnects) — a round is paying a connect \
+         again"
+    );
+    // The stream parked for the restarted peer died with its old
+    // incarnation; the next round to it — no later one — replaces it.
+    restart_a_peer();
+    let before = pool::stats();
+    (0..100).for_each(round);
+    assert_eq!(
+        moved(before),
+        (1, 1),
+        "connection-reuse regression ({what}): a crash / revive of one peer must cost exactly \
+         one reconnect, inside the next exchange with it (connects, stale reconnects)"
+    );
+}
+
+/// The connection-count gate behind `--assert-conn-reuse`, on the reactor
+/// runtime and on the thread-per-connection sharded one: rounds are driven
+/// here (gossip timers off), so every count is exact. Connections are
+/// parked per peer address, process-wide.
+fn assert_conn_reuse() {
+    let hour = Duration::from_secs(3600);
+    let idle = |k: usize, out: PullOutcome| {
+        assert!(matches!(out, PullOutcome::UpToDate), "round {k} of an idle cluster copied items");
+    };
+
+    let config = AsyncTcpConfig {
+        base: TcpConfig { gossip_interval: hour, ..TcpConfig::default() },
+        worker_threads: 2,
+    };
+    let cluster = AsyncTcpCluster::spawn(3, 16, config).expect("spawn async cluster");
+    conn_reuse_law(
+        "reactor",
+        3,
+        // Recipient k+1 pulls from k, round the ring.
+        &|k| {
+            let (recipient, source) = (NodeId::from_index((k + 1) % 3), NodeId::from_index(k % 3));
+            idle(k, cluster.pull_now(recipient, source).expect("idle round"));
+        },
+        &|| {
+            cluster.crash(NodeId(2));
+            cluster.revive(NodeId(2));
+        },
+    );
+    cluster.shutdown();
+    assert_eq!(pool::stats().parked, 0, "a shut-down reactor cluster left streams parked");
+
+    // Thread-per-connection servers, per-shard rounds: one group of two
+    // nodes owning both shards, each node pulling both from the other.
+    let map = ShardMap::new(8, vec![vec![NodeId(0), NodeId(1)], vec![NodeId(0), NodeId(1)]]);
+    let config = ShardedConfig { gossip_interval: hour, ..ShardedConfig::default() };
+    let cluster = ShardedTcpCluster::spawn(map, 2, config).expect("spawn sharded cluster");
+    conn_reuse_law(
+        "sharded",
+        2,
+        &|k| {
+            let (recipient, source) = (NodeId::from_index(k % 2), NodeId::from_index((k + 1) % 2));
+            let shard = ShardId((k / 2 % 2) as u16);
+            idle(k, cluster.pull_shard_now(recipient, source, shard).expect("idle shard round"));
+        },
+        &|| {
+            cluster.crash(NodeId(1));
+            cluster.revive(NodeId(1));
+        },
+    );
+    cluster.shutdown();
+    let stats = pool::stats();
+    assert_eq!(stats.parked, 0, "a shut-down sharded cluster left streams parked");
+    eprintln!(
+        "perf_report: connection-reuse assertions hold ({} connects, {} reuses, {} stale \
+         reconnects in this process).",
+        stats.connects, stats.reuses, stats.stale_reconnects,
+    );
+}
+
 fn run_all(s: &Sizes) -> Vec<Measure> {
     vec![
         scenario_codec_frame("codec_frame_many_small", s, s.codec_m, s.codec_val, 0),
@@ -827,7 +934,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: perf_report [--smoke] [--out PATH] [--baseline PATH] [--assert-zero-copy]\n\
          \x20      [--assert-small-path] [--assert-sharded-gossip] [--assert-group-commit]\n\
-         \x20      [--assert-cold-start]"
+         \x20      [--assert-cold-start] [--assert-conn-reuse]"
     );
     std::process::exit(2);
 }
@@ -848,7 +955,8 @@ fn main() {
             | "--assert-small-path"
             | "--assert-sharded-gossip"
             | "--assert-group-commit"
-            | "--assert-cold-start" => flags.push(arg),
+            | "--assert-cold-start"
+            | "--assert-conn-reuse" => flags.push(arg),
             _ => usage(),
         }
     }
@@ -942,6 +1050,12 @@ fn main() {
         // Set reconciliation: the O(diff · log N) cold-start gate on the
         // fixed 1000-item, 5-behind workload.
         assert_cold_start_reconciliation();
+    }
+
+    if has("--assert-conn-reuse") {
+        // Parked connections: the count law of the socket runtimes, on
+        // driven rounds (exact, independent of --smoke).
+        assert_conn_reuse();
     }
 
     let baseline = std::fs::read_to_string(&baseline_path).ok();

@@ -169,6 +169,23 @@ impl Writer {
         self.val_bytes = 0;
     }
 
+    /// [`clear`](Writer::clear) for a writer about to sit idle on a
+    /// long-lived connection: the value segments (refcounts into the store)
+    /// go now rather than at the next frame, and a control buffer grown
+    /// past `keep` bytes is given back; a smaller one stays, so frames
+    /// under `keep` encode without allocating.
+    pub fn park(&mut self, keep: usize) {
+        self.clear();
+        if self.outgrew(keep) {
+            self.ctl = Vec::new();
+        }
+    }
+
+    /// Whether [`park`](Writer::park) would give the control buffer back.
+    pub fn outgrew(&self, keep: usize) -> bool {
+        self.ctl.len() > keep
+    }
+
     /// Reserve room for at least `additional` more control bytes.
     pub fn reserve(&mut self, additional: usize) {
         if self.pos + additional > self.ctl.len() {

@@ -15,6 +15,13 @@
 //! [`Engine::handle`], sharded via [`Engine::handle_sharded`] — so no
 //! protocol code knows which runtime carried its bytes.
 //!
+//! Initiators stay blocking clients, as in `TcpCluster`: a
+//! [`TcpTransport`] per round over the connection parked for the peer, so
+//! between rounds each link is one idle socket in the peer's reactor. A
+//! crash closes the crashed node's accepted connections
+//! ([`AsyncServer::close_connections`]); the initiators find out at their
+//! next exchange and reconnect.
+//!
 //! Durability is the group-commit [`GroupWal`]: every mutation journals
 //! into one per-node WAL stream through a commit queue, a single
 //! committer thread batches queued records and fsyncs once per batch, and
@@ -46,7 +53,7 @@ use parking_lot::Mutex;
 use polling::{Event, Interest, Notify, Poller};
 
 use crate::gossip::{gossip_loop, Gossiped};
-use crate::tcp::{connector, refusal_or_error, TcpConfig, TcpTransport};
+use crate::tcp::{connector, idle_buffers, refusal_or_error, TcpConfig, TcpTransport, IDLE_KEEP};
 use crate::transport::MutexHost;
 
 /// Serves one request-frame body and encodes the response. This is the
@@ -113,9 +120,13 @@ const WAIT_SLICE: Duration = Duration::from_millis(200);
 struct Conn {
     stream: TcpStream,
     service: Arc<dyn FrameService>,
+    /// Index of the listener that accepted it, and that listener's
+    /// generation at the time: the connection is closed once they differ.
+    listener: usize,
+    generation: u64,
     /// Accumulated request bytes; complete frames are drained off the
-    /// front. Grows to the largest frame this connection has carried and
-    /// is then reused.
+    /// front. Reused across frames; see [`idle_buffers`] for how far it
+    /// and `writer` shrink once a response has left.
     read_buf: Vec<u8>,
     /// Response encoder, reused across frames (its chunks are the
     /// response body; values ride as refcounted segments, uncopied).
@@ -124,6 +135,8 @@ struct Conn {
     head: [u8; 8],
     /// Bytes of `head` + chunks already written to the socket.
     written: usize,
+    /// The response's last byte, when it is all that is left to write.
+    held: Option<u8>,
     /// A response is in flight; reads are deferred until it drains (the
     /// protocol is strictly request/response per connection, so this is
     /// also the natural backpressure).
@@ -139,14 +152,17 @@ enum Drive {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, service: Arc<dyn FrameService>) -> Conn {
+    fn new(stream: TcpStream, accepted_by: &Listener, listener: usize) -> Conn {
         Conn {
             stream,
-            service,
+            service: accepted_by.service.clone(),
+            listener,
+            generation: accepted_by.generation.load(Ordering::SeqCst),
             read_buf: Vec::new(),
             writer: Writer::new(),
             head: [0u8; 8],
             written: 0,
+            held: None,
             writing: false,
         }
     }
@@ -224,31 +240,75 @@ impl Conn {
     /// Write as much of the pending response as the socket takes: one
     /// vectored write over the unwritten suffix of header + chunks per
     /// iteration, resuming at `written` after a short write or a park.
+    /// Then the buffers go idle; a response large enough to be given back
+    /// there has its last byte sent after that (see [`idle_buffers`]).
     fn flush(&mut self) -> std::result::Result<(), ()> {
-        let total = self.head.len() + self.writer.len();
-        while self.written < total {
-            let mut skip = self.written;
-            let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(8);
-            for buf in std::iter::once(&self.head[..]).chain(self.writer.chunks()) {
-                if skip >= buf.len() {
-                    skip -= buf.len();
-                    continue;
+        if self.held.is_none() {
+            let hold = self.writer.outgrew(IDLE_KEEP);
+            let upto = self.head.len() + self.writer.len() - usize::from(hold);
+            while self.written < upto {
+                let mut skip = self.written;
+                let mut left = upto - self.written;
+                let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(8);
+                for buf in std::iter::once(&self.head[..]).chain(self.writer.chunks()) {
+                    if skip >= buf.len() {
+                        skip -= buf.len();
+                        continue;
+                    }
+                    let part = &buf[skip..];
+                    let part = &part[..part.len().min(left)];
+                    if part.is_empty() {
+                        break;
+                    }
+                    iov.push(IoSlice::new(part));
+                    left -= part.len();
+                    skip = 0;
                 }
-                iov.push(IoSlice::new(&buf[skip..]));
-                skip = 0;
+                match write_some(&mut self.stream, &iov)? {
+                    Some(n) => self.written += n,
+                    None => return Ok(()), // still writing
+                }
             }
-            match self.stream.write_vectored(&iov) {
-                Ok(0) => return Err(()),
-                Ok(n) => self.written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()), // still writing
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
+            if hold {
+                self.held = self.writer.chunks().last().and_then(|chunk| chunk.last().copied());
             }
+            self.written = 0;
+            idle_buffers(&mut self.writer, &mut self.read_buf);
+        }
+        if let Some(byte) = self.held {
+            if write_some(&mut self.stream, &[IoSlice::new(&[byte])])?.is_none() {
+                return Ok(()); // still writing
+            }
+            self.held = None;
         }
         self.writing = false;
-        self.written = 0;
         Ok(())
     }
+}
+
+/// One nonblocking vectored write: the bytes the socket took, or `None` if
+/// it would block.
+fn write_some(
+    stream: &mut TcpStream,
+    iov: &[IoSlice<'_>],
+) -> std::result::Result<Option<usize>, ()> {
+    loop {
+        match stream.write_vectored(iov) {
+            Ok(0) => return Err(()),
+            Ok(n) => return Ok(Some(n)),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return Err(()),
+        }
+    }
+}
+
+/// A listening socket, the service its connections are served by, and how
+/// many times those connections have been closed wholesale.
+struct Listener {
+    socket: TcpListener,
+    service: Arc<dyn FrameService>,
+    generation: AtomicU64,
 }
 
 /// The shared readiness state: one poller, the listeners, and the parked
@@ -259,7 +319,7 @@ impl Conn {
 struct Reactor {
     poller: Poller,
     notify: Notify,
-    listeners: Vec<(TcpListener, Arc<dyn FrameService>)>,
+    listeners: Vec<Listener>,
     conns: Mutex<HashMap<u64, Conn>>,
     next_key: AtomicU64,
     running: Arc<AtomicBool>,
@@ -269,9 +329,10 @@ impl Reactor {
     /// Accept everything pending on listener `key`, register each new
     /// connection, and re-arm the listener.
     fn accept_ready(&self, key: u64) {
-        let (listener, service) = &self.listeners[(key - 1) as usize];
+        let index = (key - 1) as usize;
+        let listener = &self.listeners[index];
         loop {
-            match listener.accept() {
+            match listener.socket.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
@@ -279,7 +340,9 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let fd = stream.as_raw_fd();
                     let conn_key = self.next_key.fetch_add(1, Ordering::Relaxed);
-                    self.conns.lock().insert(conn_key, Conn::new(stream, service.clone()));
+                    // `Conn::new` reads the generation with the map locked,
+                    // as `close_accepted` sweeps it: none slips between.
+                    self.conns.lock().insert(conn_key, Conn::new(stream, listener, index));
                     if self.poller.add(fd, conn_key, Interest::readable()).is_err() {
                         self.conns.lock().remove(&conn_key);
                     }
@@ -289,7 +352,20 @@ impl Reactor {
                 Err(_) => break,
             }
         }
-        let _ = self.poller.modify(listener.as_raw_fd(), key, Interest::readable());
+        let _ = self.poller.modify(listener.socket.as_raw_fd(), key, Interest::readable());
+    }
+
+    /// Close every connection `listener` has accepted so far.
+    fn close_accepted(&self, listener: usize) {
+        // The generation moves before the map is swept: a connection a
+        // worker is driving right now is not in the map, and that worker
+        // compares generations under the same lock before it parks it.
+        self.listeners[listener].generation.fetch_add(1, Ordering::SeqCst);
+        let closed: Vec<(u64, Conn)> =
+            self.conns.lock().extract_if(|_, conn| conn.listener == listener).collect();
+        for (_, conn) in &closed {
+            let _ = self.poller.delete(conn.stream.as_raw_fd());
+        }
     }
 
     /// Drive the connection under `key` through one readiness event.
@@ -301,10 +377,20 @@ impl Reactor {
         match conn.drive(scratch) {
             Drive::Keep(interest) => {
                 let fd = conn.stream.as_raw_fd();
+                let mut conns = self.conns.lock();
+                let generation = &self.listeners[conn.listener].generation;
+                if conn.generation != generation.load(Ordering::SeqCst) {
+                    // `close_accepted` swept the map while this one was
+                    // out of it being driven.
+                    drop(conns);
+                    let _ = self.poller.delete(fd);
+                    return;
+                }
                 // Insert *before* re-arming: the instant `modify` lands,
                 // another worker may be woken for this key and must find
                 // the connection in the map.
-                self.conns.lock().insert(key, conn);
+                conns.insert(key, conn);
+                drop(conns);
                 if self.poller.modify(fd, key, interest).is_err() {
                     if let Some(dead) = self.conns.lock().remove(&key) {
                         let _ = self.poller.delete(dead.stream.as_raw_fd());
@@ -384,16 +470,16 @@ impl AsyncServer {
                 TcpListener::bind("127.0.0.1:0").map_err(|e| net_err("async bind", e))?;
             listener.set_nonblocking(true).map_err(|e| net_err("async nonblocking", e))?;
             addrs.push(listener.local_addr().map_err(|e| net_err("async local_addr", e))?);
-            listeners.push((listener, service));
+            listeners.push(Listener { socket: listener, service, generation: AtomicU64::new(0) });
         }
         let poller = Poller::new().map_err(|e| net_err("epoll create", e))?;
         let notify = Notify::new().map_err(|e| net_err("eventfd create", e))?;
         poller
             .add(notify.fd(), NOTIFY_KEY, Interest::readable().level())
             .map_err(|e| net_err("register doorbell", e))?;
-        for (i, (listener, _)) in listeners.iter().enumerate() {
+        for (i, listener) in listeners.iter().enumerate() {
             poller
-                .add(listener.as_raw_fd(), (i + 1) as u64, Interest::readable())
+                .add(listener.socket.as_raw_fd(), (i + 1) as u64, Interest::readable())
                 .map_err(|e| net_err("register listener", e))?;
         }
         let first_conn_key = listeners.len() as u64 + 1;
@@ -432,6 +518,14 @@ impl AsyncServer {
         self.reactor.conns.lock().len()
     }
 
+    /// Close every connection accepted so far for the `service`-th
+    /// service (bind order): what a crash of that service does to its
+    /// sockets. The listener stays open; a connection accepted later is
+    /// served (or refused, while [`FrameService::alive`] is false) as ever.
+    pub fn close_connections(&self, service: usize) {
+        self.reactor.close_accepted(service);
+    }
+
     /// Stop the workers and close every connection.
     pub fn shutdown(mut self) {
         self.stop();
@@ -446,6 +540,9 @@ impl AsyncServer {
             let _ = h.join();
         }
         self.reactor.conns.lock().clear();
+        // The initiator ends of those connections, where this process
+        // holds them.
+        crate::pool::evict(&self.addrs);
     }
 }
 
@@ -630,7 +727,7 @@ impl AsyncTcpCluster {
                 let run = running.clone();
                 let cfg = base.clone();
                 // The C10K work is all on the serving side: initiators
-                // stay simple blocking clients, as in `TcpCluster`.
+                // stay blocking clients, as in `TcpCluster`.
                 std::thread::spawn(move || {
                     let gossiped = Gossiped::Replica {
                         replica: &node.replica,
@@ -699,7 +796,7 @@ impl AsyncTcpCluster {
         Ok(n)
     }
 
-    /// A fresh [`TcpTransport`] to `peer`'s reactor-served listener.
+    /// A new [`TcpTransport`] to `peer`'s reactor-served listener.
     pub fn transport_to(&self, peer: NodeId) -> TcpTransport {
         TcpTransport::with_options(peer, self.addr(peer), self.config.base.socket)
     }
@@ -816,13 +913,17 @@ impl AsyncTcpCluster {
         self.pull_delta_now_via(recipient, &mut transport, policy)
     }
 
-    /// Crash a node: its connections drop without replying and it stops
-    /// gossiping. With durability, the in-memory replica and the WAL
-    /// handle are really dropped (the group WAL's committer flushes its
-    /// queue and exits); only the on-disk state survives.
+    /// Crash a node: the connections it had accepted are closed, new ones
+    /// drop without replying, and it stops gossiping. With durability, the
+    /// in-memory replica and the WAL handle are really dropped (the group
+    /// WAL's committer flushes its queue and exits); only the on-disk
+    /// state survives.
     pub fn crash(&self, node: NodeId) {
         let n = &self.nodes[node.index()];
         n.alive.store(false, Ordering::SeqCst);
+        if let Some(server) = &self.server {
+            server.close_connections(node.index());
+        }
         if self.config.base.durability.is_some() {
             let placeholder = Replica::new(node, self.n_nodes(), self.n_items);
             *n.replica.lock() = placeholder;
@@ -1054,6 +1155,11 @@ mod tests {
                     )
                 });
         }
+        // Every accepted end has Nagle's algorithm off (the connecting
+        // and the thread-per-connection ends are checked in `tcp` and
+        // `sharded`).
+        let server = cluster.server.as_ref().expect("running");
+        assert!(server.reactor.conns.lock().values().all(|c| c.stream.nodelay().unwrap()));
         drop(transports);
         cluster.shutdown();
     }

@@ -60,8 +60,9 @@ pub(crate) fn pick_peer(rng: &mut StdRng, me: NodeId, n: usize) -> Option<NodeId
 }
 
 /// The initiator side of a node: every `cfg.interval`, while `alive`, run
-/// this tick's anti-entropy rounds over fresh transports from `connect`,
-/// until `running` clears. Faults, refusals and crashed peers exhaust the
+/// this tick's anti-entropy rounds, each over its own transport from
+/// `connect` (the socket runtimes' transports share one parked connection
+/// per peer), until `running` clears. Faults, refusals and crashed peers exhaust the
 /// in-round retry policy and surface as errors; gossip then just retries
 /// on the next tick.
 pub(crate) fn gossip_loop<T: Transport>(

@@ -19,6 +19,10 @@
 //! reordering, corruption, latency, partitions, mid-exchange resets — plus
 //! node crashes/recoveries at the cluster level.
 //!
+//! Socket initiators do not connect per round: [`TcpTransport`] parks one
+//! connection per peer address in a process-wide [`pool`] and the next
+//! round to that peer takes it out again.
+//!
 //! ```
 //! use epidb_net::{ClusterConfig, ThreadedCluster};
 //! use epidb_common::{ItemId, NodeId};
@@ -38,6 +42,7 @@
 pub mod async_tcp;
 mod gossip;
 pub mod message;
+pub mod pool;
 pub mod runtime;
 pub mod sharded;
 pub mod tcp;
@@ -47,6 +52,7 @@ pub use async_tcp::{
     AsyncServer, AsyncTcpCluster, AsyncTcpConfig, FrameService, ShardedFrameService,
 };
 pub use message::NetMessage;
+pub use pool::PoolStats;
 pub use runtime::{ClusterConfig, ThreadedCluster};
 pub use sharded::{ShardedConfig, ShardedTcpCluster, ShardedThreadedCluster};
 pub use tcp::{TcpCluster, TcpConfig, TcpSocketOptions, TcpTransport};

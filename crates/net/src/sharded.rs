@@ -22,7 +22,7 @@
 //! observes the same [`Error`] with the same retryability.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -44,7 +44,8 @@ use crate::gossip::{gossip_loop, GossipConfig, Gossiped, CHANNEL_RNG_SALT, TCP_R
 use crate::message::NetMessage;
 use crate::runtime::ChannelTransport;
 use crate::tcp::{
-    connector, read_frame_into, refusal_or_error, write_frame, TcpSocketOptions, TcpTransport,
+    connector, read_frame_into, refusal_or_error, send_response, tune, TcpSocketOptions,
+    TcpTransport,
 };
 
 /// Tuning and fault-injection knobs shared by both sharded runtimes.
@@ -169,6 +170,19 @@ fn quiesce_with(
 struct ShardedShared {
     node: Mutex<ShardedNode>,
     alive: AtomicBool,
+    /// Counts crashes. A TCP serve thread serves the incarnation that
+    /// accepted its connection and no later one.
+    incarnation: AtomicU64,
+}
+
+impl ShardedShared {
+    fn new(node: ShardedNode) -> ShardedShared {
+        ShardedShared {
+            node: Mutex::new(node),
+            alive: AtomicBool::new(true),
+            incarnation: AtomicU64::new(0),
+        }
+    }
 }
 
 /// A sharded cluster over crossbeam channels: one server thread and one
@@ -191,10 +205,12 @@ impl ShardedThreadedCluster {
         let running = Arc::new(AtomicBool::new(true));
         let nodes: Vec<Arc<ShardedShared>> = (0..n_nodes)
             .map(|i| {
-                Arc::new(ShardedShared {
-                    node: Mutex::new(build_node(NodeId::from_index(i), n_nodes, &map, &config)),
-                    alive: AtomicBool::new(true),
-                })
+                Arc::new(ShardedShared::new(build_node(
+                    NodeId::from_index(i),
+                    n_nodes,
+                    &map,
+                    &config,
+                )))
             })
             .collect();
         let channels: Vec<(Sender<NetMessage>, Receiver<NetMessage>)> =
@@ -494,10 +510,12 @@ impl ShardedTcpCluster {
         let running = Arc::new(AtomicBool::new(true));
         let nodes: Vec<Arc<ShardedShared>> = (0..n_nodes)
             .map(|i| {
-                Arc::new(ShardedShared {
-                    node: Mutex::new(build_node(NodeId::from_index(i), n_nodes, &map, &config)),
-                    alive: AtomicBool::new(true),
-                })
+                Arc::new(ShardedShared::new(build_node(
+                    NodeId::from_index(i),
+                    n_nodes,
+                    &map,
+                    &config,
+                )))
             })
             .collect();
         let listeners: Vec<TcpListener> = (0..n_nodes)
@@ -547,7 +565,7 @@ impl ShardedTcpCluster {
         self.addrs[node.index()]
     }
 
-    /// A fresh [`TcpTransport`] to `peer`'s server, with the cluster's
+    /// A new [`TcpTransport`] to `peer`'s server, with the cluster's
     /// socket options.
     pub fn transport_to(&self, peer: NodeId) -> TcpTransport {
         TcpTransport::with_options(peer, self.addr(peer), self.config.socket)
@@ -668,10 +686,14 @@ impl ShardedTcpCluster {
         Engine::oob_sharded(&mut node.node.lock(), &mut transport, item)
     }
 
-    /// Crash a node: it refuses connections and stops gossiping; the
-    /// in-memory state survives for revival.
+    /// Crash a node: it refuses connections and stops gossiping, and the
+    /// connections it had accepted die with it — each is closed unanswered
+    /// at its next frame, also after a revival. The in-memory state
+    /// survives for revival.
     pub fn crash(&self, node: NodeId) {
-        self.nodes[node.index()].alive.store(false, Ordering::SeqCst);
+        let n = &self.nodes[node.index()];
+        n.alive.store(false, Ordering::SeqCst);
+        n.incarnation.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Revive a crashed node.
@@ -700,6 +722,9 @@ impl ShardedTcpCluster {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+        // As in `TcpCluster::stop`: no gossip thread is left to park a
+        // connection, and closing the parked ones ends the serve threads.
+        crate::pool::evict(&self.addrs);
     }
 
     /// Stop all threads. Inspect final state with
@@ -745,8 +770,8 @@ fn serve_conn_sharded(
     running: Arc<AtomicBool>,
     socket: TcpSocketOptions,
 ) {
-    let _ = stream.set_read_timeout(Some(socket.read_timeout));
-    let _ = stream.set_write_timeout(Some(socket.write_timeout));
+    let _ = tune(&stream, &socket);
+    let born = node.incarnation.load(Ordering::SeqCst);
     let mut body = Vec::new();
     let mut writer = Writer::new();
     loop {
@@ -756,7 +781,7 @@ fn serve_conn_sharded(
         if read_frame_into(&mut stream, &mut body).is_err() {
             return;
         }
-        if !node.alive.load(Ordering::SeqCst) {
+        if !node.alive.load(Ordering::SeqCst) || node.incarnation.load(Ordering::SeqCst) != born {
             return; // crashed between frames: silently drop
         }
         let resp = match decode_request_checked(&body) {
@@ -766,7 +791,7 @@ fn serve_conn_sharded(
             Err(e) => epidb_core::ProtocolResponse::Error(format!("bad request: {e}")),
         };
         encode_response_to(&resp, &mut writer);
-        if write_frame(&mut stream, &writer).is_err() {
+        if send_response(&mut stream, &mut writer, &mut body).is_err() {
             return;
         }
     }
@@ -861,6 +886,30 @@ mod tests {
         // The refusal was never charged at the refusing server.
         assert_eq!(cluster.node_costs(NodeId(0)), Costs::default());
         cluster.shutdown();
+    }
+
+    #[test]
+    fn the_accepted_end_of_a_sharded_connection_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let accepted = stream.try_clone().unwrap();
+            let node = build_node(NodeId(0), 4, &two_group_map(), &quiet_config());
+            let running = Arc::new(AtomicBool::new(true));
+            // Returns when the initiator closes its end.
+            let socket = TcpSocketOptions::default();
+            serve_conn_sharded(stream, Arc::new(ShardedShared::new(node)), running, socket);
+            accepted
+        });
+        let mut transport = TcpTransport::new(NodeId(0), addr);
+        let req = ProtocolRequest::Oob { from: NodeId(1), item: ItemId(0) };
+        transport
+            .exchange(ProtocolRequest::Shard { shard: ShardId(0), req: Box::new(req) })
+            .unwrap();
+        transport.reset();
+        let accepted = server.join().unwrap();
+        assert!(accepted.nodelay().unwrap(), "the accepted end left Nagle's algorithm on");
     }
 
     #[test]

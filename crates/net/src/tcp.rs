@@ -1,8 +1,9 @@
 //! A TCP runtime: the same protocol, over real sockets on localhost.
 //!
 //! Each replica gets a listener thread (spawning one serving thread per
-//! accepted connection) and a gossip thread (periodically connecting to a
-//! random peer and pulling). Frames are a 4-byte little-endian length
+//! accepted connection) and a gossip thread (periodically pulling from a
+//! random peer, over the connection parked for it — see [`TcpTransport`]
+//! and [`pool`]). Frames are a 4-byte little-endian length
 //! followed by the checked envelope of [`codec`](epidb_core::codec): a
 //! CRC32 over the encoded engine enum, then the encoding itself — the
 //! socket carries exactly the [`ProtocolRequest`] / [`ProtocolResponse`]
@@ -12,9 +13,9 @@
 //! [`Costs`](epidb_common::Costs) inside the engine correspond to what
 //! actually crosses the wire.
 
-use std::io::{IoSlice, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -35,6 +36,7 @@ use epidb_vv::VvOrd;
 use parking_lot::Mutex;
 
 use crate::gossip::{gossip_loop, GossipConfig, Gossiped, TCP_RNG_SALT};
+use crate::pool;
 use crate::runtime::open_durable_node;
 use crate::transport::MutexHost;
 
@@ -147,8 +149,8 @@ impl TcpConfig {
     }
 }
 
-/// How a socket runtime's gossip thread reaches a peer: a fresh connection
-/// per round.
+/// How a socket runtime's gossip thread reaches a peer: a transport per
+/// round, over the connection parked for that peer (see [`TcpTransport`]).
 pub(crate) fn connector(
     addrs: Vec<SocketAddr>,
     socket: TcpSocketOptions,
@@ -159,6 +161,9 @@ pub(crate) fn connector(
 struct TcpNode {
     replica: Mutex<Replica>,
     alive: AtomicBool,
+    /// Counts crashes. A serve thread serves the incarnation that accepted
+    /// its connection and no later one.
+    incarnation: AtomicU64,
     /// The node's durability layer; `None` when durability is off, and
     /// also while a durable node is crashed (the WAL handle is dropped
     /// with the replica and reopened on revival).
@@ -205,11 +210,92 @@ fn write_all_vectored(stream: &mut TcpStream, mut bufs: Vec<&[u8]>) -> std::io::
     stream.flush()
 }
 
+/// Set on every blocking socket end, connecting or accepted: the read and
+/// write timeouts, and `TCP_NODELAY` — connections are long-lived, and a
+/// frame that leaves in more than one `write` (a short vectored write on a
+/// large frame) is otherwise the write-write-read pattern that Nagle's
+/// algorithm and the peer's delayed ACK stall for 40 ms.
+pub(crate) fn tune(stream: &TcpStream, options: &TcpSocketOptions) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(options.read_timeout))?;
+    stream.set_write_timeout(Some(options.write_timeout))
+}
+
+/// What an idle served connection keeps of each of its buffers, at most.
+pub(crate) const IDLE_KEEP: usize = 8 << 10;
+
+/// A served connection now waits for its next request, possibly for
+/// rounds on end: release what the last exchange pinned — the response's
+/// refcounted value segments, and either buffer if it grew past
+/// [`IDLE_KEEP`] (`unread` keeps the bytes in it). Smaller frames still
+/// cost no allocation.
+///
+/// A response that outgrew `IDLE_KEEP` is sent in two steps around this
+/// call — all but its last byte, then that byte — so that a large response
+/// is off the responder's heap before the initiator has it whole and
+/// starts on it, and not after or before as the scheduler has it. (Both
+/// ends of the in-process clusters share one heap: its peak would
+/// otherwise differ from run to run by the size of the largest response.)
+pub(crate) fn idle_buffers(response: &mut Writer, unread: &mut Vec<u8>) {
+    response.park(IDLE_KEEP);
+    if unread.capacity() > IDLE_KEEP {
+        unread.shrink_to_fit();
+    }
+}
+
+/// A frame that did not cross the socket.
+#[derive(Debug)]
+pub(crate) struct FrameError {
+    pub(crate) error: Error,
+    /// The peer had closed the connection before this frame: a reset, EOF
+    /// or broken pipe while sending, or before the first byte received.
+    pub(crate) peer_closed: bool,
+}
+
+impl FrameError {
+    fn io(what: &str, e: std::io::Error, nothing_received: bool) -> FrameError {
+        let peer_closed = nothing_received
+            && matches!(
+                e.kind(),
+                ErrorKind::UnexpectedEof
+                    | ErrorKind::ConnectionReset
+                    | ErrorKind::ConnectionAborted
+                    | ErrorKind::BrokenPipe
+            );
+        FrameError { error: Error::Network(format!("{what}: {e}")), peer_closed }
+    }
+}
+
+impl From<Error> for FrameError {
+    fn from(error: Error) -> FrameError {
+        FrameError { error, peer_closed: false }
+    }
+}
+
+impl From<FrameError> for Error {
+    fn from(e: FrameError) -> Error {
+        e.error
+    }
+}
+
 /// Send one frame: a 4-byte little-endian length, the 4-byte CRC32 of the
 /// body, then the writer's chunks, in a single vectored write — value
 /// segments are never copied into a contiguous send buffer (the checksum
 /// streams over the chunk list, so it costs no copies either).
-pub(crate) fn write_frame(stream: &mut TcpStream, w: &Writer) -> Result<()> {
+pub(crate) fn write_frame(
+    stream: &mut TcpStream,
+    w: &Writer,
+) -> std::result::Result<(), FrameError> {
+    write_frame_holding(stream, w, false).map(drop)
+}
+
+/// [`write_frame`], with the frame's last byte returned instead of sent
+/// if `hold_last`.
+fn write_frame_holding(
+    stream: &mut TcpStream,
+    w: &Writer,
+    hold_last: bool,
+) -> std::result::Result<Option<u8>, FrameError> {
     // Check *before* any bytes hit the wire: an oversize frame is
     // deterministic (re-encoding re-exceeds), so it surfaces as the typed,
     // non-retryable [`Error::FrameTooLarge`] instead of a silent `as u32`
@@ -220,39 +306,98 @@ pub(crate) fn write_frame(stream: &mut TcpStream, w: &Writer) -> Result<()> {
     bufs.push(&len);
     bufs.push(&crc);
     bufs.extend(w.chunks());
-    write_all_vectored(stream, bufs).map_err(|e| Error::Network(format!("send frame: {e}")))
+    let mut held = None;
+    if hold_last {
+        let (&byte, rest) = bufs.pop().and_then(|b| b.split_last()).expect("no chunk is empty");
+        held = Some(byte);
+        if !rest.is_empty() {
+            bufs.push(rest);
+        }
+    }
+    write_all_vectored(stream, bufs).map_err(|e| FrameError::io("send frame", e, true))?;
+    Ok(held)
+}
+
+/// Send the response a serve thread encoded into `response`, and put the
+/// connection's buffers in their idle state (see [`idle_buffers`]).
+pub(crate) fn send_response(
+    stream: &mut TcpStream,
+    response: &mut Writer,
+    request: &mut Vec<u8>,
+) -> std::result::Result<(), FrameError> {
+    let held = write_frame_holding(stream, response, response.outgrew(IDLE_KEEP))?;
+    request.clear();
+    idle_buffers(response, request);
+    match held {
+        Some(byte) => stream.write_all(&[byte]).map_err(|e| FrameError::io("send frame", e, true)),
+        None => Ok(()),
+    }
 }
 
 /// Read one frame body into `body` (reused across frames; only grows).
 /// The body is the checked envelope — CRC32 followed by the encoding —
 /// still unverified; the checked decoders verify before touching it.
-pub(crate) fn read_frame_into(stream: &mut TcpStream, body: &mut Vec<u8>) -> Result<()> {
+pub(crate) fn read_frame_into(
+    stream: &mut TcpStream,
+    body: &mut Vec<u8>,
+) -> std::result::Result<(), FrameError> {
+    // `read` and a count for the length prefix, not `read_exact`: whether
+    // the connection ended before the frame's first byte or inside it
+    // decides if an initiator may send its request again.
     let mut len_buf = [0u8; 4];
-    stream
-        .read_exact(&mut len_buf)
-        .map_err(|e| Error::Network(format!("read frame length: {e}")))?;
+    let mut got = 0;
+    while got < len_buf.len() {
+        match stream.read(&mut len_buf[got..]) {
+            Ok(0) => {
+                let eof = ErrorKind::UnexpectedEof.into();
+                return Err(FrameError::io("read frame length", eof, got == 0));
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::io("read frame length", e, got == 0)),
+        }
+    }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME {
         // Not retryable: a conforming sender never produces this (it has
         // the same sender-side check), so re-reading cannot succeed.
-        return Err(Error::FrameTooLarge { len: len as u64, limit: MAX_FRAME as u64 });
+        return Err(Error::FrameTooLarge { len: len as u64, limit: MAX_FRAME as u64 }.into());
     }
     body.clear();
     body.resize(len as usize, 0);
-    stream.read_exact(body).map_err(|e| Error::Network(format!("read frame body: {e}")))?;
-    Ok(())
+    stream.read_exact(body).map_err(|e| FrameError::io("read frame body", e, false))
 }
 
 /// A [`Transport`] over a TCP connection to one peer's server: each
-/// exchange writes a request frame and reads a response frame. The
-/// connection is opened lazily — retrying per
+/// exchange writes a request frame and reads a response frame.
+///
+/// Connections are parked per peer address, not opened per round. The
+/// first exchange takes the stream the [pool] holds for the
+/// address, or connects — retrying per
 /// [`TcpSocketOptions::connect_attempts`], then failing with the typed
-/// [`Error::PeerUnavailable`] — and reused across the exchanges of a sync
-/// round; any I/O error discards it so the next exchange reconnects.
+/// [`Error::PeerUnavailable`]; later exchanges of the round reuse it; and
+/// dropping the transport parks it for the next one. Only a stream whose
+/// last exchange completed — request written, response read and
+/// CRC-verified — is kept or parked: any error, and [`reset`](Self::reset),
+/// closes it.
+///
+/// A stream that sat idle, parked or held, may have been closed by the
+/// peer meanwhile (it crashed, restarted, or timed the connection out). If
+/// an exchange on such a stream fails because the peer closed it — reset,
+/// EOF or broken pipe before any byte of the response arrived — the
+/// transport opens a new connection and sends the request again, once, and
+/// the caller sees one exchange. This is safe because every request is
+/// idempotent at the responder (a retry after a reset is already the
+/// protocol's contract), and it is not a retry in the
+/// [`RetryPolicy`] sense: nothing is charged to
+/// [`Costs::retries`](epidb_common::Costs). A failure on a new connection,
+/// after part of a response, a timeout and a
+/// [`CorruptFrame`](Error::CorruptFrame) all surface unchanged.
 pub struct TcpTransport {
     peer: NodeId,
     addr: SocketAddr,
     options: TcpSocketOptions,
+    /// Held only between exchanges, and only after one that completed.
     stream: Option<TcpStream>,
     /// Reusable request encoder: after the first exchange, encoding a
     /// request performs no allocations.
@@ -283,39 +428,66 @@ impl TcpTransport {
         }
     }
 
-    /// Drop the current connection (if any); the next exchange reconnects.
-    /// Lets tests and harnesses exercise the reconnect path directly.
+    /// Close the current connection (if any) instead of parking it; the
+    /// next exchange takes a parked one or connects. Lets tests and
+    /// harnesses kill a connection mid-round.
     pub fn reset(&mut self) {
         self.stream = None;
     }
 
-    fn connect(&mut self) -> Result<&mut TcpStream> {
-        if self.stream.is_none() {
-            let attempts = self.options.connect_attempts.max(1);
-            let mut backoff = self.options.connect_backoff;
-            for attempt in 1..=attempts {
-                match TcpStream::connect_timeout(&self.addr, self.options.connect_timeout) {
-                    Ok(stream) => {
-                        stream
-                            .set_read_timeout(Some(self.options.read_timeout))
-                            .and_then(|()| {
-                                stream.set_write_timeout(Some(self.options.write_timeout))
-                            })
-                            .map_err(|e| Error::Network(format!("socket option: {e}")))?;
-                        self.stream = Some(stream);
-                        break;
-                    }
-                    Err(_) if attempt < attempts => {
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(Duration::from_secs(1));
-                        }
-                    }
-                    Err(_) => return Err(Error::PeerUnavailable(self.peer)),
+    /// Open a new connection: the only place an initiator stream is made.
+    fn connect(&self) -> Result<TcpStream> {
+        let attempts = self.options.connect_attempts.max(1);
+        let mut backoff = self.options.connect_backoff;
+        for attempt in 1..=attempts {
+            match TcpStream::connect_timeout(&self.addr, self.options.connect_timeout) {
+                Ok(stream) => {
+                    tune(&stream, &self.options)
+                        .map_err(|e| Error::Network(format!("socket option: {e}")))?;
+                    pool::count_connect();
+                    return Ok(stream);
                 }
+                Err(_) if attempt < attempts => {
+                    if !backoff.is_zero() {
+                        std::thread::sleep(backoff);
+                        backoff = (backoff * 2).min(Duration::from_secs(1));
+                    }
+                }
+                Err(_) => break,
             }
         }
-        Ok(self.stream.as_mut().expect("just connected"))
+        Err(Error::PeerUnavailable(self.peer))
+    }
+
+    /// Send the encoded request on `stream` and read the response; the
+    /// stream is kept only if all of it worked.
+    fn round_trip(
+        &mut self,
+        mut stream: TcpStream,
+    ) -> std::result::Result<ProtocolResponse, FrameError> {
+        write_frame(&mut stream, &self.writer)?;
+        // The received frame becomes the shared backing of the decoded
+        // response: after the CRC verifies, values are zero-copy
+        // sub-views of it. A failed check is a retryable CorruptFrame
+        // and nothing was aliased. The buffer comes from (and, when
+        // the response leaves it unaliased, returns to) the scratch
+        // pool, so small responses recycle one buffer forever.
+        let mut buf = self.scratch.take_buf();
+        read_frame_into(&mut stream, &mut buf)?;
+        let frame = Bytes::from(buf);
+        let resp = decode_response_checked_shared(&frame)?;
+        self.scratch.recycle(frame);
+        self.stream = Some(stream);
+        Ok(resp)
+    }
+}
+
+impl Drop for TcpTransport {
+    /// The only place a stream is parked.
+    fn drop(&mut self) {
+        if let Some(stream) = self.stream.take() {
+            pool::park(self.addr, self.options, stream);
+        }
     }
 }
 
@@ -326,32 +498,18 @@ impl Transport for TcpTransport {
 
     fn exchange(&mut self, req: ProtocolRequest) -> Result<ProtocolResponse> {
         encode_request_to(&req, &mut self.writer);
-        self.connect()?;
-        let writer = &self.writer;
-        let scratch = &mut self.scratch;
-        let stream = self.stream.as_mut().expect("just connected");
-        let mut round = |stream: &mut TcpStream| -> Result<ProtocolResponse> {
-            write_frame(stream, writer)?;
-            // The received frame becomes the shared backing of the decoded
-            // response: after the CRC verifies, values are zero-copy
-            // sub-views of it. A failed check is a retryable CorruptFrame
-            // and nothing was aliased. The buffer comes from (and, when
-            // the response leaves it unaliased, returns to) the scratch
-            // pool, so small responses recycle one buffer forever.
-            let mut buf = scratch.take_buf();
-            read_frame_into(stream, &mut buf)?;
-            let frame = Bytes::from(buf);
-            let resp = decode_response_checked_shared(&frame)?;
-            scratch.recycle(frame);
-            Ok(resp)
-        };
-        let resp = match round(stream) {
-            Ok(resp) => resp,
-            Err(e) => {
-                // The connection is in an unknown state; reconnect next time.
-                self.stream = None;
-                return Err(e);
-            }
+        // Taken out for the exchange: an error on any path below leaves
+        // `self.stream` empty, and the connection closed.
+        let idle = self.stream.take().or_else(|| pool::checkout(self.addr, &self.options));
+        let resp = match idle {
+            None => self.round_trip(self.connect()?)?,
+            Some(stream) => match self.round_trip(stream) {
+                Err(e) if e.peer_closed => {
+                    pool::count_stale_reconnect();
+                    self.round_trip(self.connect()?)?
+                }
+                resp => resp?,
+            },
         };
         match resp {
             ProtocolResponse::Error(msg) => Err(Error::Network(format!("peer error: {msg}"))),
@@ -407,6 +565,7 @@ impl TcpCluster {
                 Arc::new(TcpNode {
                     replica: Mutex::new(replica),
                     alive: AtomicBool::new(true),
+                    incarnation: AtomicU64::new(0),
                     durability: Mutex::new(durability),
                 })
             })
@@ -486,7 +645,7 @@ impl TcpCluster {
         Ok(n)
     }
 
-    /// A fresh [`TcpTransport`] to `peer`'s server, with the cluster's
+    /// A new [`TcpTransport`] to `peer`'s server, with the cluster's
     /// socket options — for tests and harnesses that wrap it (in a
     /// [`ChaosTransport`], a reset shim, ...) and drive pulls through
     /// [`pull_now_via`](Self::pull_now_via).
@@ -612,12 +771,15 @@ impl TcpCluster {
     }
 
     /// Crash a node: it refuses connections and stops gossiping while
-    /// down. With durability configured, the in-memory replica is really
-    /// dropped (only the on-disk WAL + snapshot survive); without it, the
-    /// replica survives in memory (the legacy simulation).
+    /// down, and the connections it had accepted die with it — each is
+    /// closed unanswered at its next frame, also after a revival. With
+    /// durability configured, the in-memory replica is really dropped
+    /// (only the on-disk WAL + snapshot survive); without it, the replica
+    /// survives in memory (the legacy simulation).
     pub fn crash(&self, node: NodeId) {
         let n = &self.nodes[node.index()];
         n.alive.store(false, Ordering::SeqCst);
+        n.incarnation.fetch_add(1, Ordering::SeqCst);
         if self.config.durability.is_some() {
             let placeholder =
                 Replica::new(node, self.n_nodes(), self.with_replica(node, Replica::n_items));
@@ -711,6 +873,10 @@ impl TcpCluster {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+        // With the gossip threads gone nothing parks a connection to this
+        // cluster again; closing the parked ones ends the serve threads
+        // blocked reading them.
+        pool::evict(&self.addrs);
     }
 }
 
@@ -754,17 +920,19 @@ pub(crate) fn refusal_or_error(e: Error) -> ProtocolResponse {
 }
 
 /// Serve one connection: a loop of request frame → [`Engine::handle`] →
-/// response frame. A crashed node drops the connection without replying.
-/// A request that fails its CRC is counted at the serving replica and
-/// refused in-band — the initiator sees a retryable error and re-sends.
+/// response frame, until the peer closes it or leaves it idle for
+/// `read_timeout`. A node that crashed since the connection was accepted
+/// drops it without replying. A request that fails its CRC is counted at
+/// the serving replica and refused in-band — the initiator sees a
+/// retryable error and re-sends.
 fn serve_conn(
     mut stream: TcpStream,
     node: Arc<TcpNode>,
     running: Arc<AtomicBool>,
     socket: TcpSocketOptions,
 ) {
-    let _ = stream.set_read_timeout(Some(socket.read_timeout));
-    let _ = stream.set_write_timeout(Some(socket.write_timeout));
+    let _ = tune(&stream, &socket);
+    let born = node.incarnation.load(Ordering::SeqCst);
     // Per-connection reusable buffers: request frames land in `body`,
     // responses encode into `writer` — in steady state a served exchange
     // allocates nothing on the control path and ships values as refcounted
@@ -778,7 +946,7 @@ fn serve_conn(
         if read_frame_into(&mut stream, &mut body).is_err() {
             return; // peer closed, timed out, or sent garbage
         }
-        if !node.alive.load(Ordering::SeqCst) {
+        if !node.alive.load(Ordering::SeqCst) || node.incarnation.load(Ordering::SeqCst) != born {
             return; // crashed between frames: silently drop
         }
         let resp = match decode_request_checked(&body) {
@@ -793,7 +961,7 @@ fn serve_conn(
             }
         };
         encode_response_to(&resp, &mut writer);
-        if write_frame(&mut stream, &writer).is_err() {
+        if send_response(&mut stream, &mut writer, &mut body).is_err() {
             return;
         }
     }
@@ -905,7 +1073,7 @@ mod tests {
         let receiver = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let mut body = Vec::new();
-            let err = read_frame_into(&mut stream, &mut body).unwrap_err();
+            let err = read_frame_into(&mut stream, &mut body).unwrap_err().error;
             assert!(matches!(err, Error::FrameTooLarge { .. }), "receiver: {err}");
             assert!(!err.is_retryable(), "oversize frames must not be retried");
         });
@@ -914,7 +1082,7 @@ mod tests {
         // Sender side: the check fires before any bytes hit the wire.
         let mut w = Writer::new();
         w.bytes(&vec![0u8; MAX_FRAME as usize + 1]);
-        let err = write_frame(&mut stream, &w).unwrap_err();
+        let err = write_frame(&mut stream, &w).unwrap_err().error;
         assert!(matches!(err, Error::FrameTooLarge { .. }), "sender: {err}");
         assert!(!err.is_retryable());
 
@@ -923,6 +1091,34 @@ mod tests {
         stream.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
         stream.flush().unwrap();
         receiver.join().unwrap();
+    }
+
+    #[test]
+    fn both_ends_of_a_served_connection_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let accepted = stream.try_clone().unwrap();
+            let node = Arc::new(TcpNode {
+                replica: Mutex::new(Replica::new(NodeId(0), 2, 4)),
+                alive: AtomicBool::new(true),
+                incarnation: AtomicU64::new(0),
+                durability: Mutex::new(None),
+            });
+            let running = Arc::new(AtomicBool::new(true));
+            // Returns when the initiator closes its end.
+            serve_conn(stream, node, running, TcpSocketOptions::default());
+            accepted
+        });
+        let mut transport = TcpTransport::new(NodeId(0), addr);
+        let dbvv = Replica::new(NodeId(1), 2, 4).dbvv().clone();
+        transport.exchange(ProtocolRequest::Pull { from: NodeId(1), dbvv }).unwrap();
+        let connected = transport.stream.as_ref().expect("kept after a completed exchange");
+        assert!(connected.nodelay().unwrap(), "the connecting end left Nagle's algorithm on");
+        transport.reset();
+        let accepted = server.join().unwrap();
+        assert!(accepted.nodelay().unwrap(), "the accepted end left Nagle's algorithm on");
     }
 
     #[test]
