@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 //! `epidb-core` — the scalable update-propagation protocol of
 //! *Rabinovich, Gehani & Kononov, "Scalable Update Propagation in Epidemic

@@ -7,7 +7,7 @@
 //! but fails to decode is genuine corruption (typed error, never silent).
 
 use bytes::Bytes;
-use epidb_core::codec::crc32;
+use epidb_core::codec::{crc32, Writer};
 
 /// Bytes of frame header preceding each body (`len` + `crc`).
 pub const WAL_FRAME_HEADER: usize = 8;
@@ -16,13 +16,26 @@ pub const WAL_FRAME_HEADER: usize = 8;
 /// torn/garbage length rather than an allocation request.
 pub const MAX_FRAME_BODY: usize = 64 << 20;
 
+fn frame_header(len: usize, crc: u32) -> [u8; WAL_FRAME_HEADER] {
+    let mut h = [0u8; WAL_FRAME_HEADER];
+    h[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    h[4..].copy_from_slice(&crc.to_le_bytes());
+    h
+}
+
 /// Frame `body` for appending to a WAL or snapshot file.
 pub fn write_frame(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(WAL_FRAME_HEADER + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out.extend_from_slice(&frame_header(body.len(), crc32(body)));
     out.extend_from_slice(body);
     out
+}
+
+/// The frame header for the body `w` holds, checksummed chunk by chunk
+/// without assembling it. Followed by `w.chunks()`, it is byte for byte
+/// `write_frame(&w.into_bytes())`.
+pub(crate) fn writer_frame_header(w: &Writer) -> [u8; WAL_FRAME_HEADER] {
+    frame_header(w.len(), w.crc32())
 }
 
 /// The result of scanning a frame sequence from byte 0.

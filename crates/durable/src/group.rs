@@ -6,21 +6,28 @@
 //! interleaves every stream (database, shard) of a node into a single WAL
 //! file behind a commit queue: appenders enqueue encoded records and
 //! return immediately; a dedicated committer thread drains the queue,
-//! writes the whole batch with one `write`, and issues **one fsync per
-//! batch**. A response is released only after [`GroupWal::wait_durable`]
-//! observes the record's batch land, so the write-ahead guarantee is the
-//! same as the per-replica WAL — only the fsyncs are amortized.
+//! writes the whole batch with one vectored `write`, and issues **one
+//! fsync per batch**. A response is released only after
+//! [`GroupWal::wait_durable`] observes the record's batch land, so the
+//! write-ahead guarantee is the same as the per-replica WAL — only the
+//! fsyncs are amortized.
 //!
 //! Record framing reuses the per-replica WAL format (`len | crc32 | body`,
-//! torn-tail rule); bodies are demultiplexed by a leading
-//! [`GROUP_RECORD_TAG`] byte and a `stream` index, so one generation scan
-//! recovers every stream. Checkpoints snapshot *all* streams
-//! (`snap-<g>-<k>.epdb`) and roll the shared WAL together; retention and
-//! the journaled [`WalHeader`] work exactly as in the per-replica layer.
+//! torn-tail rule), but records are framed straight into the commit queue:
+//! length and checksum are computed over the encoded record's chunks,
+//! then the header and control bytes are copied once into the queue's
+//! buffer, and values above `INLINE_VALUE_MAX` ride along as shared
+//! segments until the committer's vectored write. The committer hands the
+//! buffer back for the next batch when it is at most 16 KiB. Bodies are
+//! demultiplexed by a leading [`GROUP_RECORD_TAG`] byte and a `stream`
+//! index, so one generation scan recovers every stream. Checkpoints
+//! snapshot *all* streams (`snap-<g>-<k>.epdb`) and roll the shared WAL
+//! together; retention and the journaled [`WalHeader`] work exactly as in
+//! the per-replica layer.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, IoSlice, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -32,7 +39,7 @@ use epidb_core::codec::{Reader, Writer};
 use epidb_core::journal::{get_mutation, put_mutation};
 use epidb_core::{ConflictPolicy, Mutation, MutationSink, Replica, SinkHandle};
 
-use crate::frames::{read_frames, write_frame};
+use crate::frames::{read_frames, write_frame, writer_frame_header, WAL_FRAME_HEADER};
 use crate::header::{decode_header, encode_header, is_header, WalHeader};
 use crate::node::{
     atomic_write, fsync_dir, io_err, list_generations, load_snapshot, wal_path, DurabilityConfig,
@@ -112,8 +119,10 @@ struct GroupState {
     /// The current generation's WAL. `Arc` so the committer can write
     /// outside the state lock; `None` only after [`GroupWal::close`].
     wal: Option<Arc<File>>,
-    /// Encoded frames enqueued but not yet handed to the committer.
-    pending: Vec<u8>,
+    /// Encoded frames enqueued but not yet handed to the committer: frame
+    /// headers and control bytes inline, values above `INLINE_VALUE_MAX`
+    /// as shared segments.
+    pending: Writer,
     /// Records inside `pending`.
     pending_records: u64,
     /// Sequence number of the last enqueued record.
@@ -175,31 +184,64 @@ struct GroupSink {
     stream: u32,
 }
 
+/// The body of one group WAL record: tag, stream index, mutation. Values
+/// above `INLINE_VALUE_MAX` stay shared segments of the writer.
+fn encode_record(stream: u32, m: &Mutation) -> Writer {
+    let mut w = Writer::new();
+    w.u8(GROUP_RECORD_TAG);
+    w.u32(stream);
+    put_mutation(&mut w, m);
+    w
+}
+
 impl MutationSink for GroupSink {
     fn record(&self, m: &Mutation) {
-        let mut w = Writer::new();
-        w.u8(GROUP_RECORD_TAG);
-        w.u32(self.stream);
-        put_mutation(&mut w, m);
-        let frame = write_frame(&w.into_bytes());
+        let w = encode_record(self.stream, m);
+        // Length and checksum outside the lock; under it, the frame goes
+        // straight into the commit queue: control bytes copied once, large
+        // values by reference until the committer writes them.
+        let header = writer_frame_header(&w);
+        let frame_len = WAL_FRAME_HEADER + w.len();
         let mut st = self.shared.state.lock().unwrap();
         // The sink API cannot report errors; losing a record would break
         // the write-ahead contract silently, so fail loudly (same policy
         // as the per-replica WAL append).
         assert!(st.running && st.wal.is_some(), "durable: group WAL is closed");
-        st.pending.extend_from_slice(&frame);
+        st.pending.raw(&header);
+        st.pending.append(&w);
         st.pending_records += 1;
         st.appended_seq += 1;
         st.wal_records += 1;
-        st.wal_bytes += frame.len() as u64;
+        st.wal_bytes += frame_len as u64;
         drop(st);
         self.shared.work.notify_one();
     }
 }
 
+/// A written batch's control buffer up to this size goes back to the
+/// commit queue for the next batch to fill; a larger one (a burst of
+/// small-valued records) is freed rather than pinned for the life of the
+/// WAL.
+const PENDING_KEEP: usize = 16 << 10;
+
+/// Write a batch with vectored writes, resuming after short ones.
+fn write_batch(mut file: &File, batch: &Writer) -> std::io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> = batch.chunks().map(IoSlice::new).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match file.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 fn committer_loop(shared: &Shared) {
     loop {
-        let (file, buf, through_seq, n_records) = {
+        let (file, mut batch, through_seq, n_records) = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if !st.pending.is_empty() {
@@ -210,25 +252,30 @@ fn committer_loop(shared: &Shared) {
                 }
                 st = shared.work.wait(st).unwrap();
             }
-            let buf = std::mem::take(&mut st.pending);
+            let batch = std::mem::take(&mut st.pending);
             let n = std::mem::replace(&mut st.pending_records, 0);
             let file = st.wal.clone().expect("durable: group WAL file missing");
             st.committing = true;
-            (file, buf, st.appended_seq, n)
+            (file, batch, st.appended_seq, n)
         };
         // Everything enqueued while the previous batch was being written
-        // lands here in ONE write and (at most) ONE fsync: that
+        // lands here in ONE vectored write and (at most) ONE fsync: that
         // coalescing is the whole point of group commit.
-        (&*file).write_all(&buf).expect("durable: group WAL append failed");
+        write_batch(&file, &batch).expect("durable: group WAL append failed");
         if shared.fsync {
             file.sync_data().expect("durable: group WAL fsync failed");
             shared.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
         shared.records.fetch_add(n_records, Ordering::Relaxed);
         shared.batches.fetch_add(1, Ordering::Relaxed);
+        // Values released and an outgrown buffer freed outside the lock.
+        batch.park(PENDING_KEEP);
         let mut st = shared.state.lock().unwrap();
         st.durable_seq = st.durable_seq.max(through_seq);
         st.committing = false;
+        if st.pending.is_empty() {
+            st.pending = batch; // the next batch reuses the control buffer
+        }
         drop(st);
         shared.durable.notify_all();
     }
@@ -389,7 +436,7 @@ impl GroupWal {
             n_streams: streams.len(),
             state: Mutex::new(GroupState {
                 wal: Some(Arc::new(wal)),
-                pending: Vec::new(),
+                pending: Writer::new(),
                 pending_records: 0,
                 appended_seq: 0,
                 durable_seq: 0,
@@ -507,10 +554,10 @@ impl GroupWal {
         }
         let old_path = wal_path(&self.shared.dir, st.generation);
         if !st.pending.is_empty() {
-            let buf = std::mem::take(&mut st.pending);
+            let batch = std::mem::take(&mut st.pending);
             let n = std::mem::replace(&mut st.pending_records, 0);
             let file = st.wal.clone().expect("durable: group WAL file missing");
-            (&*file).write_all(&buf).map_err(|e| io_err("write", &old_path, e))?;
+            write_batch(&file, &batch).map_err(|e| io_err("write", &old_path, e))?;
             if self.shared.fsync {
                 file.sync_data().map_err(|e| io_err("fsync", &old_path, e))?;
                 self.shared.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -644,8 +691,9 @@ mod tests {
     use super::*;
     use crate::testdir::TempDir;
     use epidb_common::ItemId;
+    use epidb_core::{PropagationPayload, ShippedItem};
     use epidb_store::UpdateOp;
-    use epidb_vv::VvOrd;
+    use epidb_vv::{VersionVector, VvOrd};
 
     const N_NODES: usize = 3;
 
@@ -751,6 +799,79 @@ mod tests {
         // Stream 1's torn record is gone: back to the initial value.
         let fresh = Replica::with_policy(NodeId(0), N_NODES, 4, ConflictPolicy::Report);
         assert_eq!(recovered[1].read(ItemId(0)).unwrap(), fresh.read(ItemId(0)).unwrap());
+    }
+
+    impl GroupWal {
+        /// Whether the commit queue holds a control buffer above `keep` B.
+        fn pending_outgrew(&self, keep: usize) -> bool {
+            self.shared.state.lock().unwrap().pending.outgrew(keep)
+        }
+    }
+
+    #[test]
+    fn queued_frames_are_write_frame_byte_for_byte() {
+        // Empty and inline values, the inline edge (128 B) and shared
+        // segments (129 B, 8 KiB): the WAL must hold exactly what framing
+        // the assembled record would have produced.
+        let tmp = TempDir::new("group-format");
+        let mut cfg = DurabilityConfig::new(tmp.path());
+        cfg.checkpoint_every = 0;
+        let (wal, _replicas, _) = open(&cfg);
+        let sink = GroupSink { shared: wal.shared.clone(), stream: 1 };
+        let mut want = wal.shared.state.lock().unwrap().header_frame.clone();
+        let lens = [0usize, 64, 128, 129, 8192];
+        for (i, &len) in lens.iter().enumerate() {
+            let m = Mutation::Update {
+                item: ItemId(i as u32 % 4),
+                op: UpdateOp::set(vec![0x30 + i as u8; len]),
+            };
+            sink.record(&m);
+            want.extend_from_slice(&write_frame(&encode_record(1, &m).into_bytes()));
+        }
+        wal.close();
+        let got = fs::read(wal_path(&cfg.dir.join("group"), 0)).unwrap();
+        assert_eq!(got, want);
+
+        let (_wal2, recovered, report) = open(&cfg);
+        assert_eq!(report.wal_records_replayed, lens.len() as u64);
+        assert_eq!(report.replay_errors, 0);
+        assert_eq!(recovered[1].read(ItemId(3)).unwrap().as_bytes(), &[0x33; 129][..]);
+        assert_eq!(recovered[1].read(ItemId(0)).unwrap().as_bytes(), &[0x34; 8192][..]);
+    }
+
+    #[test]
+    fn queue_shares_large_values_and_frees_large_buffers() {
+        let tmp = TempDir::new("group-reuse");
+        let mut cfg = DurabilityConfig::new(tmp.path());
+        cfg.checkpoint_every = 0;
+        let (wal, _replicas, _) = open(&cfg);
+        let sink = GroupSink { shared: wal.shared.clone(), stream: 0 };
+
+        // A 200 KiB value rides through the queue as a shared segment: the
+        // written batch hands back a small control buffer, and the value's
+        // only reference is the caller's again.
+        let value = Bytes::from(vec![2u8; 200 << 10]);
+        sink.record(&Mutation::Update { item: ItemId(1), op: UpdateOp::Set(value.clone()) });
+        wal.wait_durable();
+        assert!(wal.pending_outgrew(0), "the control buffer is handed back");
+        assert!(!wal.pending_outgrew(PENDING_KEEP));
+        assert!(value.try_into_vec().is_ok(), "the committer released the value");
+
+        // ~200 KiB of inline values outgrow the control buffer: it is
+        // freed, not pinned for the life of the WAL.
+        let items = (0..2048)
+            .map(|i| ShippedItem {
+                item: ItemId(i % 8),
+                ivv: VersionVector::from_entries(vec![0; N_NODES]),
+                value: Bytes::from(vec![3u8; 100]),
+            })
+            .collect();
+        let tails = vec![Vec::new(); N_NODES];
+        let m =
+            Mutation::Propagation { from: NodeId(1), payload: PropagationPayload { tails, items } };
+        sink.record(&m);
+        wal.wait_durable();
+        assert!(!wal.pending_outgrew(0), "a 200 KiB batch buffer is not retained");
     }
 
     #[test]
