@@ -3,7 +3,7 @@
 //! Runs [`epidb_mc::explore`] over the built-in scenarios: every
 //! interleaving of action firings, message deliveries/losses, node
 //! crashes, and revivals up to the per-scenario depth bound, checking the
-//! six protocol invariants at every state and the paper's §2.1
+//! seven protocol invariants at every state and the paper's §2.1
 //! eventual-consistency statement at every quiescent state. Finishes with
 //! the seeded-mutant self-test: a deliberately broken replica must be
 //! caught with a minimized, replayable counterexample.

@@ -40,7 +40,8 @@
 //!   1000-item replica that is 5 items behind a log-compacted source must
 //!   ship ≥ 10× less payload than the whole-database pull, with total
 //!   traffic bounded by O(diff · log N) — the cold-start degradation rung
-//!   must beat the O(database) bottom rung it shields.
+//!   must beat the O(database) bottom rung it shields — and a warm second
+//!   5-item sync must hash at most 16 · diff · log2 N leaves per side.
 //! * `--assert-conn-reuse` — assert the connection-count law of the socket
 //!   runtimes: 1,000 idle rounds from a cold pool open one connection per
 //!   peer address and no more, a crash / revive of a peer costs the next
@@ -555,8 +556,10 @@ fn scenario_cold_start_fresh(name: &'static str, s: &Sizes) -> Measure {
 /// 1000-item replica 5 items behind a compacted source must reconcile
 /// with ≥ 10× less payload than the whole-database pull, and its total
 /// two-way traffic — digests, floors, items, and all — must stay within
-/// an O(diff · log N) envelope. This is the scaling claim of the recon
-/// rung: O(d · log N), not O(N).
+/// an O(diff · log N) envelope. A warm second sync of DIFF more items must
+/// then hash at most 16 · DIFF · log2 N leaves on each side. This is the
+/// scaling claim of the recon rung, in bytes and in time: O(d · log N),
+/// not O(N).
 fn assert_cold_start_reconciliation() {
     const N: usize = 1_000;
     const DIFF: usize = 5;
@@ -593,9 +596,33 @@ fn assert_cold_start_reconciliation() {
         let x = ItemId::from_index((k * 97) % N);
         assert_eq!(dst.read(x).unwrap(), src.read(x).unwrap(), "diff item {x:?} reconciled");
     }
+
+    // Warm leg, the time law: both digest trees now exist, so a second
+    // DIFF-item sync must hash O(diff · log N) leaves on each side — the
+    // dirty paths and one bucket per probed child — not O(N) per probe.
+    for k in 0..DIFF {
+        src.update(ItemId::from_index((k * 131 + 7) % N), UpdateOp::set(vec![0x5A; VAL]))
+            .expect("warm-leg update");
+    }
+    let (src1, dst1) = (src.costs(), dst.costs());
+    let out = pull(&mut dst, &mut src).expect("warm cold-start pull");
+    assert!(matches!(out, PullOutcome::Propagated(_)), "the warm pull must reconcile");
+    let hashed_src = src.costs().items_scanned - src1.items_scanned;
+    let hashed_dst = dst.costs().items_scanned - dst1.items_scanned;
+    let hash_bound = 16 * DIFF as u64 * log2n;
+    assert!(
+        hashed_src <= hash_bound && hashed_dst <= hash_bound,
+        "cold-start regression: a warm {DIFF}-item sync over {N} items hashed {hashed_src} \
+         (source) / {hashed_dst} (recipient) leaves, over the O(diff * log N) bound of \
+         {hash_bound} — the digest tree is being refolded, not maintained"
+    );
+    for x in ItemId::all(N) {
+        assert_eq!(dst.read(x).unwrap(), src.read(x).unwrap(), "item {x:?} reconciled");
+    }
     eprintln!(
         "perf_report: cold-start assertions hold ({total} recon bytes, {payload} payload, \
-         vs {whole_payload} whole-pull payload; envelope {bound})."
+         vs {whole_payload} whole-pull payload; envelope {bound}; warm sync hashed \
+         {hashed_src} / {hashed_dst} leaves, bound {hash_bound})."
     );
 }
 

@@ -29,8 +29,10 @@ pub struct Costs {
     /// time linear in records selected).
     pub log_records_examined: u64,
     /// Per-item control-state inspections that are *not* vv comparisons —
-    /// e.g. Lotus scanning every item's modification time (§8.1), or the
-    /// per-item-VV baseline touching every item's control block each round.
+    /// e.g. Lotus scanning every item's modification time (§8.1), the
+    /// per-item-VV baseline touching every item's control block each round,
+    /// or, in reconciliation, the digest-tree leaves actually hashed (a
+    /// cached clean node costs none).
     pub items_scanned: u64,
     /// Data items actually copied (adopted) by a recipient.
     pub items_copied: u64,

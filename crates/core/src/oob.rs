@@ -42,8 +42,8 @@ impl Replica {
                 from_aux: true,
             });
         }
-        let it = self.store.get_mut(x)?;
-        Ok(OobReply { item: x, ivv: it.ivv.clone(), value: it.value.share(), from_aux: false })
+        let (ivv, value) = self.store.share(x)?;
+        Ok(OobReply { item: x, ivv, value, from_aux: false })
     }
 
     /// Accept an out-of-bound reply (§5.2). The received IVV is compared

@@ -6,7 +6,7 @@
 //! re-derives the invariant from first principles against a replica's live
 //! state. Two consumers share them:
 //!
-//! * **paranoid mode** ([`Replica::set_paranoid`]) runs all six after
+//! * **paranoid mode** ([`Replica::set_paranoid`]) runs all seven after
 //!   every protocol step via [`ReplicaAuditor::audit`] and panics with the
 //!   collected report plus the structured protocol trace
 //!   ([`epidb_common::TraceRing`]), whose last event names the offending
@@ -38,6 +38,10 @@
 //!    crash recovery, because conflict reports are ephemeral: a replica
 //!    restored from a snapshot taken mid-conflict holds frozen auxiliary
 //!    state with a reset conflict counter.
+//! 7. **Digest cache** — once a reconciliation probe built the store's
+//!    digest tree ([`epidb_store::digest`]), every *clean* cached node
+//!    equals the uncached fold of its range: no mutation escaped the
+//!    dirty marking. Free while no tree exists.
 
 use std::fmt;
 
@@ -63,6 +67,8 @@ pub enum AuditCheck {
     AuxStructure,
     /// Auxiliary copies never older than regular copies (conflict-free).
     AuxDominance,
+    /// Clean cached digest-tree nodes equal the uncached fold.
+    DigestCache,
 }
 
 impl AuditCheck {
@@ -75,17 +81,19 @@ impl AuditCheck {
             AuditCheck::SelectionFlags => "selection-flags",
             AuditCheck::AuxStructure => "aux-structure",
             AuditCheck::AuxDominance => "aux-dominance",
+            AuditCheck::DigestCache => "digest-cache",
         }
     }
 
     /// All checks, in the order the auditor runs them.
-    pub const ALL: [AuditCheck; 6] = [
+    pub const ALL: [AuditCheck; 7] = [
         AuditCheck::DbvvSum,
         AuditCheck::LogStructure,
         AuditCheck::MMonotonicity,
         AuditCheck::SelectionFlags,
         AuditCheck::AuxStructure,
         AuditCheck::AuxDominance,
+        AuditCheck::DigestCache,
     ];
 
     /// Run this one check against `replica`, returning the first violation
@@ -98,6 +106,7 @@ impl AuditCheck {
             AuditCheck::SelectionFlags => check_selection_flags(replica),
             AuditCheck::AuxStructure => check_aux_structure(replica),
             AuditCheck::AuxDominance => check_aux_dominance(replica),
+            AuditCheck::DigestCache => check_digest_cache(replica),
         }
     }
 }
@@ -221,6 +230,13 @@ pub fn check_aux_dominance(replica: &Replica) -> Result<(), InvariantViolation> 
     Ok(())
 }
 
+/// Invariant 7: every clean node of the store's cached digest tree equals
+/// the uncached fold of its range. Vacuously true before the first
+/// reconciliation probe builds the tree.
+pub fn check_digest_cache(replica: &Replica) -> Result<(), InvariantViolation> {
+    replica.store.check_digest_cache().map_err(|e| violation(replica, AuditCheck::DigestCache, e))
+}
+
 /// One invariant violation found by an audit.
 #[derive(Clone, Debug)]
 pub struct AuditViolation {
@@ -338,8 +354,30 @@ mod tests {
                 "m-monotonicity",
                 "selection-flags",
                 "aux-structure",
-                "aux-dominance"
+                "aux-dominance",
+                "digest-cache"
             ]
         );
+    }
+
+    #[test]
+    fn corrupted_digest_cache_is_reported() {
+        let mut r = Replica::new(NodeId(0), 2, 64);
+        // No tree yet: nothing cached, nothing to corrupt or check.
+        assert!(!r.store.debug_corrupt_digest_cache());
+        for i in 0..64 {
+            r.update(ItemId(i), UpdateOp::set(vec![i as u8; 3])).unwrap();
+        }
+        r.serve_recon(&[(0, 64)], &[]).unwrap();
+        r.update(ItemId(9), UpdateOp::append(&b"+"[..])).unwrap();
+        assert!(check_digest_cache(&r).is_ok(), "a dirty path is not a violation");
+        r.serve_recon(&[(0, 64)], &[]).unwrap();
+        assert!(ReplicaAuditor::audit(&r).is_clean());
+
+        assert!(r.store.debug_corrupt_digest_cache());
+        let report = ReplicaAuditor::audit(&r);
+        assert_eq!(report.violations.len(), 1, "{}", report.summary());
+        assert_eq!(report.count(AuditCheck::DigestCache), 1);
+        assert!(report.summary().contains("digest-cache"), "{}", report.summary());
     }
 }

@@ -10,10 +10,18 @@
 //!
 //! * leaves are per-item FNV digests of `(IVV, value)` — the same FNV-1a
 //!   discipline as [`crate::mc_state`]'s fingerprints;
-//! * interior nodes fold `(start, end, left, right)`, so a subtree digest
-//!   commits to both structure and content;
-//! * the tree is never materialized — digests are computed on demand in
-//!   O(width) per probed range.
+//! * interior nodes fold `(start, end, left, right)` around the midpoint
+//!   split, so a subtree digest commits to both structure and content;
+//! * the tree lives in the replica's [`ItemStore`](epidb_store::ItemStore)
+//!   ([`epidb_store::digest`]): built lazily by the first probe (one O(N)
+//!   fold), it caches every node wider than a bucket of
+//!   [`BUCKET`](epidb_store::digest::BUCKET) = 16 leaves, and every item
+//!   mutation marks its root-to-bucket path dirty. A probe refolds only
+//!   dirty nodes and hashes at most one bucket per child, so it costs
+//!   O(dirty paths · log N + 16) leaf hashes rather than O(width). A
+//!   replica that never reconciles never builds the tree.
+//!
+//! A probe must name a node of the tree; any other range is refused.
 //!
 //! The recipient drives a breadth-first descent ([`ReconDriver`]): each
 //! [`ProtocolRequest::Recon`] carries ranges to probe plus leaves to
@@ -34,55 +42,36 @@
 //! construction.
 
 use epidb_common::trace::{OrdTag, TraceStep};
-use epidb_common::{ConflictEvent, ConflictSite, Error, ItemId, NodeId, Result};
+use epidb_common::{ConflictEvent, ConflictSite, Error, FnvHasher, ItemId, NodeId, Result};
 use epidb_log::LogRecord;
+use epidb_store::digest;
 
 use crate::engine::{unexpected, ProtocolRequest, ProtocolResponse};
 use crate::journal::Mutation;
-use crate::mc_state::FnvHasher;
 use crate::messages::{FullPullReply, ReconItem, ReconReply, ShippedItem};
 use crate::policy::ConflictPolicy;
 use crate::propagation::{AcceptOutcome, PullOutcome};
 use crate::replica::Replica;
 
 impl Replica {
-    /// Leaf digest of item `x`: FNV-1a over the IVV (length + entries)
-    /// and the value (length + bytes). Two replicas agree on a leaf
-    /// digest iff they agree on the item's `(IVV, value)`.
-    fn leaf_digest(&self, x: ItemId) -> u64 {
-        let it = self.store.get(x).expect("digested item exists");
-        let mut h = FnvHasher::new();
-        h.write_u64(it.ivv.len() as u64);
-        for &e in it.ivv.entries() {
-            h.write_u64(e);
-        }
-        h.write_u64(it.value.as_bytes().len() as u64);
-        h.write(it.value.as_bytes());
-        h.finish()
+    /// Digest of the digest-tree node `[start, end)` as the descent
+    /// compares it, or `None` if the range is not a node of this replica's
+    /// tree. Served from the store's cached tree
+    /// ([`epidb_store::digest`]); the leaves actually hashed are charged as
+    /// `items_scanned`.
+    pub fn range_digest(&mut self, start: u32, end: u32) -> Option<u64> {
+        let mut hashed = 0;
+        let digest = self.store.range_digest(start, end, &mut hashed);
+        self.costs.items_scanned += hashed;
+        digest
     }
 
-    /// Digest of the half-open item range `[start, end)` — a leaf digest
-    /// for width 1, otherwise the FNV fold of `(start, end, left child,
-    /// right child)` with the midpoint at `start + (end - start) / 2`.
-    fn fold_range(&self, start: u32, end: u32) -> u64 {
-        debug_assert!(start < end);
-        if end - start == 1 {
-            return self.leaf_digest(ItemId(start));
-        }
-        let mid = start + (end - start) / 2;
-        let mut h = FnvHasher::new();
-        h.write_u64(start as u64);
-        h.write_u64(end as u64);
-        h.write_u64(self.fold_range(start, mid));
-        h.write_u64(self.fold_range(mid, end));
-        h.finish()
-    }
-
-    /// [`fold_range`](Self::fold_range) with cost accounting: every leaf
-    /// under the range is digested, charged as `items_scanned`.
-    pub(crate) fn range_digest(&mut self, start: u32, end: u32) -> u64 {
-        self.costs.items_scanned += (end - start) as u64;
-        self.fold_range(start, end)
+    /// The uncached fold of the node `[start, end)`, hashing every leaf
+    /// under it and charging nothing: the oracle the cached tree is tested
+    /// against.
+    #[doc(hidden)]
+    pub fn range_digest_uncached(&self, start: u32, end: u32) -> Option<u64> {
+        self.store.range_digest_uncached(start, end)
     }
 
     /// Materialize one item for shipping: value (shared, not copied),
@@ -98,29 +87,32 @@ impl Replica {
                 self.costs.log_records_examined += 1;
             }
         }
-        let it = self.store.get_mut(x).expect("checked item exists");
-        ReconItem { item: x, ivv: it.ivv.clone(), value: it.value.share(), records }
+        let (ivv, value) = self.store.share(x).expect("checked item exists");
+        ReconItem { item: x, ivv, value, records }
     }
 
     /// Serve one reconciliation descent step (the responder side of
     /// [`ProtocolRequest::Recon`]): for each probed range return its two
     /// child digests (a width-1 range returns its own leaf digest), and
     /// ship full items for the fetched leaves, plus the coverage floor.
+    /// A probed range that is not a node of the digest tree is refused:
+    /// an honest [`ReconDriver`] only probes the root and children of
+    /// ranges it was sent.
     pub fn serve_recon(&mut self, ranges: &[(u32, u32)], fetch: &[ItemId]) -> Result<ReconReply> {
         let n = self.n_items() as u32;
         let mut digests = Vec::with_capacity(ranges.len() * 2);
         for &(start, end) in ranges {
-            if start >= end || end > n {
+            if !self.store.is_digest_node(start, end) {
                 return Err(Error::Network(format!(
-                    "recon range [{start}, {end}) outside the {n}-item space"
+                    "recon range [{start}, {end}) is not a node of the {n}-item digest tree"
                 )));
             }
-            if end - start == 1 {
-                digests.push((start, end, self.range_digest(start, end)));
-            } else {
-                let mid = start + (end - start) / 2;
-                digests.push((start, mid, self.range_digest(start, mid)));
-                digests.push((mid, end, self.range_digest(mid, end)));
+            let mid = digest::midpoint(start, end);
+            let children: &[(u32, u32)] =
+                if end - start == 1 { &[(start, end)] } else { &[(start, mid), (mid, end)] };
+            for &(s, e) in children {
+                let d = self.range_digest(s, e).expect("a node and its children are nodes");
+                digests.push((s, e, d));
             }
         }
         let mut items = Vec::with_capacity(fetch.len());
@@ -438,13 +430,14 @@ impl ReconDriver {
                 // Narrow: equal digests prune whole subtrees; differing
                 // width-1 ranges become leaf fetches.
                 for &(start, end, digest) in &reply.digests {
-                    if start >= end || end > self.n_items {
+                    let Some(local) = initiator.range_digest(start, end) else {
                         return Err(Error::Network(format!(
-                            "recon reply range [{start}, {end}) outside the {}-item space",
+                            "recon reply range [{start}, {end}) is not a node of the {}-item \
+                             digest tree",
                             self.n_items
                         )));
-                    }
-                    if initiator.range_digest(start, end) == digest {
+                    };
+                    if local == digest {
                         continue;
                     }
                     if end - start == 1 {
@@ -581,12 +574,12 @@ mod tests {
     #[test]
     fn leaf_digests_agree_iff_items_agree() {
         let (mut a, mut b) = pair(4);
-        assert_eq!(a.leaf_digest(ItemId(0)), b.leaf_digest(ItemId(0)));
+        assert_eq!(a.range_digest(0, 1), b.range_digest(0, 1));
         b.update(ItemId(0), UpdateOp::set(&b"x"[..])).unwrap();
-        assert_ne!(a.leaf_digest(ItemId(0)), b.leaf_digest(ItemId(0)));
+        assert_ne!(a.range_digest(0, 1), b.range_digest(0, 1));
         a.update(ItemId(0), UpdateOp::set(&b"x"[..])).unwrap();
         // Same value, different IVV (different origin) — still different.
-        assert_ne!(a.leaf_digest(ItemId(0)), b.leaf_digest(ItemId(0)));
+        assert_ne!(a.range_digest(0, 1), b.range_digest(0, 1));
     }
 
     #[test]
@@ -613,6 +606,50 @@ mod tests {
         assert_eq!(reply.digests.len(), 1, "width-1 range yields its own leaf digest");
         assert!(a.serve_recon(&[(0, 9)], &[]).is_err());
         assert!(a.serve_recon(&[(4, 4)], &[]).is_err());
+    }
+
+    #[test]
+    fn serve_recon_refuses_in_space_ranges_that_are_not_tree_nodes() {
+        let (mut a, _) = pair(8);
+        let outside = a.serve_recon(&[(0, 9)], &[]).unwrap_err();
+        let straddling = a.serve_recon(&[(1, 3)], &[]).unwrap_err();
+        assert!(matches!(outside, Error::Network(_)));
+        assert!(matches!(straddling, Error::Network(_)), "{straddling}");
+        assert!(straddling.to_string().contains("not a node"), "{straddling}");
+        // Both halves of [1, 3) are nodes; the range itself is not.
+        assert!(a.serve_recon(&[(1, 2), (2, 3)], &[]).is_ok());
+        assert!(a.serve_recon(&[(0, 3)], &[]).is_err());
+        assert!(a.serve_recon(&[(2, 8)], &[]).is_err());
+    }
+
+    #[test]
+    fn warm_probes_hash_only_what_changed() {
+        let n = 1024;
+        let (mut a, _) = pair(n);
+        for i in 0..n as u32 {
+            a.update(ItemId(i), UpdateOp::set(vec![i as u8; 4])).unwrap();
+        }
+        let scanned = |r: &Replica| r.costs().items_scanned;
+        // The first probe builds the tree: every leaf once.
+        let before = scanned(&a);
+        a.serve_recon(&[(0, n as u32)], &[]).unwrap();
+        assert_eq!(scanned(&a) - before, n as u64);
+        // Clean: the root's children come from the cache.
+        let before = scanned(&a);
+        a.serve_recon(&[(0, n as u32)], &[]).unwrap();
+        assert_eq!(scanned(&a) - before, 0);
+        // One write dirties one path: the refold rehashes the two buckets
+        // under its lowest cached node, not the half it lies in.
+        a.update(ItemId(700), UpdateOp::append(&b"+"[..])).unwrap();
+        let before = scanned(&a);
+        a.serve_recon(&[(0, n as u32)], &[]).unwrap();
+        assert_eq!(scanned(&a) - before, 32);
+        assert_eq!(a.range_digest(0, n as u32), a.range_digest_uncached(0, n as u32));
+        // Shipping an item changes no digest and dirties nothing.
+        let before = scanned(&a);
+        a.serve_recon(&[], &[ItemId(3)]).unwrap();
+        a.serve_recon(&[(0, n as u32)], &[]).unwrap();
+        assert_eq!(scanned(&a) - before, 0);
     }
 
     #[test]

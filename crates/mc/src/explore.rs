@@ -3,7 +3,7 @@
 //! Classic explicit-state model checking: starting from the scenario's
 //! initial [`System`], expand every enabled [`Event`] of every reachable
 //! state, deduplicate states by canonical fingerprint, and bound the walk
-//! by depth and state count. Every state is checked against the six
+//! by depth and state count. Every state is checked against the seven
 //! protocol invariants; every *goal* (quiescent) state is additionally
 //! checked against the scenario's §2.1 consistency expectation. The first
 //! violation stops the search and is handed to the minimizer

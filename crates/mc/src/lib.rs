@@ -27,7 +27,7 @@
 //!   node with exactly the state real disk recovery would rebuild, pinned
 //!   against an actual crash-and-reopen by the durable crate's tests.
 //!
-//! Every explored state is checked against the six protocol invariants
+//! Every explored state is checked against the seven protocol invariants
 //! (the pure predicates of [`epidb_core::paranoid`]); every *quiescent*
 //! state — all actions fired, nothing in flight — is additionally checked
 //! against the paper's §2.1 eventual-consistency statement, by reviving

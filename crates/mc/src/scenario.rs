@@ -190,7 +190,7 @@ impl Scenario {
     /// Two full replicas, no conflicting writes: updates at both sides, a
     /// pull each way, a delta pull, and an OOB copy — with one crash and
     /// one message loss available to the scheduler. The canonical
-    /// correctness scenario: every interleaving must preserve all six
+    /// correctness scenario: every interleaving must preserve all seven
     /// state invariants and converge exactly.
     pub fn two_node_full() -> Scenario {
         Scenario {

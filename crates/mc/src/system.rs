@@ -94,7 +94,7 @@ impl Node {
         }
     }
 
-    /// Run all six state-invariant predicates on every replica this node
+    /// Run all seven state-invariant predicates on every replica this node
     /// holds; first violation wins.
     fn first_violation(&self) -> Option<InvariantViolation> {
         let audit = |r: &Replica| AuditCheck::ALL.iter().find_map(|c| c.run(r).err());
@@ -245,7 +245,7 @@ impl System {
         self.fired.iter().all(|&f| f) && self.rounds.is_empty()
     }
 
-    /// Run the six invariant predicates on every replica of every node —
+    /// Run the seven invariant predicates on every replica of every node —
     /// crash images included, since a revive installs them verbatim.
     pub fn first_violation(&self) -> Option<InvariantViolation> {
         self.nodes.iter().find_map(|slot| slot.node().first_violation())

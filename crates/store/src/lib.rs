@@ -17,8 +17,10 @@
 //! * [`ItemValue`] — a data item's value: an owned byte buffer.
 //! * [`StoredItem`] — value plus its item version vector (IVV).
 //! * [`ItemStore`] — the dense collection of a replica's regular item
-//!   copies.
+//!   copies, with the cached reconciliation digest tree ([`digest`]) that
+//!   its mutations keep current.
 
+pub mod digest;
 pub mod op;
 pub mod store;
 pub mod value;
