@@ -12,6 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== examples (each asserts what it shows) =="
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

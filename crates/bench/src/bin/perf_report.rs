@@ -1,14 +1,15 @@
-//! `perf_report` — the benchmark trajectory harness.
+//! `perf_report` — the allocation and cost-law gates.
 //!
-//! Runs the core perf scenarios (codec framing, anti-entropy vs `m`, delta
+//! Runs the core scenarios (codec framing, anti-entropy vs `m`, delta
 //! gossip, large-value out-of-bound copy) in-process with deterministic
-//! inputs and emits a machine-readable JSON report, so every perf PR has
-//! comparable before/after numbers (`BENCH_PR<k>.json` at the repo root).
+//! inputs and emits a machine-readable JSON report of iterations, payload
+//! bytes and allocation traffic per operation.
 //!
-//! This runner is a fixed-format trajectory point: small, scriptable, and
-//! diffable (the statistical wall-clock instrument is `epibench/`). A
-//! counting global allocator reports allocation traffic per operation, so
-//! zero-copy claims are checkable, not aspirational.
+//! Wall-clock timing is not measured here: the statistical wall-clock
+//! instrument is `epibench/`. A counting global allocator reports
+//! allocation traffic per operation, so zero-copy claims are checkable,
+//! not aspirational, and the `--assert-*` gates below check deterministic
+//! op-count and byte-count laws.
 //!
 //! Usage:
 //!
@@ -16,8 +17,7 @@
 //! cargo run --release -p epidb-bench --bin perf_report -- \
 //!     [--smoke] [--assert-zero-copy] [--assert-small-path] \
 //!     [--assert-sharded-gossip] [--assert-group-commit] \
-//!     [--assert-cold-start] [--assert-conn-reuse] [--out PATH] \
-//!     [--baseline PATH]
+//!     [--assert-cold-start] [--assert-conn-reuse] [--out PATH]
 //! ```
 //!
 //! * `--smoke` — tiny sizes and budgets (CI: validates the harness and the
@@ -47,9 +47,8 @@
 //!   peer address and no more, a crash / revive of a peer costs the next
 //!   round to it exactly one transparent reconnect, and a shut-down
 //!   cluster leaves no stream parked.
-//! * `--baseline PATH` — a previous report to embed and compute speedups
-//!   against (default `BENCH_PR8.json` if present).
-//! * `--out PATH` — where to write the report (default `BENCH_PR10.json`).
+//! * `--out PATH` — where to write the report (default
+//!   `target/perf_report.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
@@ -111,10 +110,8 @@ fn alloc_snapshot() -> (u64, u64) {
 struct Measure {
     name: &'static str,
     iters: u64,
-    ns_per_op: f64,
     /// Item-value payload bytes one operation ships (0 when not applicable).
     payload_bytes_per_op: u64,
-    mb_per_s: f64,
     alloc_bytes_per_op: f64,
     allocs_per_op: f64,
 }
@@ -149,18 +146,10 @@ fn bench<S, R>(
         alloc_bytes += b1 - b0;
         iters += 1;
     }
-    let ns_per_op = spent.as_nanos() as f64 / iters as f64;
-    let mb_per_s = if payload_bytes_per_op > 0 {
-        (payload_bytes_per_op as f64 * iters as f64) / (spent.as_secs_f64() * 1e6)
-    } else {
-        0.0
-    };
     Measure {
         name,
         iters,
-        ns_per_op,
         payload_bytes_per_op,
-        mb_per_s,
         alloc_bytes_per_op: alloc_bytes as f64 / iters as f64,
         allocs_per_op: alloc_calls as f64 / iters as f64,
     }
@@ -928,15 +917,9 @@ fn scenarios_json(measures: &[Measure]) -> String {
         let comma = if i + 1 == measures.len() { "" } else { "," };
         writeln!(
             out,
-            "    \"{}\": {{\"iters\": {}, \"ns_per_op\": {:.1}, \"payload_bytes_per_op\": {}, \
-             \"mb_per_s\": {:.2}, \"alloc_bytes_per_op\": {:.1}, \"allocs_per_op\": {:.1}}}{comma}",
-            m.name,
-            m.iters,
-            m.ns_per_op,
-            m.payload_bytes_per_op,
-            m.mb_per_s,
-            m.alloc_bytes_per_op,
-            m.allocs_per_op,
+            "    \"{}\": {{\"iters\": {}, \"payload_bytes_per_op\": {}, \
+             \"alloc_bytes_per_op\": {:.1}, \"allocs_per_op\": {:.1}}}{comma}",
+            m.name, m.iters, m.payload_bytes_per_op, m.alloc_bytes_per_op, m.allocs_per_op,
         )
         .unwrap();
     }
@@ -944,24 +927,11 @@ fn scenarios_json(measures: &[Measure]) -> String {
     out
 }
 
-/// Pull `"<scenario>": {... "ns_per_op": <x> ...}` numbers out of a prior
-/// report without a JSON dependency: the reports are machine-written in a
-/// fixed shape, so a scan is reliable here (and only here).
-fn extract_ns_per_op(report: &str, scenario: &str) -> Option<f64> {
-    let key = format!("\"{scenario}\"");
-    let at = report.find(&key)?;
-    let rest = &report[at..];
-    let field = rest.find("\"ns_per_op\":")?;
-    let tail = rest[field + "\"ns_per_op\":".len()..].trim_start();
-    let end = tail.find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())?;
-    tail[..end].parse().ok()
-}
-
 fn usage() -> ! {
     eprintln!(
-        "usage: perf_report [--smoke] [--out PATH] [--baseline PATH] [--assert-zero-copy]\n\
-         \x20      [--assert-small-path] [--assert-sharded-gossip] [--assert-group-commit]\n\
-         \x20      [--assert-cold-start] [--assert-conn-reuse]"
+        "usage: perf_report [--smoke] [--out PATH] [--assert-zero-copy] [--assert-small-path]\n\
+         \x20      [--assert-sharded-gossip] [--assert-group-commit] [--assert-cold-start]\n\
+         \x20      [--assert-conn-reuse]"
     );
     std::process::exit(2);
 }
@@ -970,13 +940,11 @@ fn main() {
     // A gate that is misspelt must not pass by asserting nothing: unknown
     // arguments and missing values end the run.
     let mut flags: Vec<String> = Vec::new();
-    let mut out_path = String::from("BENCH_PR10.json");
-    let mut baseline_path = String::from("BENCH_PR8.json");
+    let mut out_path = String::from("target/perf_report.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out_path = args.next().unwrap_or_else(|| usage()),
-            "--baseline" => baseline_path = args.next().unwrap_or_else(|| usage()),
             "--smoke"
             | "--assert-zero-copy"
             | "--assert-small-path"
@@ -995,8 +963,8 @@ fn main() {
     let measures = run_all(&sizes);
     for m in &measures {
         eprintln!(
-            "  {:<26} {:>10.0} ns/op {:>10.2} MB/s {:>12.0} alloc B/op ({} iters)",
-            m.name, m.ns_per_op, m.mb_per_s, m.alloc_bytes_per_op, m.iters
+            "  {:<28} {:>12.0} alloc B/op {:>8.1} allocs/op ({} iters)",
+            m.name, m.alloc_bytes_per_op, m.allocs_per_op, m.iters
         );
     }
 
@@ -1085,46 +1053,27 @@ fn main() {
         assert_conn_reuse();
     }
 
-    let baseline = std::fs::read_to_string(&baseline_path).ok();
     let mut report = String::new();
     report.push_str("{\n");
     report.push_str("  \"schema\": \"epidb-perf-report/v1\",\n");
-    report.push_str("  \"pr\": 10,\n");
     writeln!(report, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" }).unwrap();
-    writeln!(report, "  \"scenarios\": {},", scenarios_json(&measures)).unwrap();
-    match &baseline {
-        Some(text) => {
-            let mut speedups = String::from("{\n");
-            let mut first = true;
-            for m in &measures {
-                if let Some(base_ns) = extract_ns_per_op(text, m.name) {
-                    if !first {
-                        speedups.push_str(",\n");
-                    }
-                    first = false;
-                    write!(speedups, "    \"{}\": {:.2}", m.name, base_ns / m.ns_per_op).unwrap();
-                }
-            }
-            speedups.push_str("\n  }");
-            writeln!(report, "  \"speedup_vs_baseline\": {speedups},").unwrap();
-            writeln!(report, "  \"baseline\": {}", text.trim_end()).unwrap();
-        }
-        None => {
-            report.push_str("  \"speedup_vs_baseline\": null,\n");
-            report.push_str("  \"baseline\": null\n");
-        }
-    }
+    writeln!(report, "  \"scenarios\": {}", scenarios_json(&measures)).unwrap();
     report.push_str("}\n");
 
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create report directory");
+    }
     std::fs::write(&out_path, &report).expect("write report");
 
     // Self-validate the emitted schema (the CI smoke run relies on this).
     let written = std::fs::read_to_string(&out_path).expect("re-read report");
     assert!(written.contains("\"schema\": \"epidb-perf-report/v1\""));
     for m in &measures {
-        let ns = extract_ns_per_op(&written, m.name)
-            .unwrap_or_else(|| panic!("scenario `{}` missing from emitted report", m.name));
-        assert!(ns > 0.0, "non-positive timing for `{}`", m.name);
+        assert!(
+            written.contains(&format!("\"{}\": {{\"iters\": ", m.name)),
+            "scenario `{}` missing from emitted report",
+            m.name
+        );
     }
     eprintln!("perf_report: wrote {out_path} ({} scenarios, schema validated).", measures.len());
 }

@@ -13,6 +13,7 @@ fn perf_report_rejects_unknown_flags_and_missing_values() {
     let bin = env!("CARGO_BIN_EXE_perf_report");
     rejects(bin, &["--smoke", "--assert-cold-strat"]);
     rejects(bin, &["--smoke", "--out"]);
+    rejects(bin, &["--baseline", "x"]);
 }
 
 #[test]

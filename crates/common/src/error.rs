@@ -4,25 +4,6 @@ use std::fmt;
 
 use crate::ids::{ItemId, NodeId, ShardId};
 
-/// What a routed request was addressed to: the unit of dispatch a server
-/// failed to resolve locally.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum RouteTarget {
-    /// A named database on a multi-database server.
-    Database(String),
-    /// A shard on a sharded (partially replicating) node.
-    Shard(ShardId),
-}
-
-impl fmt::Display for RouteTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RouteTarget::Database(name) => write!(f, "database {name:?}"),
-            RouteTarget::Shard(shard) => write!(f, "shard {shard}"),
-        }
-    }
-}
-
 /// One replica-level invariant violation, found by an invariant predicate
 /// (see `epidb-core`'s `paranoid` module). A plain value, not an [`Error`]
 /// variant: invariant checks are *diagnoses*, consumed by paranoid mode
@@ -102,21 +83,15 @@ pub enum Error {
     /// retrying can only repeat the failure. Recovery must fall back to an
     /// older generation or surface the loss.
     CorruptSnapshot(String),
-    /// A database with this name already exists on the server.
-    DatabaseExists(String),
-    /// No database with this name exists on the server.
-    UnknownDatabase(String),
-    /// A routed request (a `Db` or `Shard` envelope) addressed a target
-    /// this node does not serve. NOT retryable *at the same peer*: the
-    /// peer's placement is deterministic, so the identical request fails
-    /// identically. `owners` carries the responder's view of who does
-    /// serve the target (its shard-map entry), so the caller can redirect
-    /// instead of retrying blindly; it is empty when the responder has no
-    /// placement information (e.g. an unknown database name).
+    /// A read, a write or a `Shard`-routed request addressed a shard this
+    /// node does not serve. NOT retryable *at the same peer*: the peer's
+    /// placement is deterministic, so the identical request fails
+    /// identically. `owners` carries the responder's shard-map entry for
+    /// the shard, so the caller can redirect instead of retrying blindly.
     NotServedHere {
-        /// The dispatch target the request named.
-        target: RouteTarget,
-        /// Nodes the responder believes serve the target (may be empty).
+        /// The shard the request named.
+        shard: ShardId,
+        /// Nodes the responder believes serve the shard.
         owners: Vec<NodeId>,
     },
     /// The shard is mid-handoff between replica groups: reads and writes
@@ -172,10 +147,8 @@ impl fmt::Display for Error {
                 write!(f, "frame of {len} bytes exceeds the {limit}-byte limit")
             }
             Error::CorruptSnapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
-            Error::DatabaseExists(name) => write!(f, "database {name:?} already exists"),
-            Error::UnknownDatabase(name) => write!(f, "unknown database {name:?}"),
-            Error::NotServedHere { target, owners } => {
-                write!(f, "{target} is not served here")?;
+            Error::NotServedHere { shard, owners } => {
+                write!(f, "shard {shard} is not served here")?;
                 if !owners.is_empty() {
                     write!(f, " (owners:")?;
                     for o in owners {
@@ -232,21 +205,8 @@ mod tests {
             "corrupt snapshot: bad magic"
         );
         assert_eq!(
-            Error::DatabaseExists("mail".into()).to_string(),
-            "database \"mail\" already exists"
-        );
-        assert_eq!(Error::UnknownDatabase("mail".into()).to_string(), "unknown database \"mail\"");
-        assert_eq!(
-            Error::NotServedHere { target: RouteTarget::Database("mail".into()), owners: vec![] }
+            Error::NotServedHere { shard: ShardId(3), owners: vec![NodeId(2), NodeId(4)] }
                 .to_string(),
-            "database \"mail\" is not served here"
-        );
-        assert_eq!(
-            Error::NotServedHere {
-                target: RouteTarget::Shard(ShardId(3)),
-                owners: vec![NodeId(2), NodeId(4)],
-            }
-            .to_string(),
             "shard s3 is not served here (owners: n2 n4)"
         );
         assert_eq!(
@@ -270,7 +230,6 @@ mod tests {
         assert!(Error::PeerUnavailable(NodeId(0)).is_retryable());
         assert!(!Error::UnknownItem(ItemId(0)).is_retryable());
         assert!(!Error::NodeDown(NodeId(0)).is_retryable());
-        assert!(!Error::UnknownDatabase("x".into()).is_retryable());
         // Corrupt durable state is permanent: the same bytes re-read from
         // disk fail the same way, so a retry can never succeed.
         assert!(!Error::CorruptSnapshot("x".into()).is_retryable());
@@ -280,11 +239,7 @@ mod tests {
         // Routing refusals: placement at one peer is deterministic, so
         // "not served here" never changes on a blind retry — the caller
         // must redirect to one of the carried owners instead.
-        assert!(!Error::NotServedHere {
-            target: RouteTarget::Shard(ShardId(0)),
-            owners: vec![NodeId(1)],
-        }
-        .is_retryable());
+        assert!(!Error::NotServedHere { shard: ShardId(0), owners: vec![NodeId(1)] }.is_retryable());
         // A mid-handoff shard is a transient window: the same request
         // succeeds once the cutover completes.
         assert!(Error::ShardMoving(ShardId(0)).is_retryable());

@@ -27,7 +27,7 @@ pub mod trace;
 
 pub use conflict::{ConflictEvent, ConflictSite};
 pub use costs::Costs;
-pub use error::{Error, InvariantViolation, Result, RouteTarget};
+pub use error::{Error, InvariantViolation, Result};
 pub use fnv::FnvHasher;
 pub use ids::{ItemId, NodeId, ShardId};
 pub use trace::{OrdTag, TraceEvent, TraceRing, TraceStep};

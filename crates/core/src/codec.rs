@@ -11,7 +11,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use epidb_common::{Error, ItemId, NodeId, Result, RouteTarget, ShardId};
+use epidb_common::{Error, ItemId, NodeId, Result, ShardId};
 use epidb_log::LogRecord;
 use epidb_store::UpdateOp;
 use epidb_vv::{DbVersionVector, VersionVector};
@@ -1120,8 +1120,9 @@ const REQ_PULL: u8 = 1;
 const REQ_DELTA_PULL: u8 = 2;
 const REQ_DELTA_FETCH: u8 = 3;
 const REQ_OOB: u8 = 4;
-const REQ_LIST_DBS: u8 = 5;
-const REQ_DB: u8 = 6;
+// Request tags 5 and 6 are retired: they carried a multi-database
+// envelope that no longer exists. Never reuse them — a frame from an old
+// peer must fail to decode, not decode as something else.
 const REQ_SHARD: u8 = 7;
 const REQ_RECON: u8 = 8;
 const REQ_FULL_PULL: u8 = 9;
@@ -1130,8 +1131,8 @@ const RESP_PULL: u8 = 1;
 const RESP_DELTA_OFFER: u8 = 2;
 const RESP_DELTA_PAYLOAD: u8 = 3;
 const RESP_OOB: u8 = 4;
-const RESP_DBS: u8 = 5;
-const RESP_DB: u8 = 6;
+// Response tags 5 and 6 are retired, as on the request side: never reuse
+// them.
 const RESP_ERROR: u8 = 7;
 const RESP_SHARD: u8 = 8;
 const RESP_REFUSED: u8 = 9;
@@ -1147,13 +1148,13 @@ const OFFER_NEED_RECON: u8 = 2;
 const REFUSED_NOT_SERVED: u8 = 0;
 const REFUSED_MOVING: u8 = 1;
 
-// Sub-tags of a `REFUSED_NOT_SERVED` route target.
-const TARGET_DB: u8 = 0;
+// The route-target byte of a `REFUSED_NOT_SERVED` refusal. A shard is the
+// only target left; its value stays 1 so refusal frames keep their bytes
+// (0 was the retired database target and must not come back).
 const TARGET_SHARD: u8 = 1;
 
-/// One level of routing is legal (a [`ProtocolRequest::Db`] or
-/// [`ProtocolRequest::Shard`] envelope around a replica-level message);
-/// deeper nesting is rejected.
+/// One level of routing is legal (a [`ProtocolRequest::Shard`] envelope
+/// around a replica-level message); deeper nesting is rejected.
 const MAX_ROUTE_DEPTH: u8 = 1;
 
 fn put_string(w: &mut Writer, s: &str) {
@@ -1162,8 +1163,8 @@ fn put_string(w: &mut Writer, s: &str) {
 
 fn get_string(r: &mut Reader<'_>) -> Result<String> {
     // Validate in place, copy once — nothing is allocated for rejected
-    // input. Strings appear O(1) times per frame (routing names, error
-    // text), never per item, so this is off the small-message fast path.
+    // input. Strings appear O(1) times per frame (error text), never per
+    // item, so this is off the small-message fast path.
     std::str::from_utf8(r.bytes()?)
         .map(str::to_owned)
         .map_err(|e| decode_err(format!("bad utf-8: {e}")))
@@ -1190,15 +1191,6 @@ fn put_request_body(w: &mut Writer, req: &ProtocolRequest) {
             w.u8(REQ_OOB);
             w.u16(from.0);
             w.u32(item.0);
-        }
-        ProtocolRequest::ListDatabases { from } => {
-            w.u8(REQ_LIST_DBS);
-            w.u16(from.0);
-        }
-        ProtocolRequest::Db { name, req } => {
-            w.u8(REQ_DB);
-            put_string(w, name);
-            put_request_body(w, req);
         }
         ProtocolRequest::Shard { shard, req } => {
             w.u8(REQ_SHARD);
@@ -1242,15 +1234,6 @@ fn get_request_body(r: &mut Reader<'_>, depth: u8) -> Result<ProtocolRequest> {
         REQ_OOB => {
             let from = NodeId(r.u16()?);
             Ok(ProtocolRequest::Oob { from, item: ItemId(r.u32()?) })
-        }
-        REQ_LIST_DBS => Ok(ProtocolRequest::ListDatabases { from: NodeId(r.u16()?) }),
-        REQ_DB => {
-            if depth >= MAX_ROUTE_DEPTH {
-                return Err(decode_err("nested db routing"));
-            }
-            let name = get_string(r)?;
-            let req = get_request_body(r, depth + 1)?;
-            Ok(ProtocolRequest::Db { name, req: Box::new(req) })
         }
         REQ_SHARD => {
             if depth >= MAX_ROUTE_DEPTH {
@@ -1307,18 +1290,6 @@ fn put_response_body(w: &mut Writer, resp: &ProtocolResponse) {
             w.u8(RESP_OOB);
             put_oob_reply(w, reply);
         }
-        ProtocolResponse::Databases(names) => {
-            w.u8(RESP_DBS);
-            w.u32(names.len() as u32);
-            for name in names {
-                put_string(w, name);
-            }
-        }
-        ProtocolResponse::Db { name, resp } => {
-            w.u8(RESP_DB);
-            put_string(w, name);
-            put_response_body(w, resp);
-        }
         ProtocolResponse::Error(msg) => {
             w.u8(RESP_ERROR);
             put_string(w, msg);
@@ -1348,18 +1319,10 @@ fn put_response_body(w: &mut Writer, resp: &ProtocolResponse) {
 /// into [`ProtocolResponse::Error`] text).
 fn put_refusal(w: &mut Writer, e: &Error) {
     match e {
-        Error::NotServedHere { target, owners } => {
+        Error::NotServedHere { shard, owners } => {
             w.u8(REFUSED_NOT_SERVED);
-            match target {
-                RouteTarget::Database(name) => {
-                    w.u8(TARGET_DB);
-                    put_string(w, name);
-                }
-                RouteTarget::Shard(shard) => {
-                    w.u8(TARGET_SHARD);
-                    w.u16(shard.0);
-                }
-            }
+            w.u8(TARGET_SHARD);
+            w.u16(shard.0);
             w.u16(owners.len() as u16);
             for o in owners {
                 w.u16(o.0);
@@ -1376,17 +1339,17 @@ fn put_refusal(w: &mut Writer, e: &Error) {
 fn get_refusal(r: &mut Reader<'_>) -> Result<Error> {
     match r.u8()? {
         REFUSED_NOT_SERVED => {
-            let target = match r.u8()? {
-                TARGET_DB => RouteTarget::Database(get_string(r)?),
-                TARGET_SHARD => RouteTarget::Shard(ShardId(r.u16()?)),
-                t => return Err(decode_err(format!("unknown route target tag {t}"))),
-            };
+            let target = r.u8()?;
+            if target != TARGET_SHARD {
+                return Err(decode_err(format!("unknown route target tag {target}")));
+            }
+            let shard = ShardId(r.u16()?);
             let n = r.u16()? as usize;
             let mut owners = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 owners.push(NodeId(r.u16()?));
             }
-            Ok(Error::NotServedHere { target, owners })
+            Ok(Error::NotServedHere { shard, owners })
         }
         REFUSED_MOVING => Ok(Error::ShardMoving(ShardId(r.u16()?))),
         t => Err(decode_err(format!("unknown refusal tag {t}"))),
@@ -1406,22 +1369,6 @@ fn get_response_body(r: &mut Reader<'_>, depth: u8) -> Result<ProtocolResponse> 
         },
         RESP_DELTA_PAYLOAD => Ok(ProtocolResponse::DeltaPayload(get_delta_payload(r)?)),
         RESP_OOB => Ok(ProtocolResponse::Oob(get_oob_reply(r)?)),
-        RESP_DBS => {
-            let n = r.u32()? as usize;
-            let mut names = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                names.push(get_string(r)?);
-            }
-            Ok(ProtocolResponse::Databases(names))
-        }
-        RESP_DB => {
-            if depth >= MAX_ROUTE_DEPTH {
-                return Err(decode_err("nested db routing"));
-            }
-            let name = get_string(r)?;
-            let resp = get_response_body(r, depth + 1)?;
-            Ok(ProtocolResponse::Db { name, resp: Box::new(resp) })
-        }
         RESP_ERROR => Ok(ProtocolResponse::Error(get_string(r)?)),
         RESP_SHARD => {
             if depth >= MAX_ROUTE_DEPTH {
@@ -1800,11 +1747,6 @@ mod tests {
                 wants: DeltaRequest { wants: vec![(ItemId(3), vv(&[1, 0, 2]))] },
             },
             ProtocolRequest::Oob { from: NodeId(2), item: ItemId(77) },
-            ProtocolRequest::ListDatabases { from: NodeId(0) },
-            ProtocolRequest::Db {
-                name: "mail".into(),
-                req: Box::new(ProtocolRequest::Oob { from: NodeId(2), item: ItemId(5) }),
-            },
             ProtocolRequest::Shard {
                 shard: ShardId(3),
                 req: Box::new(ProtocolRequest::Oob { from: NodeId(2), item: ItemId(5) }),
@@ -1856,24 +1798,16 @@ mod tests {
                 value: Bytes::from_static(b"v"),
                 from_aux: true,
             }),
-            ProtocolResponse::Databases(vec!["docs".into(), "mail".into()]),
-            ProtocolResponse::Db {
-                name: "mail".into(),
-                resp: Box::new(ProtocolResponse::Pull(PropagationResponse::YouAreCurrent)),
-            },
             ProtocolResponse::Error("remote failure".into()),
             ProtocolResponse::Shard {
                 shard: ShardId(7),
                 resp: Box::new(ProtocolResponse::Pull(PropagationResponse::YouAreCurrent)),
             },
             ProtocolResponse::Refused(Error::NotServedHere {
-                target: RouteTarget::Shard(ShardId(2)),
+                shard: ShardId(2),
                 owners: vec![NodeId(1), NodeId(3)],
             }),
-            ProtocolResponse::Refused(Error::NotServedHere {
-                target: RouteTarget::Database("mail".into()),
-                owners: vec![],
-            }),
+            ProtocolResponse::Refused(Error::NotServedHere { shard: ShardId(0), owners: vec![] }),
             ProtocolResponse::Refused(Error::ShardMoving(ShardId(4))),
             ProtocolResponse::DeltaOffer(DeltaOfferResponse::NeedRecon),
             ProtocolResponse::Pull(PropagationResponse::NeedRecon),
@@ -1914,38 +1848,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nested_db_routing_rejected() {
-        let req = ProtocolRequest::Db {
-            name: "outer".into(),
-            req: Box::new(ProtocolRequest::Db {
-                name: "inner".into(),
-                req: Box::new(ProtocolRequest::ListDatabases { from: NodeId(0) }),
-            }),
-        };
-        assert!(decode_request(&encode_request(&req)).is_err());
+    /// `Shard { shard: outer, Shard { shard: inner, req } }`.
+    fn doubly_routed(outer: u16, inner: u16, req: ProtocolRequest) -> ProtocolRequest {
+        let inner = ProtocolRequest::Shard { shard: ShardId(inner), req: Box::new(req) };
+        ProtocolRequest::Shard { shard: ShardId(outer), req: Box::new(inner) }
     }
 
     #[test]
     fn nested_shard_routing_rejected() {
+        let oob = ProtocolRequest::Oob { from: NodeId(0), item: ItemId(3) };
+        assert!(decode_request(&encode_request(&doubly_routed(0, 1, oob))).is_err());
+        // The same shard twice is no better: one routing hop total,
+        // whatever the ids.
+        let pull = ProtocolRequest::Pull { from: NodeId(1), dbvv: DbVersionVector::zero(2) };
+        assert!(decode_request(&encode_request(&doubly_routed(2, 2, pull))).is_err());
+        // And on the response side.
+        let inner = ProtocolResponse::Shard {
+            shard: ShardId(1),
+            resp: Box::new(ProtocolResponse::Pull(PropagationResponse::YouAreCurrent)),
+        };
+        let resp = ProtocolResponse::Shard { shard: ShardId(0), resp: Box::new(inner) };
+        assert!(decode_response(&encode_response(&resp)).is_err());
+    }
+
+    #[test]
+    fn shard_frames_keep_their_bytes() {
+        // A shard-routed OOB request: version, REQ_SHARD, shard (u16 LE),
+        // REQ_OOB, from (u16 LE), item (u32 LE).
         let req = ProtocolRequest::Shard {
-            shard: ShardId(0),
-            req: Box::new(ProtocolRequest::Shard {
-                shard: ShardId(1),
-                req: Box::new(ProtocolRequest::ListDatabases { from: NodeId(0) }),
-            }),
+            shard: ShardId(3),
+            req: Box::new(ProtocolRequest::Oob { from: NodeId(2), item: ItemId(5) }),
         };
-        assert!(decode_request(&encode_request(&req)).is_err());
-        // Mixed nesting (a shard envelope inside a db envelope) is equally
-        // over-deep: one routing hop total.
-        let req = ProtocolRequest::Db {
-            name: "outer".into(),
-            req: Box::new(ProtocolRequest::Shard {
-                shard: ShardId(1),
-                req: Box::new(ProtocolRequest::ListDatabases { from: NodeId(0) }),
-            }),
-        };
-        assert!(decode_request(&encode_request(&req)).is_err());
+        assert_eq!(encode_request(&req), [1, 7, 3, 0, 4, 2, 0, 5, 0, 0, 0]);
+        // A redirect: version, RESP_REFUSED, REFUSED_NOT_SERVED, the
+        // route-target byte (still 1, the shard target), shard (u16 LE),
+        // owner count (u16 LE), owners.
+        let refusal = ProtocolResponse::Refused(Error::NotServedHere {
+            shard: ShardId(1),
+            owners: vec![NodeId(2)],
+        });
+        assert_eq!(encode_response(&refusal), [1, 9, 0, 1, 1, 0, 1, 0, 2, 0]);
     }
 
     #[test]
@@ -1957,7 +1899,7 @@ mod tests {
             other => panic!("kind changed: {other:?}"),
         }
         let refusal = ProtocolResponse::Refused(Error::NotServedHere {
-            target: RouteTarget::Shard(ShardId(1)),
+            shard: ShardId(1),
             owners: vec![NodeId(2)],
         });
         match decode_response(&encode_response(&refusal)).unwrap() {
@@ -2115,6 +2057,13 @@ mod tests {
         assert!(decode_request(&buf).is_err());
         let mut buf = encode_response(&ProtocolResponse::Error("e".into()));
         buf[1] = 200;
+        assert!(decode_response(&buf).is_err());
+        // A redirect naming route target 0, the retired database target.
+        let mut buf = encode_response(&ProtocolResponse::Refused(Error::NotServedHere {
+            shard: ShardId(1),
+            owners: vec![],
+        }));
+        buf[3] = 0;
         assert!(decode_response(&buf).is_err());
     }
 }

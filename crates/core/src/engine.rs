@@ -95,22 +95,11 @@ pub enum ProtocolRequest {
         /// The requesting (recipient) node.
         from: NodeId,
     },
-    /// Ask a multi-database server which databases it hosts (the prelude
-    /// to server-level anti-entropy, §2's one-instance-per-database rule).
-    ListDatabases {
-        /// The requesting node.
-        from: NodeId,
-    },
-    /// Route a request to one named database of a multi-database server.
-    Db {
-        /// The database the inner request addresses.
-        name: String,
-        /// The request to run against that database's replica.
-        req: Box<ProtocolRequest>,
-    },
     /// Route a request to one shard of a sharded (partially replicating)
-    /// node — see [`crate::shard`]. A node that does not own the shard
-    /// refuses with [`Error::NotServedHere`] carrying its shard-map entry.
+    /// node — see [`crate::shard`]. This is §2's "a separate instance of
+    /// the protocol runs for each database": one instance per shard. A
+    /// node that does not own the shard refuses with
+    /// [`Error::NotServedHere`] carrying its shard-map entry.
     Shard {
         /// The shard the inner request addresses.
         shard: ShardId,
@@ -134,15 +123,6 @@ pub enum ProtocolResponse {
     Recon(ReconReply),
     /// Reply to a whole-database pull.
     Full(FullPullReply),
-    /// The database names a server hosts, sorted.
-    Databases(Vec<String>),
-    /// A routed response from one named database.
-    Db {
-        /// The database the inner response came from.
-        name: String,
-        /// The response from that database's replica.
-        resp: Box<ProtocolResponse>,
-    },
     /// A routed response from one shard of a sharded node.
     Shard {
         /// The shard the inner response came from.
@@ -163,8 +143,8 @@ pub enum ProtocolResponse {
 }
 
 impl ProtocolRequest {
-    /// The node that initiated this request (the routing envelope is
-    /// transparent).
+    /// The node that initiated this request (the [`Shard`](Self::Shard)
+    /// envelope is transparent: it answers for the request inside).
     pub fn from(&self) -> NodeId {
         match self {
             ProtocolRequest::Pull { from, .. }
@@ -172,9 +152,8 @@ impl ProtocolRequest {
             | ProtocolRequest::DeltaFetch { from, .. }
             | ProtocolRequest::Oob { from, .. }
             | ProtocolRequest::Recon { from, .. }
-            | ProtocolRequest::FullPull { from }
-            | ProtocolRequest::ListDatabases { from } => *from,
-            ProtocolRequest::Db { req, .. } | ProtocolRequest::Shard { req, .. } => req.from(),
+            | ProtocolRequest::FullPull { from } => *from,
+            ProtocolRequest::Shard { req, .. } => req.from(),
         }
     }
 
@@ -187,17 +166,15 @@ impl ProtocolRequest {
             ProtocolRequest::Oob { .. } => "oob",
             ProtocolRequest::Recon { .. } => "recon",
             ProtocolRequest::FullPull { .. } => "full-pull",
-            ProtocolRequest::ListDatabases { .. } => "list-databases",
-            ProtocolRequest::Db { .. } => "db",
             ProtocolRequest::Shard { .. } => "shard",
         }
     }
 
     /// Control bytes of the whole request message, envelope included. The
-    /// [`Db`](ProtocolRequest::Db) routing envelope is modeled by the
-    /// message header (its name travels in the header's budget), so routed
-    /// and unrouted requests charge identically — a requirement for the
-    /// cost-parity guarantee across transports.
+    /// [`Shard`](ProtocolRequest::Shard) routing envelope is modeled by the
+    /// message header (its shard id travels in the header's budget), so
+    /// routed and unrouted requests charge identically — a requirement for
+    /// the cost-parity guarantee across transports.
     pub fn control_bytes(&self) -> u64 {
         wire::MSG_HEADER + self.body_control_bytes()
     }
@@ -213,10 +190,7 @@ impl ProtocolRequest {
                 ranges.len() as u64 * wire::RECON_RANGE + fetch.len() as u64 * wire::ITEM_ID
             }
             ProtocolRequest::FullPull { .. } => 0,
-            ProtocolRequest::ListDatabases { .. } => 0,
-            ProtocolRequest::Db { req, .. } | ProtocolRequest::Shard { req, .. } => {
-                req.body_control_bytes()
-            }
+            ProtocolRequest::Shard { req, .. } => req.body_control_bytes(),
         }
     }
 
@@ -237,8 +211,6 @@ impl ProtocolResponse {
             ProtocolResponse::Oob(_) => "oob",
             ProtocolResponse::Recon(_) => "recon",
             ProtocolResponse::Full(_) => "full",
-            ProtocolResponse::Databases(_) => "databases",
-            ProtocolResponse::Db { .. } => "db",
             ProtocolResponse::Shard { .. } => "shard",
             ProtocolResponse::Refused(_) => "refused",
             ProtocolResponse::Error(_) => "error",
@@ -246,8 +218,8 @@ impl ProtocolResponse {
     }
 
     /// Control bytes of the whole response message, envelope included (the
-    /// [`Db`](ProtocolResponse::Db) envelope is header-budget, as on the
-    /// request side).
+    /// [`Shard`](ProtocolResponse::Shard) envelope is header-budget, as on
+    /// the request side).
     pub fn control_bytes(&self) -> u64 {
         wire::MSG_HEADER + self.body_control_bytes()
     }
@@ -260,10 +232,7 @@ impl ProtocolResponse {
             ProtocolResponse::Oob(r) => r.control_bytes(),
             ProtocolResponse::Recon(r) => r.control_bytes(),
             ProtocolResponse::Full(r) => r.control_bytes(),
-            ProtocolResponse::Databases(names) => names.iter().map(|n| 4 + n.len() as u64).sum(),
-            ProtocolResponse::Db { resp, .. } | ProtocolResponse::Shard { resp, .. } => {
-                resp.body_control_bytes()
-            }
+            ProtocolResponse::Shard { resp, .. } => resp.body_control_bytes(),
             ProtocolResponse::Refused(e) => e.to_string().len() as u64,
             ProtocolResponse::Error(msg) => msg.len() as u64,
         }
@@ -277,11 +246,8 @@ impl ProtocolResponse {
             ProtocolResponse::Oob(r) => r.value.len() as u64,
             ProtocolResponse::Recon(r) => r.payload_bytes(),
             ProtocolResponse::Full(r) => r.payload_bytes(),
-            ProtocolResponse::Db { resp, .. } | ProtocolResponse::Shard { resp, .. } => {
-                resp.payload_bytes()
-            }
+            ProtocolResponse::Shard { resp, .. } => resp.payload_bytes(),
             ProtocolResponse::DeltaOffer(_)
-            | ProtocolResponse::Databases(_)
             | ProtocolResponse::Refused(_)
             | ProtocolResponse::Error(_) => 0,
         }
@@ -354,38 +320,11 @@ impl Transport for LocalTransport<'_> {
     }
 }
 
-/// A transport that reaches one named database of a multi-database server
-/// by wrapping every exchange in the [`ProtocolRequest::Db`] routing
-/// envelope.
-pub struct DbTransport<'a, T: Transport> {
-    inner: &'a mut T,
-    name: &'a str,
-}
-
-impl<'a, T: Transport> DbTransport<'a, T> {
-    /// Route exchanges on `inner` to the peer server's database `name`.
-    pub fn new(inner: &'a mut T, name: &'a str) -> DbTransport<'a, T> {
-        DbTransport { inner, name }
-    }
-}
-
-impl<T: Transport> Transport for DbTransport<'_, T> {
-    fn peer(&self) -> NodeId {
-        self.inner.peer()
-    }
-
-    fn exchange(&mut self, req: ProtocolRequest) -> Result<ProtocolResponse> {
-        let envelope = ProtocolRequest::Db { name: self.name.to_string(), req: Box::new(req) };
-        match self.inner.exchange(envelope)? {
-            ProtocolResponse::Db { resp, .. } => Ok(*resp),
-            other => Err(unexpected("db-routed exchange", &other)),
-        }
-    }
-}
-
 /// A transport that reaches one shard of a sharded node by wrapping every
-/// exchange in the [`ProtocolRequest::Shard`] routing envelope — the
-/// shard-level twin of [`DbTransport`].
+/// exchange in the [`ProtocolRequest::Shard`] routing envelope and
+/// unwrapping the reply. A reply that names a different shard than the
+/// one asked about is an error: another shard's state must never be
+/// adopted as this one's.
 pub struct ShardTransport<'a, T: Transport> {
     inner: &'a mut T,
     shard: ShardId,
@@ -406,20 +345,14 @@ impl<T: Transport> Transport for ShardTransport<'_, T> {
     fn exchange(&mut self, req: ProtocolRequest) -> Result<ProtocolResponse> {
         let envelope = ProtocolRequest::Shard { shard: self.shard, req: Box::new(req) };
         match self.inner.exchange(envelope)? {
-            ProtocolResponse::Shard { resp, .. } => Ok(*resp),
+            ProtocolResponse::Shard { shard, resp } if shard == self.shard => Ok(*resp),
+            ProtocolResponse::Shard { shard, .. } => Err(Error::Network(format!(
+                "shard-routed exchange: asked for shard {}, reply names shard {shard}",
+                self.shard
+            ))),
             other => Err(unexpected("shard-routed exchange", &other)),
         }
     }
-}
-
-/// Which shipping mode a sync round uses (§2: whole data copying vs.
-/// applying log records for missing updates).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SyncMode {
-    /// Whole-item copying — the paper's presentation context.
-    WholeItem,
-    /// Update-record (delta) shipping via the op cache.
-    Delta,
 }
 
 /// Build the error for a response of the wrong shape (or a remote error a
@@ -480,10 +413,9 @@ impl Engine {
     ///
     /// Charges the responder for the response message and runs the
     /// paranoid post-step audit at this boundary, so accounting and
-    /// auditing are uniform across transports. Database-routed requests
-    /// ([`ProtocolRequest::Db`] / [`ProtocolRequest::ListDatabases`]) are
-    /// a [`Server`](crate::Server)-level concern — see
-    /// [`Engine::handle_server`](crate::server) — and fail here.
+    /// auditing are uniform across transports. Shard-routed requests
+    /// ([`ProtocolRequest::Shard`]) are a [`ShardedNode`](crate::ShardedNode)
+    /// concern — see [`Engine::handle_sharded`] — and fail here.
     pub fn handle(replica: &mut Replica, req: ProtocolRequest) -> Result<ProtocolResponse> {
         let from = req.from();
         let resp = match req {
@@ -512,11 +444,9 @@ impl Engine {
                 ProtocolResponse::Recon(replica.serve_recon(&ranges, &fetch)?)
             }
             ProtocolRequest::FullPull { .. } => ProtocolResponse::Full(replica.serve_full_pull()?),
-            ProtocolRequest::ListDatabases { .. }
-            | ProtocolRequest::Db { .. }
-            | ProtocolRequest::Shard { .. } => {
+            ProtocolRequest::Shard { .. } => {
                 return Err(Error::Network(format!(
-                    "request {:?} requires server-level dispatch",
+                    "request {:?} requires sharded dispatch",
                     req.kind()
                 )));
             }
@@ -773,13 +703,11 @@ mod tests {
     }
 
     #[test]
-    fn handle_rejects_server_level_requests() {
+    fn handle_rejects_shard_routed_requests() {
         let (mut a, _) = pair();
-        let err = Engine::handle(&mut a, ProtocolRequest::ListDatabases { from: NodeId(1) });
-        assert!(err.is_err());
-        let routed = ProtocolRequest::Db {
-            name: "db".into(),
-            req: Box::new(ProtocolRequest::ListDatabases { from: NodeId(1) }),
+        let routed = ProtocolRequest::Shard {
+            shard: ShardId(0),
+            req: Box::new(ProtocolRequest::Oob { from: NodeId(1), item: ItemId(0) }),
         };
         assert!(Engine::handle(&mut a, routed).is_err());
     }
@@ -795,21 +723,6 @@ mod tests {
             PullOutcome::UpToDate
         ));
         assert_eq!(b.read(ItemId(3)).unwrap().as_bytes(), b"x");
-    }
-
-    #[test]
-    fn db_envelope_is_cost_transparent() {
-        let dbvv = DbVersionVector::zero(3);
-        let plain = ProtocolRequest::Pull { from: NodeId(0), dbvv: dbvv.clone() };
-        let routed =
-            ProtocolRequest::Db { name: "a-database".into(), req: Box::new(plain.clone()) };
-        assert_eq!(plain.control_bytes(), routed.control_bytes());
-
-        let plain = ProtocolResponse::Pull(PropagationResponse::YouAreCurrent);
-        let routed =
-            ProtocolResponse::Db { name: "a-database".into(), resp: Box::new(plain.clone()) };
-        assert_eq!(plain.control_bytes(), routed.control_bytes());
-        assert_eq!(plain.payload_bytes(), routed.payload_bytes());
     }
 
     #[test]
@@ -831,10 +744,7 @@ mod tests {
         let err = unexpected("pull", &ProtocolResponse::Refused(refusal.clone()));
         assert_eq!(err, refusal);
         assert!(err.is_retryable());
-        let refusal = Error::NotServedHere {
-            target: epidb_common::RouteTarget::Shard(ShardId(1)),
-            owners: vec![NodeId(3)],
-        };
+        let refusal = Error::NotServedHere { shard: ShardId(1), owners: vec![NodeId(3)] };
         let err = unexpected("pull", &ProtocolResponse::Refused(refusal.clone()));
         assert_eq!(err, refusal);
         assert!(!err.is_retryable());
@@ -842,8 +752,8 @@ mod tests {
 
     #[test]
     fn unexpected_response_reports_kind() {
-        let err = unexpected("pull", &ProtocolResponse::Databases(vec![]));
-        assert!(matches!(err, Error::Network(ref m) if m.contains("databases")));
+        let err = unexpected("pull", &ProtocolResponse::Recon(ReconReply::default()));
+        assert!(matches!(err, Error::Network(ref m) if m.contains("recon")));
         let err = unexpected("pull", &ProtocolResponse::Error("boom".into()));
         assert!(matches!(err, Error::Network(ref m) if m.contains("boom")));
     }

@@ -65,7 +65,6 @@ pub mod recon;
 pub mod replica;
 pub mod retry;
 pub mod rounds;
-pub mod server;
 pub mod shard;
 pub mod snapshot;
 pub mod tokens;
@@ -77,8 +76,8 @@ pub use delta::{
     pull_delta, DeltaItem, DeltaOffer, DeltaOfferResponse, DeltaPayload, DeltaRequest,
 };
 pub use engine::{
-    DbTransport, Engine, GossipBudget, LocalTransport, ProtocolRequest, ProtocolResponse,
-    ReplicaHost, ShardTransport, SyncMode, Transport,
+    Engine, GossipBudget, LocalTransport, ProtocolRequest, ProtocolResponse, ReplicaHost,
+    ShardTransport, Transport,
 };
 pub use journal::{Mutation, MutationSink, SinkHandle};
 pub use mc_state::{FnvHasher, McShardedSnapshot, McSnapshot};
@@ -95,6 +94,5 @@ pub use recon::{pull_recon, ReconDriver, ReconStep};
 pub use replica::{AuxItem, ProtocolCounters, Replica};
 pub use retry::RetryPolicy;
 pub use rounds::{Round, RoundOutcome, RoundStep};
-pub use server::{pull_server, pull_server_delta, LocalServerTransport, Server, ServerPullOutcome};
 pub use shard::{LocalShardedTransport, ShardMap, ShardedNode, ShardedOob};
 pub use tokens::TokenManager;

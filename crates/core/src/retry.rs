@@ -8,8 +8,8 @@
 //! unreachable peers. This module provides the policy (bounded attempts,
 //! exponential backoff, deterministic jitter, an optional per-round
 //! deadline) and the one stop-or-pause decision
-//! ([`RetryPolicy::pause_before_retry`]); the drivers in [`crate::engine`]
-//! and [`crate::server`] provide the loops.
+//! ([`RetryPolicy::pause_before_retry`]); the one retry loop is the
+//! drivers' in [`crate::engine`].
 
 use std::time::{Duration, Instant};
 

@@ -14,9 +14,13 @@
 //! to the shard's items, and a node's storage/gossip cost is the sum
 //! over its *owned* shards only.
 //!
-//! Routing rides the same envelope mechanism as multi-database servers:
-//! a [`ProtocolRequest::Shard`] envelope names the shard, and
-//! [`Engine::handle_sharded`] dispatches to the owning replica. A
+//! This is also the paper's rule for many databases (§2: "a separate
+//! instance of the protocol runs for each database"): a database is a
+//! shard with its own replica group.
+//!
+//! Routing rides one envelope: a [`ProtocolRequest::Shard`] envelope
+//! names the shard, and [`Engine::handle_sharded`] dispatches to the
+//! owning replica. A
 //! request for a shard this node does not serve is refused with the
 //! typed, non-retryable [`Error::NotServedHere`], carrying the node's
 //! shard-map entry so the caller can redirect; a request for a shard
@@ -44,10 +48,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
-use epidb_common::{Costs, Error, ItemId, NodeId, Result, RouteTarget, ShardId};
+use epidb_common::{Costs, Error, ItemId, NodeId, Result, ShardId};
 use epidb_store::{ItemValue, UpdateOp};
 
-use crate::engine::{Engine, ProtocolRequest, ProtocolResponse, ShardTransport, Transport};
+use crate::engine::{
+    unexpected, Engine, ProtocolRequest, ProtocolResponse, ShardTransport, Transport,
+};
 use crate::journal::Mutation;
 use crate::oob::OobOutcome;
 use crate::policy::ConflictPolicy;
@@ -243,10 +249,7 @@ impl ShardedNode {
             // installed yet: the receiving half of a cutover window.
             return Err(Error::ShardMoving(shard));
         }
-        Err(Error::NotServedHere {
-            target: RouteTarget::Shard(shard),
-            owners: self.map.owners(shard).to_vec(),
-        })
+        Err(Error::NotServedHere { shard, owners: self.map.owners(shard).to_vec() })
     }
 
     /// The serving replica for `shard`, after routing checks.
@@ -365,10 +368,7 @@ impl ShardedNode {
     /// node holds no state for the shard.
     pub fn freeze_shard(&mut self, shard: ShardId) -> Result<()> {
         if !self.shards.contains_key(&shard) {
-            return Err(Error::NotServedHere {
-                target: RouteTarget::Shard(shard),
-                owners: self.map.owners(shard).to_vec(),
-            });
+            return Err(Error::NotServedHere { shard, owners: self.map.owners(shard).to_vec() });
         }
         self.moving.insert(shard);
         Ok(())
@@ -377,10 +377,10 @@ impl ShardedNode {
     /// Serialize one shard's replica for shipping. Deliberately *not*
     /// routing-checked: the handoff machinery snapshots a frozen shard.
     pub fn shard_snapshot(&self, shard: ShardId) -> Result<Vec<u8>> {
-        self.shards.get(&shard).map(Replica::to_snapshot).ok_or_else(|| Error::NotServedHere {
-            target: RouteTarget::Shard(shard),
-            owners: self.map.owners(shard).to_vec(),
-        })
+        self.shards
+            .get(&shard)
+            .map(Replica::to_snapshot)
+            .ok_or_else(|| Error::NotServedHere { shard, owners: self.map.owners(shard).to_vec() })
     }
 
     /// Install a shipped shard: decode the snapshot, re-home it to this
@@ -451,10 +451,7 @@ impl ShardedNode {
     /// has nothing to serve and simply stays out of the group).
     pub fn abort_handoff(&mut self, shard: ShardId) -> Result<()> {
         if !self.shards.contains_key(&shard) {
-            return Err(Error::NotServedHere {
-                target: RouteTarget::Shard(shard),
-                owners: self.map.owners(shard).to_vec(),
-            });
+            return Err(Error::NotServedHere { shard, owners: self.map.owners(shard).to_vec() });
         }
         self.moving.remove(&shard);
         Ok(())
@@ -529,26 +526,16 @@ impl Engine {
             // Owned but mid-handoff: surface the window, don't fetch around it.
             return Err(Error::ShardMoving(shard));
         }
-        let req = ProtocolRequest::Shard {
-            shard,
-            req: Box::new(ProtocolRequest::Oob { from: node.id, item: local }),
-        };
+        // The envelope costs what the request inside it costs
+        // (`shard_envelope_is_cost_transparent`), so the bare request is
+        // charged.
+        let req = ProtocolRequest::Oob { from: node.id, item: local };
         node.meta_costs.charge_message(req.control_bytes(), req.payload_bytes());
-        match transport.exchange(req)? {
-            ProtocolResponse::Shard { resp, .. } => match *resp {
-                ProtocolResponse::Oob(reply) => {
-                    Ok(ShardedOob::Fetched { value: reply.value, from_aux: reply.from_aux })
-                }
-                other => Err(Error::Network(format!(
-                    "cross-group oob: unexpected {} response",
-                    other.kind()
-                ))),
-            },
-            ProtocolResponse::Refused(e) => Err(e),
-            other => Err(Error::Network(format!(
-                "cross-group oob: unexpected {} response",
-                other.kind()
-            ))),
+        match ShardTransport::new(transport, shard).exchange(req)? {
+            ProtocolResponse::Oob(reply) => {
+                Ok(ShardedOob::Fetched { value: reply.value, from_aux: reply.from_aux })
+            }
+            other => Err(unexpected("cross-group oob", &other)),
         }
     }
 }
@@ -629,8 +616,8 @@ mod tests {
     fn requests_for_unowned_shards_redirect() {
         let mut n0 = node(0);
         match n0.update(ItemId(5), UpdateOp::set(&b"x"[..])) {
-            Err(Error::NotServedHere { target, owners }) => {
-                assert_eq!(target, RouteTarget::Shard(ShardId(1)));
+            Err(Error::NotServedHere { shard, owners }) => {
+                assert_eq!(shard, ShardId(1));
                 assert_eq!(owners, vec![NodeId(2), NodeId(3)]);
             }
             other => panic!("expected redirect, got {other:?}"),
@@ -687,6 +674,49 @@ mod tests {
         // for its reply — both sides account the exchange.
         assert!(n0.costs().messages_sent > 0);
         assert!(n2.costs().messages_sent > before.messages_sent);
+    }
+
+    /// Serves honestly, then relabels every `Shard` reply as shard 5: a
+    /// peer answering for a different shard than it was asked about.
+    struct WrongShard<'a>(LocalShardedTransport<'a>);
+
+    impl Transport for WrongShard<'_> {
+        fn peer(&self) -> NodeId {
+            self.0.peer()
+        }
+
+        fn exchange(&mut self, req: ProtocolRequest) -> Result<ProtocolResponse> {
+            match self.0.exchange(req)? {
+                ProtocolResponse::Shard { resp, .. } => {
+                    Ok(ProtocolResponse::Shard { shard: ShardId(5), resp })
+                }
+                other => Ok(other),
+            }
+        }
+    }
+
+    #[test]
+    fn replies_naming_another_shard_are_rejected() {
+        let mut n0 = node(0);
+        let mut n1 = node(1);
+        let mut n2 = node(2);
+        n1.update(ItemId(1), UpdateOp::set(&b"mine"[..])).unwrap();
+        n2.update(ItemId(5), UpdateOp::set(&b"theirs"[..])).unwrap();
+        let before = n0.fingerprint();
+
+        // A within-group round over the shard envelope.
+        let replica = n0.shard_state_mut(ShardId(0)).unwrap();
+        let mut wrong = WrongShard(LocalShardedTransport::new(&mut n1));
+        let err = Engine::pull(replica, &mut ShardTransport::new(&mut wrong, ShardId(0)));
+        assert!(matches!(err, Err(Error::Network(ref m)) if m.contains("s5")), "{err:?}");
+
+        // A within-group OOB and a cross-group fetch through `oob_sharded`.
+        let mut wrong = WrongShard(LocalShardedTransport::new(&mut n1));
+        assert!(Engine::oob_sharded(&mut n0, &mut wrong, ItemId(1)).is_err());
+        let mut wrong = WrongShard(LocalShardedTransport::new(&mut n2));
+        assert!(Engine::oob_sharded(&mut n0, &mut wrong, ItemId(5)).is_err());
+
+        assert_eq!(n0.fingerprint(), before, "a mislabelled reply must adopt nothing");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! byte soup never panics the decoder.
 
 use bytes::Bytes;
-use epidb_common::{ItemId, NodeId};
+use epidb_common::{Error, ItemId, NodeId, ShardId};
 use epidb_core::codec::{
-    decode_request, decode_response, encode_request, encode_response, get_op, get_payload, get_vv,
-    put_op, put_payload, put_vv, Reader, Writer,
+    crc32, decode_request, decode_response, encode_request, encode_response, get_op, get_payload,
+    get_vv, put_op, put_payload, put_vv, Reader, Writer, CODEC_VERSION,
 };
 use epidb_core::{
     CachedOp, DeltaItem, DeltaOffer, DeltaOfferResponse, DeltaPayload, DeltaRequest, FullPullReply,
@@ -147,7 +147,6 @@ fn arb_flat_request() -> impl Strategy<Value = ProtocolRequest> {
             .prop_map(|(n, wants)| ProtocolRequest::DeltaFetch { from: NodeId(n), wants }),
         (any::<u16>(), any::<u32>())
             .prop_map(|(n, i)| ProtocolRequest::Oob { from: NodeId(n), item: ItemId(i) }),
-        any::<u16>().prop_map(|n| ProtocolRequest::ListDatabases { from: NodeId(n) }),
         (
             any::<u16>(),
             prop::collection::vec((any::<u32>(), any::<u32>()), 0..6),
@@ -162,13 +161,15 @@ fn arb_flat_request() -> impl Strategy<Value = ProtocolRequest> {
     ]
 }
 
-/// Any request, including a depth-1 `Db` routing envelope (the codec
+/// Any request, including a depth-1 `Shard` routing envelope (the codec
 /// rejects deeper nesting, so the strategy builds exactly one level).
 fn arb_request() -> impl Strategy<Value = ProtocolRequest> {
     prop_oneof![
         3 => arb_flat_request(),
-        1 => (arb_name(), arb_flat_request())
-            .prop_map(|(name, req)| ProtocolRequest::Db { name, req: Box::new(req) }),
+        1 => (any::<u16>(), arb_flat_request()).prop_map(|(s, req)| ProtocolRequest::Shard {
+            shard: ShardId(s),
+            req: Box::new(req),
+        }),
     ]
 }
 
@@ -186,16 +187,24 @@ fn arb_flat_response() -> impl Strategy<Value = ProtocolResponse> {
         arb_oob_reply().prop_map(ProtocolResponse::Oob),
         arb_recon_reply().prop_map(ProtocolResponse::Recon),
         arb_full_pull_reply().prop_map(ProtocolResponse::Full),
-        prop::collection::vec(arb_name(), 0..4).prop_map(ProtocolResponse::Databases),
         arb_name().prop_map(ProtocolResponse::Error),
+        (any::<u16>(), prop::collection::vec(any::<u16>(), 0..4)).prop_map(|(s, owners)| {
+            ProtocolResponse::Refused(Error::NotServedHere {
+                shard: ShardId(s),
+                owners: owners.into_iter().map(NodeId).collect(),
+            })
+        }),
+        any::<u16>().prop_map(|s| ProtocolResponse::Refused(Error::ShardMoving(ShardId(s)))),
     ]
 }
 
 fn arb_response() -> impl Strategy<Value = ProtocolResponse> {
     prop_oneof![
         3 => arb_flat_response(),
-        1 => (arb_name(), arb_flat_response())
-            .prop_map(|(name, resp)| ProtocolResponse::Db { name, resp: Box::new(resp) }),
+        1 => (any::<u16>(), arb_flat_response()).prop_map(|(s, resp)| ProtocolResponse::Shard {
+            shard: ShardId(s),
+            resp: Box::new(resp),
+        }),
     ]
 }
 
@@ -237,8 +246,8 @@ proptest! {
         }
     }
 
-    /// Every engine request — including empty delta-fetch lists, empty
-    /// database names, and depth-1 routing envelopes — round-trips
+    /// Every engine request — including empty delta-fetch lists and
+    /// depth-1 routing envelopes — round-trips
     /// structurally intact.
     #[test]
     fn requests_roundtrip(req in arb_request()) {
@@ -247,7 +256,8 @@ proptest! {
     }
 
     /// Every engine response — empty tails, empty offers, whole-item
-    /// fallbacks, error strings — round-trips structurally intact.
+    /// fallbacks, error strings, typed refusals — round-trips structurally
+    /// intact.
     #[test]
     fn responses_roundtrip(resp in arb_response()) {
         let back = decode_response(&encode_response(&resp)).unwrap();
@@ -334,7 +344,6 @@ fn empty_delta_offer_roundtrips() {
 
 // --- checked (CRC32) envelope fuzzing ---------------------------------------
 
-use epidb_common::Error;
 use epidb_core::codec::{
     decode_request_checked, decode_request_checked_shared, decode_response_checked,
     decode_response_checked_shared, encode_request_checked, encode_response_checked,
@@ -403,6 +412,28 @@ proptest! {
         let frame = encode_request_checked(&req);
         let back = decode_request_checked(&frame).unwrap();
         prop_assert_eq!(format!("{back:?}"), format!("{req:?}"));
+    }
+
+    /// Request and response tags 5 and 6 are retired (they carried the
+    /// multi-database envelope): whatever follows the tag, such a frame is
+    /// rejected on both paths — never decoded, never a panic — and the
+    /// checked decoders report it as a corrupt frame.
+    #[test]
+    fn retired_tags_are_rejected(
+        tag in prop_oneof![Just(5u8), Just(6u8)],
+        rest in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut body = vec![CODEC_VERSION, tag];
+        body.extend_from_slice(&rest);
+        prop_assert!(decode_request(&body).is_err());
+        prop_assert!(decode_response(&body).is_err());
+        let mut frame = crc32(&body).to_le_bytes().to_vec();
+        frame.extend_from_slice(&body);
+        prop_assert!(is_corrupt(decode_request_checked(&frame)));
+        prop_assert!(is_corrupt(decode_response_checked(&frame)));
+        let shared = Bytes::from(frame);
+        prop_assert!(is_corrupt(decode_request_checked_shared(&shared)));
+        prop_assert!(is_corrupt(decode_response_checked_shared(&shared)));
     }
 
     /// Arbitrary byte soup never panics the checked decoders, and anything

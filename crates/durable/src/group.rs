@@ -56,7 +56,7 @@ pub(crate) const GROUP_RECORD_TAG: u8 = 0xD7;
 pub struct StreamSpec {
     /// The node this replica acts as.
     pub id: NodeId,
-    /// Server-set size the replica's version vectors are dimensioned for.
+    /// Size of the server set the replica's version vectors are dimensioned for.
     pub n_nodes: usize,
     /// Item universe size.
     pub n_items: usize,

@@ -770,7 +770,6 @@ mod tests {
     use std::io::Write;
     use std::net::TcpStream;
 
-    use epidb_common::RouteTarget;
     use epidb_core::codec::{decode_response_checked, encode_request_checked};
     use epidb_core::{ProtocolRequest, Transport};
 
@@ -850,8 +849,8 @@ mod tests {
             req: Box::new(ProtocolRequest::Oob { from: NodeId(2), item: ItemId(0) }),
         };
         match transport.exchange(req) {
-            Err(Error::NotServedHere { target, owners }) => {
-                assert_eq!(target, RouteTarget::Shard(ShardId(1)));
+            Err(Error::NotServedHere { shard, owners }) => {
+                assert_eq!(shard, ShardId(1));
                 assert_eq!(owners, vec![NodeId(2), NodeId(3)]);
             }
             other => panic!("expected a typed redirect over TCP, got {other:?}"),

@@ -17,7 +17,7 @@ use super::{apply_distinct_updates, pull_protocols};
 /// Changed items.
 pub const M: usize = 100;
 
-/// Server counts swept.
+/// Node counts swept.
 pub fn node_counts(quick: bool) -> Vec<usize> {
     if quick {
         vec![2, 8, 32]

@@ -224,7 +224,11 @@ mod tests {
     #[test]
     fn mutate_unaliased_shared_reclaims_allocation() {
         let mut v = ItemValue::new();
-        v.set(Bytes::from(vec![7; 256]));
+        // Spare capacity, so the append cannot move the buffer by growing
+        // it: a moved pointer can then only mean a copy.
+        let mut buf = Vec::with_capacity(512);
+        buf.resize(256, 7);
+        v.set(Bytes::from(buf));
         let ptr = v.as_bytes().as_ptr();
         v.append(&[8]); // sole owner: must reuse the same allocation
         assert_eq!(v.as_bytes().as_ptr(), ptr);

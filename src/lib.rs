@@ -64,7 +64,7 @@ pub use epidb_vv as vv;
 pub mod prelude {
     pub use epidb_baselines::{SyncProtocol, SyncReport};
     pub use epidb_common::{
-        ConflictEvent, ConflictSite, Costs, Error, ItemId, NodeId, Result, RouteTarget, ShardId,
+        ConflictEvent, ConflictSite, Costs, Error, ItemId, NodeId, Result, ShardId,
     };
     pub use epidb_core::{
         oob_copy, pull, pull_delta, AcceptOutcome, ConflictPolicy, Engine, LocalTransport,

@@ -93,8 +93,8 @@ fn routing_errors_are_typed() {
     match cluster.update(NodeId(0), ItemId(5), UpdateOp::set(&b"x"[..])) {
         Err(e @ Error::NotServedHere { .. }) => {
             assert!(!e.is_retryable());
-            if let Error::NotServedHere { target, owners } = e {
-                assert_eq!(target, RouteTarget::Shard(ShardId(1)));
+            if let Error::NotServedHere { shard, owners } = e {
+                assert_eq!(shard, ShardId(1));
                 assert_eq!(owners, vec![NodeId(2), NodeId(3)]);
             }
         }

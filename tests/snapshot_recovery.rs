@@ -55,26 +55,3 @@ fn snapshot_sizes_scale_with_content_not_history() {
     assert_eq!(restored.dbvv().total(), 5_000);
     assert_eq!(restored.log().total_len(), 5);
 }
-
-#[test]
-fn server_snapshot_survives_multi_database_recovery() {
-    use epidb::core::{pull_server, Server};
-    let mut a = Server::new(NodeId(0), 2);
-    let mut b = Server::new(NodeId(1), 2);
-    for s in [&mut a, &mut b] {
-        s.create_database("alpha", 20, ConflictPolicy::Report).unwrap();
-        s.create_database("beta", 20, ConflictPolicy::Report).unwrap();
-    }
-    a.update("alpha", ItemId(0), UpdateOp::set(&b"1"[..])).unwrap();
-    b.update("beta", ItemId(1), UpdateOp::set(&b"2"[..])).unwrap();
-    pull_server(&mut b, &mut a).unwrap();
-    pull_server(&mut a, &mut b).unwrap();
-
-    let restored = Server::from_snapshot(&b.to_snapshot()).unwrap();
-    let mut restored = restored;
-    a.update("alpha", ItemId(5), UpdateOp::set(&b"new"[..])).unwrap();
-    pull_server(&mut restored, &mut a).unwrap();
-    assert_eq!(restored.read("alpha", ItemId(5)).unwrap().as_bytes(), b"new");
-    assert_eq!(restored.read("beta", ItemId(1)).unwrap().as_bytes(), b"2");
-    restored.check_invariants().unwrap();
-}
