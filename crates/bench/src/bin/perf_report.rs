@@ -34,8 +34,10 @@
 //!   of the shards it *owns*, byte-identical across 2-shard and 8-shard
 //!   universes.
 //! * `--assert-group-commit` — assert the group-commit durability gate: a
-//!   64-writer batch workload on the async runtime must spend far less
-//!   than one fsync per committed mutation (ratio ≤ 0.1).
+//!   lone writer's 256 acked updates must each write their own batch
+//!   (`records == batches == fsyncs`), and a 64-writer batch workload on
+//!   the async runtime must spend far less than one fsync per committed
+//!   mutation (ratio ≤ 0.1).
 //! * `--assert-cold-start` — assert the set-reconciliation gate: syncing a
 //!   1000-item replica that is 5 items behind a log-compacted source must
 //!   ship ≥ 10× less payload than the whole-database pull, with total
@@ -683,19 +685,15 @@ fn scenario_c10k(name: &'static str, s: &Sizes) -> Measure {
     measure
 }
 
-/// Group-commit durability under concurrent writers: `gc_writers` threads
-/// each commit `gc_ops` updates to their own item on a durable async
-/// node with per-batch fsync on; every update is acknowledged only after
-/// the shared committer's fsync covers its record. The measured op is one
-/// whole batch workload.
-fn scenario_group_commit(name: &'static str, s: &Sizes) -> Measure {
-    let tmp = TempDir::new("perf-group-commit");
-    let mut durability = DurabilityConfig::new(tmp.path());
+/// A two-node durable async cluster, `n_items` items: node 0 journals to
+/// a group WAL with per-batch fsync on and no checkpoints; gossip idles.
+fn fsync_cluster(dir: &std::path::Path, n_items: usize) -> AsyncTcpCluster {
+    let mut durability = DurabilityConfig::new(dir);
     durability.fsync = true;
     durability.checkpoint_every = u64::MAX;
-    let cluster = AsyncTcpCluster::spawn(
+    AsyncTcpCluster::spawn(
         2,
-        s.gc_writers.max(1),
+        n_items,
         AsyncTcpConfig {
             base: TcpConfig {
                 gossip_interval: Duration::from_secs(3600),
@@ -705,7 +703,33 @@ fn scenario_group_commit(name: &'static str, s: &Sizes) -> Measure {
             worker_threads: 2,
         },
     )
-    .expect("spawn durable async cluster");
+    .expect("spawn durable async cluster")
+}
+
+/// `writers` threads each commit `ops` acked `len`-byte updates to their
+/// own item on node 0.
+fn acked_writes(cluster: &AsyncTcpCluster, writers: usize, ops: usize, len: usize) {
+    std::thread::scope(|scope| {
+        for w in 0..writers {
+            scope.spawn(move || {
+                for k in 0..ops {
+                    cluster
+                        .update(NodeId(0), ItemId::from_index(w), UpdateOp::set(vec![k as u8; len]))
+                        .expect("durable update failed");
+                }
+            });
+        }
+    });
+}
+
+/// Group-commit durability under concurrent writers: `gc_writers` threads
+/// each commit `gc_ops` updates to their own item on a durable async
+/// node with per-batch fsync on; every update is acknowledged only after
+/// the fsync of the batch holding its record (led by it or by another
+/// writer) lands. The measured op is one whole batch workload.
+fn scenario_group_commit(name: &'static str, s: &Sizes) -> Measure {
+    let tmp = TempDir::new("perf-group-commit");
+    let cluster = fsync_cluster(tmp.path(), s.gc_writers.max(1));
     const VAL: usize = 32;
     let payload = (s.gc_writers * s.gc_ops * VAL) as u64;
     let measure = bench(
@@ -713,24 +737,7 @@ fn scenario_group_commit(name: &'static str, s: &Sizes) -> Measure {
         s.target,
         payload,
         || (),
-        |()| {
-            std::thread::scope(|scope| {
-                for w in 0..s.gc_writers {
-                    let cluster = &cluster;
-                    scope.spawn(move || {
-                        for k in 0..s.gc_ops {
-                            cluster
-                                .update(
-                                    NodeId(0),
-                                    ItemId::from_index(w),
-                                    UpdateOp::set(vec![k as u8; VAL]),
-                                )
-                                .expect("durable update failed");
-                        }
-                    });
-                }
-            });
-        },
+        |()| acked_writes(&cluster, s.gc_writers, s.gc_ops, VAL),
     );
     let stats = cluster.group_commit_stats(NodeId(0)).expect("node 0 has a group WAL");
     assert!(stats.records > 0 && stats.fsyncs > 0, "the workload must have journaled");
@@ -738,63 +745,51 @@ fn scenario_group_commit(name: &'static str, s: &Sizes) -> Measure {
     measure
 }
 
-/// The durability gate behind `--assert-group-commit`: under a 64-writer
-/// batch workload with per-batch fsync on, every acknowledged mutation is
-/// journaled exactly once and the committer spends at most one fsync per
-/// ten committed mutations — the group-commit win is `fsyncs / records`
-/// ≪ 1, never one fsync per mutation.
+/// The durability gate behind `--assert-group-commit`, two legs with
+/// per-batch fsync on, each journaling every acknowledged mutation
+/// exactly once:
+/// * a lone writer's 256 sequential acks each lead their own batch —
+///   `records == batches == fsyncs` — so no ack waits on another thread;
+/// * under 64 concurrent writers, followers coalesce into the batches of
+///   whichever writer leads, at most one fsync per ten mutations — the
+///   group-commit win is `fsyncs / records` ≪ 1, never one per mutation.
 fn assert_group_commit_batching() {
-    const WRITERS: usize = 64;
-    const OPS: usize = 16;
-    let tmp = TempDir::new("perf-group-commit-gate");
-    let mut durability = DurabilityConfig::new(tmp.path());
-    durability.fsync = true;
-    durability.checkpoint_every = u64::MAX;
-    let cluster = AsyncTcpCluster::spawn(
-        2,
-        WRITERS,
-        AsyncTcpConfig {
-            base: TcpConfig {
-                gossip_interval: Duration::from_secs(3600),
-                durability: Some(durability),
-                ..TcpConfig::default()
-            },
-            worker_threads: 2,
-        },
-    )
-    .expect("spawn durable async cluster");
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS {
-            let cluster = &cluster;
-            scope.spawn(move || {
-                for k in 0..OPS {
-                    cluster
-                        .update(NodeId(0), ItemId::from_index(w), UpdateOp::set(vec![k as u8; 24]))
-                        .expect("durable update failed");
-                }
-            });
-        }
-    });
-    let stats = cluster.group_commit_stats(NodeId(0)).expect("node 0 has a group WAL");
-    cluster.shutdown();
-    let total = (WRITERS * OPS) as u64;
-    assert_eq!(
-        stats.records, total,
-        "group commit must journal every acknowledged mutation exactly once"
+    let leg = |writers: usize, ops: usize| {
+        let tmp = TempDir::new("perf-group-commit-gate");
+        let cluster = fsync_cluster(tmp.path(), writers);
+        acked_writes(&cluster, writers, ops, 24);
+        let stats = cluster.group_commit_stats(NodeId(0)).expect("node 0 has a group WAL");
+        cluster.shutdown();
+        assert_eq!(
+            stats.records,
+            (writers * ops) as u64,
+            "group commit must journal every acknowledged mutation exactly once"
+        );
+        (stats, stats.fsyncs as f64 / stats.records as f64)
+    };
+
+    let (lone, lone_ratio) = leg(1, 256);
+    assert!(
+        lone.batches == lone.records && lone.fsyncs == lone.records,
+        "group-commit regression: a lone writer's {} acks took {} batches and {} fsyncs — \
+         each ack must lead its own batch, not wait on another thread",
+        lone.records,
+        lone.batches,
+        lone.fsyncs,
     );
-    assert!(stats.fsyncs >= 1, "fsync-on workload must have fsynced");
-    let ratio = stats.fsyncs as f64 / stats.records as f64;
+    let (crowd, ratio) = leg(64, 16);
     assert!(
         ratio <= 0.1,
         "group-commit regression: {} fsyncs for {} mutations (ratio {ratio:.3} > 0.1) — \
-         the committer stopped coalescing concurrent writers into shared fsync batches",
-        stats.fsyncs,
-        stats.records,
+         concurrent writers stopped coalescing into shared fsync batches",
+        crowd.fsyncs,
+        crowd.records,
     );
     eprintln!(
-        "perf_report: group-commit assertions hold ({} records, {} batches, {} fsyncs, \
+        "perf_report: group-commit assertions hold (lone writer: {} records, {} batches, {} \
+         fsyncs, {lone_ratio:.3} fsyncs/mutation; 64 writers: {} records, {} batches, {} fsyncs, \
          {ratio:.3} fsyncs/mutation).",
-        stats.records, stats.batches, stats.fsyncs,
+        lone.records, lone.batches, lone.fsyncs, crowd.records, crowd.batches, crowd.fsyncs,
     );
 }
 
@@ -1035,9 +1030,10 @@ fn main() {
     }
 
     if has("--assert-group-commit") {
-        // Group-commit durability: the fsyncs-per-mutation ratio gate on
-        // a fixed 64-writer workload (independent of --smoke scaling, so
-        // CI exercises real batching pressure).
+        // Group-commit durability: the lone-writer leg and the
+        // fsyncs-per-mutation ratio gate on a fixed 64-writer workload
+        // (independent of --smoke scaling, so CI exercises real batching
+        // pressure).
         assert_group_commit_batching();
     }
 

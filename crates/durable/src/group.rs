@@ -4,20 +4,26 @@
 //! WAL and fsyncs inline — correct, but a node hosting many
 //! databases/shards pays one fsync *per mutation per journal*. `GroupWal`
 //! interleaves every stream (database, shard) of a node into a single WAL
-//! file behind a commit queue: appenders enqueue encoded records and
-//! return immediately; a dedicated committer thread drains the queue,
-//! writes the whole batch with one vectored `write`, and issues **one
-//! fsync per batch**. A response is released only after
-//! [`GroupWal::wait_durable`] observes the record's batch land, so the
-//! write-ahead guarantee is the same as the per-replica WAL — only the
-//! fsyncs are amortized.
+//! file behind a commit queue, committed leader–follower. Appenders
+//! enqueue encoded records and return without waking anyone. A caller of
+//! [`GroupWal::wait_durable`] that finds its record not yet durable and
+//! no batch in flight is the **leader**: it takes the whole queue, writes
+//! it with one vectored `write` and **one fsync** outside the lock, then
+//! wakes the followers that are waiting. A caller arriving while a batch
+//! is in flight follows: it waits for that batch, and the first follower
+//! still not covered leads the next one, holding everything queued
+//! meanwhile. A lone writer thus writes its own record with no thread
+//! hand-off, and concurrent writers still share fsyncs. A response is
+//! released only after `wait_durable` returns, so the write-ahead
+//! guarantee is the same as the per-replica WAL — only the fsyncs are
+//! amortized.
 //!
 //! Record framing reuses the per-replica WAL format (`len | crc32 | body`,
 //! torn-tail rule), but records are framed straight into the commit queue:
 //! length and checksum are computed over the encoded record's chunks,
 //! then the header and control bytes are copied once into the queue's
 //! buffer, and values above `INLINE_VALUE_MAX` ride along as shared
-//! segments until the committer's vectored write. The committer hands the
+//! segments until the leader's vectored write. The leader hands the
 //! buffer back for the next batch when it is at most 16 KiB. Bodies are
 //! demultiplexed by a leading [`GROUP_RECORD_TAG`] byte and a `stream`
 //! index, so one generation scan recovers every stream. Checkpoints
@@ -26,12 +32,11 @@
 //! the per-replica layer.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{ErrorKind, IoSlice, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use epidb_common::{Error, NodeId, Result};
@@ -39,10 +44,11 @@ use epidb_core::codec::{Reader, Writer};
 use epidb_core::journal::{get_mutation, put_mutation};
 use epidb_core::{ConflictPolicy, Mutation, MutationSink, Replica, SinkHandle};
 
-use crate::frames::{read_frames, write_frame, writer_frame_header, WAL_FRAME_HEADER};
-use crate::header::{decode_header, encode_header, is_header, WalHeader};
+use crate::frames::{write_frame, writer_frame_header, WAL_FRAME_HEADER};
+use crate::header::{encode_header, WalHeader};
 use crate::node::{
-    atomic_write, fsync_dir, io_err, list_generations, load_snapshot, wal_path, DurabilityConfig,
+    atomic_write, fsync_dir, io_err, list_generations, load_snapshot, open_wal, scan_wals,
+    wal_path, DurabilityConfig,
 };
 
 /// First byte of a group WAL record body: distinguishes multiplexed
@@ -65,9 +71,9 @@ pub struct StreamSpec {
 /// Commit-path counters, for observing the fsync amortization.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GroupCommitStats {
-    /// Mutation records made durable (written out by the committer).
+    /// Mutation records made durable (written out by a leader).
     pub records: u64,
-    /// Committer batches (one `write` each).
+    /// Leader batches (one `write` each).
     pub batches: u64,
     /// `fsync` calls issued (one per batch when fsync is on; the
     /// group-commit win is `fsyncs / records` ≪ 1).
@@ -116,10 +122,10 @@ fn list_group_snaps(dir: &Path) -> Result<BTreeMap<u64, BTreeMap<usize, PathBuf>
 }
 
 struct GroupState {
-    /// The current generation's WAL. `Arc` so the committer can write
-    /// outside the state lock; `None` only after [`GroupWal::close`].
+    /// The current generation's WAL. `Arc` so a leader can write outside
+    /// the state lock; `None` only after [`GroupWal::close`].
     wal: Option<Arc<File>>,
-    /// Encoded frames enqueued but not yet handed to the committer: frame
+    /// Encoded frames enqueued but not yet taken by a leader: frame
     /// headers and control bytes inline, values above `INLINE_VALUE_MAX`
     /// as shared segments.
     pending: Writer,
@@ -129,14 +135,20 @@ struct GroupState {
     appended_seq: u64,
     /// Sequence number through which records are durable.
     durable_seq: u64,
-    /// A batch is out being written/fsynced by the committer.
+    /// A leader is out writing/fsyncing a batch.
     committing: bool,
+    /// Followers blocked on `durable`; a landed batch wakes them only if
+    /// there are any.
+    waiters: usize,
+    /// Why a batch failed to land. Once set nothing more is written:
+    /// every waiter and every later append panics with it, so no record
+    /// is waited on forever.
+    failed: Option<String>,
     generation: u64,
     /// Mutation records in the current generation (durable + in flight).
     wal_records: u64,
     /// Bytes in the current generation (frames, incl. header + pending).
     wal_bytes: u64,
-    running: bool,
     header_frame: Vec<u8>,
 }
 
@@ -148,9 +160,7 @@ struct Shared {
     retain_generations: usize,
     n_streams: usize,
     state: Mutex<GroupState>,
-    /// Wakes the committer when records are enqueued (or on close).
-    work: Condvar,
-    /// Wakes `wait_durable` callers when a batch lands.
+    /// Wakes waiting followers when a batch lands (or fails).
     durable: Condvar,
     records: AtomicU64,
     batches: AtomicU64,
@@ -159,9 +169,13 @@ struct Shared {
 
 /// The shared per-node group-commit WAL. One instance serves every
 /// stream (database/shard replica) of a node; see the module docs.
+///
+/// No thread of its own: records are written by whoever waits for them.
+/// A record nobody waits for is written by the next
+/// [`wait_durable`](Self::wait_durable), [`checkpoint`](Self::checkpoint)
+/// or [`close`](Self::close).
 pub struct GroupWal {
     shared: Arc<Shared>,
-    committer: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for GroupWal {
@@ -199,22 +213,25 @@ impl MutationSink for GroupSink {
         let w = encode_record(self.stream, m);
         // Length and checksum outside the lock; under it, the frame goes
         // straight into the commit queue: control bytes copied once, large
-        // values by reference until the committer writes them.
+        // values by reference until a leader writes them. No thread is
+        // woken: whoever waits for the record writes it.
         let header = writer_frame_header(&w);
         let frame_len = WAL_FRAME_HEADER + w.len();
         let mut st = self.shared.state.lock().unwrap();
         // The sink API cannot report errors; losing a record would break
         // the write-ahead contract silently, so fail loudly (same policy
         // as the per-replica WAL append).
-        assert!(st.running && st.wal.is_some(), "durable: group WAL is closed");
+        if let Some(e) = st.failed.clone() {
+            drop(st); // unpoisoned, so `close` still runs
+            panic!("{e}");
+        }
+        assert!(st.wal.is_some(), "durable: group WAL is closed");
         st.pending.raw(&header);
         st.pending.append(&w);
         st.pending_records += 1;
         st.appended_seq += 1;
         st.wal_records += 1;
         st.wal_bytes += frame_len as u64;
-        drop(st);
-        self.shared.work.notify_one();
     }
 }
 
@@ -224,60 +241,79 @@ impl MutationSink for GroupSink {
 /// WAL.
 const PENDING_KEEP: usize = 16 << 10;
 
-/// Write a batch with vectored writes, resuming after short ones.
-fn write_batch(mut file: &File, batch: &Writer) -> std::io::Result<()> {
-    let mut slices: Vec<IoSlice<'_>> = batch.chunks().map(IoSlice::new).collect();
-    let mut rest = &mut slices[..];
-    while !rest.is_empty() {
-        match file.write_vectored(rest) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut rest, n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+type State<'a> = MutexGuard<'a, GroupState>;
+
+impl Shared {
+    /// Return once every record enqueued before the call is durable. With
+    /// no batch in flight the caller leads: it takes the whole queue,
+    /// writes (and fsyncs) it outside the lock, advances `durable_seq` and
+    /// wakes the followers waiting, if any. Otherwise it follows: it waits
+    /// for the batch in flight and re-checks when it lands. Everything
+    /// enqueued while one batch is written lands in the next in ONE
+    /// vectored write and (at most) ONE fsync: that coalescing is the
+    /// whole point of group commit. Fails, lock released, once a batch has
+    /// failed to land: nothing may land behind the gap it leaves.
+    fn flush<'a>(&'a self, mut st: State<'a>) -> std::result::Result<State<'a>, String> {
+        let target = st.appended_seq;
+        loop {
+            if let Some(e) = &st.failed {
+                return Err(e.clone());
+            }
+            if st.durable_seq >= target {
+                return Ok(st);
+            }
+            if st.committing {
+                st.waiters += 1;
+                st = self.durable.wait(st).unwrap();
+                st.waiters -= 1;
+                continue;
+            }
+            let mut batch = std::mem::take(&mut st.pending);
+            let n_records = std::mem::replace(&mut st.pending_records, 0);
+            let through_seq = st.appended_seq;
+            let file = st.wal.clone().expect("durable: group WAL is closed");
+            st.committing = true;
+            drop(st);
+            let written = self.write_batch(&file, &batch);
+            // Values released and an outgrown buffer freed outside the lock.
+            batch.park(PENDING_KEEP);
+            st = self.state.lock().unwrap();
+            st.committing = false;
+            if let Err(e) = written {
+                st.failed = Some(format!("durable: group WAL append failed: {e}"));
+                self.durable.notify_all();
+                continue;
+            }
+            self.records.fetch_add(n_records, Ordering::Relaxed);
+            self.batches.fetch_add(1, Ordering::Relaxed);
+            st.durable_seq = through_seq;
+            if st.pending.is_empty() {
+                st.pending = batch; // the next batch reuses the control buffer
+            }
+            if st.waiters > 0 {
+                self.durable.notify_all();
+            }
         }
     }
-    Ok(())
-}
 
-fn committer_loop(shared: &Shared) {
-    loop {
-        let (file, mut batch, through_seq, n_records) = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if !st.pending.is_empty() {
-                    break;
-                }
-                if !st.running {
-                    return; // closed and drained
-                }
-                st = shared.work.wait(st).unwrap();
+    /// Write a batch with vectored writes, resuming after short ones, then
+    /// `sync_data` when fsync is on.
+    fn write_batch(&self, mut file: &File, batch: &Writer) -> std::io::Result<()> {
+        let mut slices: Vec<IoSlice<'_>> = batch.chunks().map(IoSlice::new).collect();
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match file.write_vectored(rest) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            let batch = std::mem::take(&mut st.pending);
-            let n = std::mem::replace(&mut st.pending_records, 0);
-            let file = st.wal.clone().expect("durable: group WAL file missing");
-            st.committing = true;
-            (file, batch, st.appended_seq, n)
-        };
-        // Everything enqueued while the previous batch was being written
-        // lands here in ONE vectored write and (at most) ONE fsync: that
-        // coalescing is the whole point of group commit.
-        write_batch(&file, &batch).expect("durable: group WAL append failed");
-        if shared.fsync {
-            file.sync_data().expect("durable: group WAL fsync failed");
-            shared.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
-        shared.records.fetch_add(n_records, Ordering::Relaxed);
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        // Values released and an outgrown buffer freed outside the lock.
-        batch.park(PENDING_KEEP);
-        let mut st = shared.state.lock().unwrap();
-        st.durable_seq = st.durable_seq.max(through_seq);
-        st.committing = false;
-        if st.pending.is_empty() {
-            st.pending = batch; // the next batch reuses the control buffer
+        if self.fsync {
+            file.sync_data()?;
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
         }
-        drop(st);
-        shared.durable.notify_all();
+        Ok(())
     }
 }
 
@@ -333,36 +369,9 @@ impl GroupWal {
             }
         }
 
-        let wal_gens = list_generations(&dir, "wal", ".log")?;
-        let replay_from = if recovered.is_some() {
-            report.generation
-        } else {
-            wal_gens.first().copied().unwrap_or(0)
-        };
-        let resume_gen =
-            report.generation.max(wal_gens.last().copied().unwrap_or(report.generation));
-        let mut header: Option<WalHeader> = None;
-        let mut replay: Vec<Bytes> = Vec::new();
-        let mut final_scan: Option<(PathBuf, usize, usize, u64)> = None;
-        for &gen in wal_gens.iter().filter(|&&g| g >= replay_from) {
-            let wal_file = wal_path(&dir, gen);
-            let raw = fs::read(&wal_file).map_err(|e| io_err("read", &wal_file, e))?;
-            let buf = Bytes::from(raw);
-            let scan = read_frames(&buf);
-            report.wal_bytes_truncated += scan.torn_bytes as u64;
-            let mut records = 0u64;
-            for body in &scan.bodies {
-                if is_header(body) {
-                    header = Some(decode_header(body)?);
-                } else {
-                    replay.push(body.clone());
-                    records += 1;
-                }
-            }
-            if gen == resume_gen {
-                final_scan = Some((wal_file, scan.valid_len, scan.torn_bytes, records));
-            }
-        }
+        let wals = scan_wals(&dir, recovered.as_ref().map(|_| report.generation))?;
+        report.wal_bytes_truncated = wals.torn_bytes;
+        let (header, resume_gen) = (wals.header, wals.resume_gen);
 
         let effective_policy = match (&recovered, header) {
             (None, Some(h)) => h.policy,
@@ -379,7 +388,7 @@ impl GroupWal {
             }
         };
 
-        for body in &replay {
+        for body in &wals.records {
             let (stream, m) = decode_group_record(body, streams.len())?;
             if replicas[stream].replay_mutation(m).is_err() {
                 report.replay_errors += 1;
@@ -388,20 +397,7 @@ impl GroupWal {
         }
         report.generation = resume_gen;
 
-        let resumed_wal = wal_path(&dir, resume_gen);
-        let (mut wal_bytes, mut wal_records) = (0u64, 0u64);
-        if let Some((path, valid_len, torn, records)) = final_scan {
-            if torn > 0 {
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| io_err("open", &path, e))?;
-                f.set_len(valid_len as u64).map_err(|e| io_err("truncate", &path, e))?;
-                f.sync_all().map_err(|e| io_err("fsync", &path, e))?;
-            }
-            wal_bytes = valid_len as u64;
-            wal_records = records;
-        }
+        let (wal_bytes, wal_records) = wals.truncate_resumed()?;
 
         let effective = header
             .unwrap_or(WalHeader { policy: effective_policy, delta_budget: delta_budget as u64 });
@@ -412,16 +408,7 @@ impl GroupWal {
         }
         let header_frame = write_frame(&encode_header(&effective));
 
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&resumed_wal)
-            .map_err(|e| io_err("open", &resumed_wal, e))?;
-        if wal_bytes == 0 {
-            (&wal).write_all(&header_frame).map_err(|e| io_err("write", &resumed_wal, e))?;
-            wal.sync_data().map_err(|e| io_err("fsync", &resumed_wal, e))?;
-            wal_bytes = header_frame.len() as u64;
-        }
+        let (wal, wal_bytes) = open_wal(&dir, resume_gen, &header_frame, wal_bytes)?;
 
         for r in &replicas {
             r.check_invariants().map_err(Error::CorruptSnapshot)?;
@@ -441,27 +428,19 @@ impl GroupWal {
                 appended_seq: 0,
                 durable_seq: 0,
                 committing: false,
+                waiters: 0,
+                failed: None,
                 generation: resume_gen,
                 wal_records,
                 wal_bytes,
-                running: true,
                 header_frame,
             }),
-            work: Condvar::new(),
             durable: Condvar::new(),
             records: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
         });
-        let committer = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("epidb-group-commit".into())
-                .spawn(move || committer_loop(&shared))
-                .expect("durable: spawn group committer")
-        };
-        let wal = Arc::new(GroupWal { shared, committer: Mutex::new(Some(committer)) });
-        Ok((wal, replicas, report))
+        Ok((Arc::new(GroupWal { shared }), replicas, report))
     }
 
     /// Attach stream `stream`'s sink to its replica. Call after recovery
@@ -476,15 +455,18 @@ impl GroupWal {
     }
 
     /// Block until every record enqueued before this call is durable
-    /// (written, and fsynced when fsync is on). This is the
+    /// (written, and fsynced when fsync is on), leading the batch that
+    /// writes them if none is in flight (see the module docs). This is the
     /// acknowledgement gate: a mutation's response may be released only
     /// after `wait_durable` returns, which preserves acked-implies-durable
-    /// while letting the committer batch fsyncs across concurrent writers.
+    /// while concurrent writers share batches and fsyncs.
+    ///
+    /// # Panics
+    ///
+    /// If a batch failed to land (its `write` or `sync_data` errored).
     pub fn wait_durable(&self) {
-        let mut st = self.shared.state.lock().unwrap();
-        let target = st.appended_seq;
-        while st.durable_seq < target {
-            st = self.shared.durable.wait(st).unwrap();
+        if let Err(e) = self.shared.flush(self.shared.state.lock().unwrap()) {
+            panic!("{e}");
         }
     }
 
@@ -536,37 +518,15 @@ impl GroupWal {
         self.checkpoint_locked(st, replicas)
     }
 
-    fn checkpoint_locked(
-        &self,
-        mut st: MutexGuard<'_, GroupState>,
-        replicas: &[&Replica],
-    ) -> Result<()> {
+    fn checkpoint_locked(&self, st: State<'_>, replicas: &[&Replica]) -> Result<()> {
         assert_eq!(
             replicas.len(),
             self.shared.n_streams,
             "durable: checkpoint needs every stream's replica"
         );
-        // Drain: let an in-flight batch land, then flush the remaining
-        // queue ourselves so the old generation's WAL is complete before
-        // the snapshots that supersede it are taken.
-        while st.committing {
-            st = self.shared.durable.wait(st).unwrap();
-        }
-        let old_path = wal_path(&self.shared.dir, st.generation);
-        if !st.pending.is_empty() {
-            let batch = std::mem::take(&mut st.pending);
-            let n = std::mem::replace(&mut st.pending_records, 0);
-            let file = st.wal.clone().expect("durable: group WAL file missing");
-            write_batch(&file, &batch).map_err(|e| io_err("write", &old_path, e))?;
-            if self.shared.fsync {
-                file.sync_data().map_err(|e| io_err("fsync", &old_path, e))?;
-                self.shared.fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            self.shared.records.fetch_add(n, Ordering::Relaxed);
-            self.shared.batches.fetch_add(1, Ordering::Relaxed);
-        }
-        st.durable_seq = st.appended_seq;
-        self.shared.durable.notify_all();
+        // Flush the queue through the leader step so the old generation's
+        // WAL is complete before the snapshots that supersede it are taken.
+        let mut st = self.shared.flush(st).map_err(Error::Network)?;
 
         let next = st.generation + 1;
         for (stream, replica) in replicas.iter().enumerate() {
@@ -574,20 +534,13 @@ impl GroupWal {
             atomic_write(&self.shared.dir, &snap, &write_frame(&replica.to_snapshot()))?;
         }
 
-        let new_wal_path = wal_path(&self.shared.dir, next);
-        let new_wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&new_wal_path)
-            .map_err(|e| io_err("open", &new_wal_path, e))?;
-        (&new_wal).write_all(&st.header_frame).map_err(|e| io_err("write", &new_wal_path, e))?;
-        new_wal.sync_all().map_err(|e| io_err("fsync", &new_wal_path, e))?;
+        let (wal, wal_bytes) = open_wal(&self.shared.dir, next, &st.header_frame, 0)?;
         fsync_dir(&self.shared.dir)?;
 
         st.generation = next;
-        st.wal = Some(Arc::new(new_wal));
+        st.wal = Some(Arc::new(wal));
         st.wal_records = 0;
-        st.wal_bytes = st.header_frame.len() as u64;
+        st.wal_bytes = wal_bytes;
 
         // Prune only now, with the newer generation fully fsynced (same
         // retention rule as the per-replica WAL).
@@ -608,20 +561,15 @@ impl GroupWal {
         Ok(())
     }
 
-    /// Flush the queue and stop the committer. Idempotent; called by
-    /// `Drop`. Records enqueued before `close` are written (and fsynced,
-    /// if configured) before the committer exits; enqueueing after is a
-    /// contract violation and panics.
+    /// Flush the queue through the leader step and release the file.
+    /// Idempotent; called by `Drop`, so it never panics on a failed batch:
+    /// records enqueued before `close` are written (and fsynced, if
+    /// configured) unless a batch fails to land. Enqueueing after `close`
+    /// is a contract violation and panics.
     pub fn close(&self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.running = false;
-        }
-        self.shared.work.notify_all();
-        if let Some(h) = self.committer.lock().unwrap().take() {
-            let _ = h.join();
-        }
-        self.shared.state.lock().unwrap().wal = None;
+        let st = self.shared.state.lock().unwrap();
+        let mut st = self.shared.flush(st).unwrap_or_else(|_| self.shared.state.lock().unwrap());
+        st.wal = None;
     }
 }
 
@@ -735,10 +683,8 @@ mod tests {
             replicas[stream].update(item, UpdateOp::set(format!("v{i}").into_bytes())).unwrap();
             wal.wait_durable();
         }
-        let stats = wal.stats();
-        assert_eq!(stats.records, 6);
-        assert!(stats.batches <= stats.records);
-        assert!(stats.fsyncs <= stats.batches);
+        // A lone writer leads a batch, and an fsync, per acknowledgement.
+        assert_eq!(wal.stats(), GroupCommitStats { records: 6, batches: 6, fsyncs: 6 });
         drop(wal);
 
         let (_wal2, recovered, report) = open(&cfg);
@@ -855,7 +801,7 @@ mod tests {
         wal.wait_durable();
         assert!(wal.pending_outgrew(0), "the control buffer is handed back");
         assert!(!wal.pending_outgrew(PENDING_KEEP));
-        assert!(value.try_into_vec().is_ok(), "the committer released the value");
+        assert!(value.try_into_vec().is_ok(), "the leader released the value");
 
         // ~200 KiB of inline values outgrow the control buffer: it is
         // freed, not pinned for the life of the WAL.
@@ -887,5 +833,34 @@ mod tests {
         assert!(wal.maybe_checkpoint(&refs).unwrap());
         assert_eq!(wal.generation(), 1);
         assert!(!wal.maybe_checkpoint(&refs).unwrap());
+    }
+
+    #[test]
+    fn failed_append_panics_every_waiter_instead_of_hanging() {
+        let tmp = TempDir::new("group-fail");
+        let cfg = DurabilityConfig::new(tmp.path());
+        let (wal, mut replicas, _) = open(&cfg);
+        // The failure hook: a read-only handle, so every batch write fails.
+        let read_only = File::open(wal_path(&cfg.dir.join("group"), 0)).unwrap();
+        wal.shared.state.lock().unwrap().wal = Some(Arc::new(read_only));
+        replicas[0].update(ItemId(0), UpdateOp::set(&b"lost"[..])).unwrap();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let (wal, start) = (wal.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    wal.wait_durable();
+                })
+            })
+            .collect();
+        for waiter in waiters {
+            let panic = waiter.join().expect_err("a waiter returned from a failed batch");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.starts_with("durable: group WAL append failed"), "{msg}");
+        }
+        let append =
+            std::panic::AssertUnwindSafe(|| replicas[1].update(ItemId(0), UpdateOp::set(vec![1])));
+        assert!(std::panic::catch_unwind(append).is_err(), "a later append panics too");
     }
 }

@@ -35,8 +35,10 @@
 //!   config-free;
 //! * [`GroupWal`] multiplexes every stream (database/shard) of a node
 //!   into **one shared WAL** behind a commit queue — one fsync per
-//!   *batch* instead of per record (group commit), with
-//!   [`GroupWal::wait_durable`] as the acknowledgement gate.
+//!   *batch* instead of per record (group commit). No thread of its own:
+//!   [`GroupWal::wait_durable`], the acknowledgement gate, writes the
+//!   queue itself (leader) unless a batch is in flight, and then waits
+//!   for it (follower).
 
 #![warn(missing_docs)]
 

@@ -100,6 +100,94 @@ pub(crate) fn wal_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("wal-{generation}.log"))
 }
 
+/// Open `wal-<generation>` in `dir` for appending. A WAL with no valid
+/// bytes (fresh, or fully torn) gets the header record first, made durable
+/// before any mutation can land behind it. Returns the file and its length.
+pub(crate) fn open_wal(
+    dir: &Path,
+    generation: u64,
+    header_frame: &[u8],
+    valid_len: u64,
+) -> Result<(File, u64)> {
+    let path = wal_path(dir, generation);
+    let wal = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .map_err(|e| io_err("open", &path, e))?;
+    if valid_len > 0 {
+        return Ok((wal, valid_len));
+    }
+    (&wal).write_all(header_frame).map_err(|e| io_err("write", &path, e))?;
+    wal.sync_all().map_err(|e| io_err("fsync", &path, e))?;
+    Ok((wal, header_frame.len() as u64))
+}
+
+/// A forward scan of a node's retained WALs, in log order.
+pub(crate) struct WalScan {
+    /// The generation appends resume in.
+    pub(crate) resume_gen: u64,
+    /// The newest journaled header (what the resumed WAL was journaled
+    /// under).
+    pub(crate) header: Option<WalHeader>,
+    /// Mutation record bodies, headers excluded.
+    pub(crate) records: Vec<Bytes>,
+    /// Torn bytes across every scanned WAL.
+    pub(crate) torn_bytes: u64,
+    /// The resumed WAL's path, valid length, torn bytes and records.
+    resumed: Option<(PathBuf, usize, usize, u64)>,
+}
+
+/// Scan every WAL in `dir` from the loaded snapshot's generation forward
+/// (snapshot `g` includes everything up to the end of WAL `g-1`, so WALs
+/// `g..` hold exactly the mutations past the snapshot — possibly several
+/// generations of them when a newer snapshot was lost and recovery fell
+/// back). On a fresh start the scan begins at the oldest retained WAL.
+pub(crate) fn scan_wals(dir: &Path, snapshot_gen: Option<u64>) -> Result<WalScan> {
+    let gens = list_generations(dir, "wal", ".log")?;
+    let from = snapshot_gen.unwrap_or_else(|| gens.first().copied().unwrap_or(0));
+    let base = snapshot_gen.unwrap_or(0);
+    let resume_gen = base.max(gens.last().copied().unwrap_or(base));
+    let mut out =
+        WalScan { resume_gen, header: None, records: Vec::new(), torn_bytes: 0, resumed: None };
+    for &gen in gens.iter().filter(|&&g| g >= from) {
+        let path = wal_path(dir, gen);
+        let raw = fs::read(&path).map_err(|e| io_err("read", &path, e))?;
+        let scan = read_frames(&Bytes::from(raw));
+        out.torn_bytes += scan.torn_bytes as u64;
+        let before = out.records.len();
+        for body in scan.bodies {
+            if is_header(&body) {
+                out.header = Some(decode_header(&body)?);
+            } else {
+                out.records.push(body);
+            }
+        }
+        if gen == resume_gen {
+            let records = (out.records.len() - before) as u64;
+            out.resumed = Some((path, scan.valid_len, scan.torn_bytes, records));
+        }
+    }
+    Ok(out)
+}
+
+impl WalScan {
+    /// Truncate the resumed WAL's torn tail so appends extend the valid
+    /// prefix; return its valid bytes and mutation records. Older
+    /// generations are left as-is: their torn bytes (if any) are already
+    /// counted and the files are pruned at the next checkpoint.
+    pub(crate) fn truncate_resumed(&self) -> Result<(u64, u64)> {
+        let Some((path, valid_len, torn, records)) = &self.resumed else { return Ok((0, 0)) };
+        if *torn > 0 {
+            let f =
+                OpenOptions::new().write(true).open(path).map_err(|e| io_err("open", path, e))?;
+            f.set_len(*valid_len as u64).map_err(|e| io_err("truncate", path, e))?;
+            f.sync_all().map_err(|e| io_err("fsync", path, e))?;
+        }
+        Ok((*valid_len as u64, *records))
+    }
+}
+
 /// List the generations of files in `dir` matching `prefix-<gen>.<ext>`.
 pub(crate) fn list_generations(dir: &Path, prefix: &str, ext: &str) -> Result<Vec<u64>> {
     let mut gens = Vec::new();
@@ -208,7 +296,6 @@ impl NodeDurability {
         fs::create_dir_all(&dir).map_err(|e| io_err("create dir", &dir, e))?;
 
         let snap_gens = list_generations(&dir, "snap", ".epdb")?;
-        let wal_gens = list_generations(&dir, "wal", ".log")?;
 
         // Newest snapshot that passes every check wins; a corrupt newest
         // generation (e.g. bit rot, or a rename that never became durable)
@@ -239,43 +326,9 @@ impl NodeDurability {
             }
         }
 
-        // Scan every WAL from the recovered generation forward (snapshot
-        // `g` includes everything up to the end of WAL `g-1`, so WALs
-        // `g..` hold exactly the mutations past the snapshot — possibly
-        // several generations of them when a newer snapshot was lost and
-        // recovery fell back). On a fresh start the scan begins at the
-        // oldest retained WAL.
-        let replay_from = if report.snapshot_loaded {
-            report.generation
-        } else {
-            wal_gens.first().copied().unwrap_or(0)
-        };
-        let resume_gen =
-            report.generation.max(wal_gens.last().copied().unwrap_or(report.generation));
-        let mut header: Option<WalHeader> = None;
-        let mut replay: Vec<Bytes> = Vec::new();
-        let mut final_scan: Option<(PathBuf, usize, usize, u64)> = None;
-        for &gen in wal_gens.iter().filter(|&&g| g >= replay_from) {
-            let wal_file = wal_path(&dir, gen);
-            let raw = fs::read(&wal_file).map_err(|e| io_err("read", &wal_file, e))?;
-            let buf = Bytes::from(raw);
-            let scan = read_frames(&buf);
-            report.wal_bytes_truncated += scan.torn_bytes as u64;
-            let mut records = 0u64;
-            for body in &scan.bodies {
-                if is_header(body) {
-                    // The newest generation's header wins (it is what the
-                    // resumed WAL was journaled under).
-                    header = Some(decode_header(body)?);
-                } else {
-                    replay.push(body.clone());
-                    records += 1;
-                }
-            }
-            if gen == resume_gen {
-                final_scan = Some((wal_file, scan.valid_len, scan.torn_bytes, records));
-            }
-        }
+        let wals = scan_wals(&dir, replica.as_ref().map(|_| report.generation))?;
+        report.wal_bytes_truncated = wals.torn_bytes;
+        let (header, resume_gen) = (wals.header, wals.resume_gen);
 
         // Construct (or validate) the replica now that any journaled
         // header is known: a fresh start adopts the journaled policy.
@@ -300,7 +353,7 @@ impl NodeDurability {
             )));
         }
 
-        for body in &replay {
+        for body in &wals.records {
             let mut r = Reader::shared(body);
             let m = decode_wal_record(&mut r, body)?;
             if replica.replay_mutation(m).is_err() {
@@ -310,24 +363,7 @@ impl NodeDurability {
         }
         report.generation = resume_gen;
 
-        // Truncate the resumed WAL's torn tail so appends extend the valid
-        // prefix. Older generations are left as-is: their torn bytes (if
-        // any) are already counted and the files are pruned at the next
-        // checkpoint.
-        let resumed_wal = wal_path(&dir, resume_gen);
-        let (mut wal_bytes, mut wal_records) = (0u64, 0u64);
-        if let Some((path, valid_len, torn, records)) = final_scan {
-            if torn > 0 {
-                let f = OpenOptions::new()
-                    .write(true)
-                    .open(&path)
-                    .map_err(|e| io_err("open", &path, e))?;
-                f.set_len(valid_len as u64).map_err(|e| io_err("truncate", &path, e))?;
-                f.sync_all().map_err(|e| io_err("fsync", &path, e))?;
-            }
-            wal_bytes = valid_len as u64;
-            wal_records = records;
-        }
+        let (wal_bytes, wal_records) = wals.truncate_resumed()?;
 
         // The effective configuration: journaled header wins, arguments
         // are the fresh-start default. It seeds the header of this and
@@ -339,18 +375,7 @@ impl NodeDurability {
         }
         let header_frame = write_frame(&encode_header(&effective));
 
-        let wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&resumed_wal)
-            .map_err(|e| io_err("open", &resumed_wal, e))?;
-        if wal_bytes == 0 {
-            // Fresh (or fully torn) WAL: write the header record first and
-            // make it durable before any mutation can land behind it.
-            (&wal).write_all(&header_frame).map_err(|e| io_err("write", &resumed_wal, e))?;
-            wal.sync_data().map_err(|e| io_err("fsync", &resumed_wal, e))?;
-            wal_bytes = header_frame.len() as u64;
-        }
+        let (wal, wal_bytes) = open_wal(&dir, resume_gen, &header_frame, wal_bytes)?;
 
         let durability = Arc::new(NodeDurability {
             inner: Mutex::new(Inner {
@@ -510,20 +535,13 @@ impl Inner {
 
         // Fresh WAL for the new generation — header first, durable before
         // the old generations go away.
-        let new_wal_path = wal_path(&self.dir, next);
-        let new_wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&new_wal_path)
-            .map_err(|e| io_err("open", &new_wal_path, e))?;
-        (&new_wal).write_all(&self.header_frame).map_err(|e| io_err("write", &new_wal_path, e))?;
-        new_wal.sync_all().map_err(|e| io_err("fsync", &new_wal_path, e))?;
+        let (wal, wal_bytes) = open_wal(&self.dir, next, &self.header_frame, 0)?;
         fsync_dir(&self.dir)?;
 
         self.generation = next;
-        self.wal = new_wal;
+        self.wal = wal;
         self.wal_records = 0;
-        self.wal_bytes = self.header_frame.len() as u64;
+        self.wal_bytes = wal_bytes;
 
         // Prune generations beyond the retention window — only now, with
         // the newer snapshot and its WAL fully fsynced (a crash before

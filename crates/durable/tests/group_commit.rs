@@ -1,4 +1,4 @@
-//! Torn-batch recovery for the group-commit WAL.
+//! Batching and torn-batch recovery for the group-commit WAL.
 //!
 //! Group commit batches many streams' records into single write+fsync
 //! rounds, so a crash can tear the shared WAL *inside* a batch — between
@@ -6,13 +6,16 @@
 //! truncating the WAL at **every byte offset** has to recover exactly the
 //! clean prefix of the interleaved record stream, demultiplexed to the
 //! right replicas, matching a twin world that applied just those
-//! mutations and never crashed.
+//! mutations and never crashed. And the leader–follower commit must keep
+//! acked-implies-durable when one thread's batch carries another's ack.
+
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use epidb_common::{ItemId, NodeId};
 use epidb_core::{ConflictPolicy, Replica};
 use epidb_durable::testdir::TempDir;
-use epidb_durable::{read_frames, DurabilityConfig, GroupWal, StreamSpec};
+use epidb_durable::{read_frames, DurabilityConfig, GroupCommitStats, GroupWal, StreamSpec};
 use epidb_store::UpdateOp;
 use epidb_vv::VvOrd;
 
@@ -76,15 +79,20 @@ fn assert_matches_twin(recovered: &[Replica], twins: &[Replica], context: &str) 
     }
 }
 
-/// Run the whole schedule through a group WAL and return the resulting
-/// WAL bytes (flushed by `close`).
-fn journaled_wal_bytes(dir: &std::path::Path) -> Vec<u8> {
-    let cfg = quiet_cfg(dir.to_path_buf());
+fn open_attached(dir: &std::path::Path) -> (Arc<GroupWal>, Vec<Replica>) {
     let (wal, mut replicas, _report) =
-        GroupWal::open(&cfg, dir, &specs(), ConflictPolicy::Report, 0).unwrap();
+        GroupWal::open(&quiet_cfg(dir.to_path_buf()), dir, &specs(), ConflictPolicy::Report, 0)
+            .unwrap();
     for (k, replica) in replicas.iter_mut().enumerate() {
         wal.attach(k, replica);
     }
+    (wal, replicas)
+}
+
+/// Run the whole schedule through a group WAL and return the resulting
+/// WAL bytes (flushed by `close`).
+fn journaled_wal_bytes(dir: &std::path::Path) -> Vec<u8> {
+    let (wal, mut replicas) = open_attached(dir);
     for (stream, item, value) in schedule() {
         replicas[stream].update(item, UpdateOp::set(value)).unwrap();
     }
@@ -135,12 +143,7 @@ fn acked_batches_survive_a_crash_before_close() {
     // acknowledged mutation.
     let tmp = TempDir::new("group-acked");
     let dir = tmp.path().join("live");
-    let cfg = quiet_cfg(dir.clone());
-    let (wal, mut replicas, _report) =
-        GroupWal::open(&cfg, &dir, &specs(), ConflictPolicy::Report, 0).unwrap();
-    for (k, replica) in replicas.iter_mut().enumerate() {
-        wal.attach(k, replica);
-    }
+    let (wal, mut replicas) = open_attached(&dir);
     for (stream, item, value) in schedule() {
         replicas[stream].update(item, UpdateOp::set(value)).unwrap();
     }
@@ -158,4 +161,90 @@ fn acked_batches_survive_a_crash_before_close() {
     assert_matches_twin(&recovered, &twin_world(schedule().len()), "post-ack crash");
     recovered_wal.close();
     wal.close();
+}
+
+#[test]
+fn one_wait_writes_everything_queued_in_one_batch() {
+    // Enqueueing writes nothing; the one caller that waits leads a batch
+    // holding every record queued on either stream.
+    let tmp = TempDir::new("group-batching");
+    let (wal, mut replicas) = open_attached(tmp.path());
+    replicas[0].update(ItemId(0), UpdateOp::set(&b"a"[..])).unwrap();
+    replicas[1].update(ItemId(0), UpdateOp::set(&b"b"[..])).unwrap();
+    replicas[0].update(ItemId(1), UpdateOp::set(&b"c"[..])).unwrap();
+    assert_eq!(wal.stats(), GroupCommitStats::default(), "enqueueing writes nothing");
+    wal.wait_durable();
+    assert_eq!(wal.stats(), GroupCommitStats { records: 3, batches: 1, fsyncs: 0 });
+    wal.wait_durable();
+    assert_eq!(wal.stats().batches, 1, "nothing pending: no write");
+}
+
+#[test]
+fn every_ack_is_durable_even_when_another_thread_wrote_it() {
+    // 8 threads × 32 updates, each to its own item. Right after its own
+    // `wait_durable` returns, a thread copies the WAL: that copy must
+    // recover the thread's latest acked value, whichever thread's batch
+    // wrote it.
+    const THREADS: usize = 8;
+    const UPDATES: usize = 32;
+    let tmp = TempDir::new("group-threaded-ack");
+    let dir = tmp.path().join("live");
+    let (wal, replicas) = open_attached(&dir);
+    let replicas: Vec<Mutex<Replica>> = replicas.into_iter().map(Mutex::new).collect();
+    let value = |t: usize, k: usize| vec![t as u8, k as u8];
+    let copies: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (wal, replicas, dir) = (&wal, &replicas, &dir);
+                scope.spawn(move || {
+                    (0..UPDATES)
+                        .map(|k| {
+                            let item = ItemId((t / N_NODES) as u32);
+                            replicas[t % N_NODES]
+                                .lock()
+                                .unwrap()
+                                .update(item, UpdateOp::set(value(t, k)))
+                                .unwrap();
+                            wal.wait_durable();
+                            std::fs::read(dir.join("wal-0.log")).unwrap()
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = wal.stats();
+    assert_eq!(stats.records, (THREADS * UPDATES) as u64);
+    for (t, thread_copies) in copies.iter().enumerate() {
+        for (k, copy) in thread_copies.iter().enumerate() {
+            let crash_dir = tmp.path().join(format!("crash-{t}-{k}"));
+            std::fs::create_dir_all(&crash_dir).unwrap();
+            std::fs::write(crash_dir.join("wal-0.log"), copy).unwrap();
+            let (recovered_wal, recovered) = open_attached(&crash_dir);
+            let item = ItemId((t / N_NODES) as u32);
+            assert_eq!(
+                recovered[t % N_NODES].read(item).unwrap().as_bytes(),
+                &value(t, k)[..],
+                "thread {t}'s ack {k} is missing from the WAL copied right after it"
+            );
+            recovered_wal.close();
+        }
+    }
+    wal.close();
+}
+
+#[test]
+fn no_thread_commits_in_the_background() {
+    // Records are written by whoever waits for them: an open group WAL
+    // runs no thread of its own.
+    let tmp = TempDir::new("group-no-thread");
+    let (wal, mut replicas) = open_attached(tmp.path());
+    replicas[0].update(ItemId(0), UpdateOp::set(&b"x"[..])).unwrap();
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let comm = std::fs::read_to_string(task.unwrap().path().join("comm")).unwrap_or_default();
+        assert_ne!(comm.trim(), "epidb-group-commit", "a committer thread is running");
+    }
+    wal.wait_durable();
+    assert_eq!(wal.stats().batches, 1);
 }

@@ -22,11 +22,13 @@
 //! initiators find out at their next exchange and reconnect.
 //!
 //! Durability is the group-commit [`GroupWal`]: every mutation journals
-//! into one per-node WAL stream through a commit queue, a single
-//! committer thread batches queued records and fsyncs once per batch, and
-//! an update is acknowledged only after [`GroupWal::wait_durable`] — so
-//! under concurrent writers the fsyncs-per-mutation ratio collapses far
-//! below one while acked-implies-durable still holds.
+//! into one per-node WAL stream through a commit queue, and an update is
+//! acknowledged only after [`GroupWal::wait_durable`]. The acking thread
+//! itself writes and fsyncs the queue unless a batch is already in
+//! flight, in which case it waits for that batch and the first waiter
+//! still uncovered writes the next — so a lone writer pays no thread
+//! hand-off, and under concurrent writers the fsyncs-per-mutation ratio
+//! collapses far below one while acked-implies-durable still holds.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -587,10 +589,12 @@ pub struct AsyncNode {
 }
 
 impl AsyncNode {
-    /// Group-commit ack gate plus checkpoint policy, after any mutation.
-    /// Blocks until the committer's fsync covers everything this node has
-    /// journaled, then runs the byte/record checkpoint triggers. Takes
-    /// the replica lock; call only from contexts not holding it.
+    /// Group-commit ack gate plus checkpoint policy, after any call that
+    /// may have journaled, failed ones included. Blocks until everything
+    /// this node has journaled is written (and fsynced) — by this thread
+    /// as batch leader, or by the leader of the batch in flight — then
+    /// runs the byte/record checkpoint triggers. Takes the replica lock;
+    /// call only from contexts not holding it.
     fn after_mutation(&self) {
         let durable = self.durable.lock().clone();
         if let Some(wal) = durable {
@@ -779,9 +783,9 @@ impl AsyncTcpCluster {
     /// the update's group-commit batch is fsynced (acked ⇒ durable).
     pub fn update(&self, node: NodeId, item: ItemId, op: UpdateOp) -> Result<()> {
         let n = self.checked(node)?;
-        n.replica.lock().update(item, op)?;
+        let out = n.replica.lock().update(item, op);
         n.after_mutation();
-        Ok(())
+        out
     }
 
     /// Read the user-visible value at `node`; crashed durable nodes have
@@ -815,9 +819,9 @@ impl AsyncTcpCluster {
         self.checked(source)?;
         let node = self.checked(recipient)?;
         let mut transport = self.transport_to(source);
-        let out = Engine::oob(&mut MutexHost(&node.replica), &mut transport, item)?;
+        let out = Engine::oob(&mut MutexHost(&node.replica), &mut transport, item);
         node.after_mutation();
-        Ok(out)
+        out
     }
 
     /// Run one whole-item pull right now, bypassing the gossip schedule.
@@ -826,9 +830,9 @@ impl AsyncTcpCluster {
         self.checked(source)?;
         let node = self.checked(recipient)?;
         let mut transport = self.transport_to(source);
-        let out = Engine::pull(&mut MutexHost(&node.replica), &mut transport)?;
+        let out = Engine::pull(&mut MutexHost(&node.replica), &mut transport);
         node.after_mutation();
-        Ok(out)
+        out
     }
 
     /// As [`pull_now`](Self::pull_now), in delta mode.
@@ -837,9 +841,9 @@ impl AsyncTcpCluster {
         self.checked(source)?;
         let node = self.checked(recipient)?;
         let mut transport = self.transport_to(source);
-        let out = Engine::pull_delta(&mut MutexHost(&node.replica), &mut transport)?;
+        let out = Engine::pull_delta(&mut MutexHost(&node.replica), &mut transport);
         node.after_mutation();
-        Ok(out)
+        out
     }
 
     /// As [`pull_now`](Self::pull_now), via digest-tree set
@@ -849,9 +853,9 @@ impl AsyncTcpCluster {
         self.checked(source)?;
         let node = self.checked(recipient)?;
         let mut transport = self.transport_to(source);
-        let out = Engine::pull_recon(&mut MutexHost(&node.replica), &mut transport)?;
+        let out = Engine::pull_recon(&mut MutexHost(&node.replica), &mut transport);
         node.after_mutation();
-        Ok(out)
+        out
     }
 
     /// Bound log-vector retention at `node` to `keep` records per
@@ -872,9 +876,9 @@ impl AsyncTcpCluster {
         policy: &RetryPolicy,
     ) -> Result<PullOutcome> {
         let node = self.checked(recipient)?;
-        let out = Engine::pull_with(&mut MutexHost(&node.replica), transport, policy)?;
+        let out = Engine::pull_with(&mut MutexHost(&node.replica), transport, policy);
         node.after_mutation();
-        Ok(out)
+        out
     }
 
     /// As [`pull_now_via`](Self::pull_now_via), in delta mode.
@@ -885,9 +889,9 @@ impl AsyncTcpCluster {
         policy: &RetryPolicy,
     ) -> Result<PullOutcome> {
         let node = self.checked(recipient)?;
-        let out = Engine::pull_delta_with(&mut MutexHost(&node.replica), transport, policy)?;
+        let out = Engine::pull_delta_with(&mut MutexHost(&node.replica), transport, policy);
         node.after_mutation();
-        Ok(out)
+        out
     }
 
     /// One whole-item pull through a caller-owned [`ChaosLink`] — the
@@ -921,9 +925,9 @@ impl AsyncTcpCluster {
 
     /// Crash a node: the connections it had accepted are closed, new ones
     /// drop without replying, and it stops gossiping. With durability, the
-    /// in-memory replica and the WAL handle are really dropped (the group
-    /// WAL's committer flushes its queue and exits); only the on-disk
-    /// state survives.
+    /// in-memory replica and the WAL handle are really dropped (closing the
+    /// group WAL writes whatever is still queued); only the on-disk state
+    /// survives.
     pub fn crash(&self, node: NodeId) {
         let n = &self.nodes[node.index()];
         n.alive.store(false, Ordering::SeqCst);
@@ -1026,7 +1030,8 @@ impl AsyncTcpCluster {
         if let Some(server) = self.server.take() {
             server.shutdown();
         }
-        // Dropping the last WAL handles flushes and closes the committers.
+        // Dropping the last WAL handles writes what is queued and closes
+        // the files.
         for n in &self.nodes {
             *n.durable.lock() = None;
         }

@@ -42,7 +42,8 @@ pub(crate) struct GossipConfig {
 /// What a node gossips.
 pub(crate) enum Gossiped<'a> {
     /// One replica, pulled from one random peer per tick; `after_pull`
-    /// runs after every round that succeeded (the checkpoint policy).
+    /// runs after every round, failed ones included (the ack gate and the
+    /// checkpoint policy: a failed round may still have journaled).
     Replica { replica: &'a Mutex<Replica>, after_pull: &'a dyn Fn() },
     /// Every owned, non-moving shard, each pulled from a random co-owner.
     /// A node with no co-owned shards (singleton groups) simply idles.
@@ -103,9 +104,8 @@ pub(crate) fn gossip_loop<T: Transport>(
             Gossiped::Replica { replica, after_pull } => {
                 let Some(peer) = pick_peer(&mut rng, me, n_nodes) else { continue };
                 let mut transport = ChaosTransport::new(connect(peer), &mut links[peer.index()]);
-                if pull(&cfg, &mut MutexHost(replica), &mut transport).is_ok() {
-                    after_pull();
-                }
+                let _ = pull(&cfg, &mut MutexHost(replica), &mut transport);
+                after_pull();
             }
             Gossiped::Shards(node) => {
                 // Snapshot the plan under the lock, then exchange without it.
