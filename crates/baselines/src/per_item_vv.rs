@@ -11,7 +11,7 @@
 use epidb_common::costs::wire;
 use epidb_common::{Costs, Error, ItemId, NodeId, Result};
 use epidb_store::{ItemStore, UpdateOp};
-use epidb_vv::VvOrd;
+use epidb_vv::{row, VersionVector, VvOrd};
 
 use crate::protocol::{SyncProtocol, SyncReport};
 
@@ -71,7 +71,7 @@ impl SyncProtocol for PerItemVvCluster {
                 let local = self.nodes[recipient.index()].get(x)?;
                 let remote = self.nodes[source.index()].get(x)?;
                 let mut cmps = 0;
-                let ord = remote.ivv.compare_counted(&local.ivv, &mut cmps);
+                let ord = row::compare_counted(remote.ivv, local.ivv, &mut cmps);
                 self.costs[recipient.index()].vv_entry_cmps += cmps;
                 ord
             };
@@ -80,11 +80,11 @@ impl SyncProtocol for PerItemVvCluster {
                 VvOrd::Dominates => {
                     let (value, ivv) = {
                         let remote = self.nodes[source.index()].get(x)?;
-                        (remote.value.clone(), remote.ivv.clone())
+                        (remote.value.clone(), VersionVector::from_slice(remote.ivv))
                     };
                     copied_payload += value.len() as u64;
                     copied_control += wire::ITEM_ID;
-                    self.nodes[recipient.index()].adopt(x, value, ivv)?;
+                    self.nodes[recipient.index()].adopt(x, value, &ivv)?;
                     self.costs[recipient.index()].items_copied += 1;
                     report.items_copied += 1;
                 }

@@ -17,7 +17,8 @@
 //! cargo run --release -p epidb-bench --bin perf_report -- \
 //!     [--smoke] [--assert-zero-copy] [--assert-small-path] \
 //!     [--assert-sharded-gossip] [--assert-group-commit] \
-//!     [--assert-cold-start] [--assert-conn-reuse] [--out PATH]
+//!     [--assert-cold-start] [--assert-conn-reuse] [--assert-heap] \
+//!     [--out PATH]
 //! ```
 //!
 //! * `--smoke` — tiny sizes and budgets (CI: validates the harness and the
@@ -49,6 +50,13 @@
 //!   peer address and no more, a crash / revive of a peer costs the next
 //!   round to it exactly one transparent reconnect, and a shut-down
 //!   cluster leaves no stream parked.
+//! * `--assert-heap` — assert the resident-size gate, on live and peak
+//!   heap bytes: an empty `ItemStore` of 65,536 items at n = 3 holds at
+//!   most 56 B per item (its value column and an IVV arena exactly n wide)
+//!   plus 64 KiB; a `GroupWal` checkpoint of a 65,536 × 64 B replica
+//!   raises the peak at most 256 KiB above live (the snapshot streams, it
+//!   is never held whole); and `AsyncTcpCluster::shutdown` raises the peak
+//!   at most 64 KiB (replicas move out, they are not cloned).
 //! * `--out PATH` — where to write the report (default
 //!   `target/perf_report.json`).
 
@@ -67,34 +75,48 @@ use epidb_core::{
     Transport,
 };
 use epidb_durable::testdir::TempDir;
-use epidb_durable::DurabilityConfig;
+use epidb_durable::{DurabilityConfig, GroupWal, StreamSpec};
 use epidb_net::{
     pool, AsyncTcpCluster, AsyncTcpConfig, ShardedConfig, ShardedTcpCluster, TcpConfig,
     TcpTransport,
 };
-use epidb_store::UpdateOp;
+use epidb_store::{ItemStore, UpdateOp};
 
 // --- counting allocator -----------------------------------------------------
 
+/// Counts allocation calls and bytes, and tracks the live and peak live
+/// heap (a `realloc` counts as its old size freed, then its new size
+/// allocated).
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
+fn grew(by: usize) {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(by as u64, Ordering::Relaxed);
+    let live = LIVE.fetch_add(by as u64, Ordering::Relaxed) + by as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call forwards to `System` with the caller's own layout and
+// pointer; the counters are statistics and publish no other data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grew(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -104,6 +126,23 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn alloc_snapshot() -> (u64, u64) {
     (ALLOC_CALLS.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
+}
+
+/// Live heap bytes now.
+fn heap_live() -> u64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// Open a peak window: reset the peak to the live heap, and return it.
+fn heap_window() -> u64 {
+    let live = heap_live();
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
+/// How far the peak rose above `live` since [`heap_window`] returned it.
+fn heap_raised(live: u64) -> u64 {
+    PEAK.load(Ordering::Relaxed).saturating_sub(live)
 }
 
 // --- measurement loop -------------------------------------------------------
@@ -884,6 +923,81 @@ fn assert_conn_reuse() {
     );
 }
 
+/// The resident-size gate behind `--assert-heap`, three legs at
+/// `tcp_small`'s shape (n = 3, 65,536 items), each on live / peak heap
+/// bytes:
+/// * an empty `ItemStore` holds at most 56 B per item plus 64 KiB: its
+///   value column and one IVV arena exactly n wide, no per-item vector;
+/// * a `GroupWal` checkpoint of a replica of 64 B values raises the peak at
+///   most 256 KiB above live: the snapshot streams to disk in pieces and
+///   is never held whole, nor copied into a frame;
+/// * `AsyncTcpCluster::shutdown` raises the peak at most 64 KiB: the final
+///   replicas move out of their nodes, they are not cloned.
+fn assert_heap() {
+    const NODES: usize = 3;
+    const ITEMS: usize = 65_536;
+
+    let live = heap_live();
+    let store = ItemStore::new(NODES, ITEMS);
+    let held = heap_live().saturating_sub(live);
+    drop(store);
+    let bound = 56 * ITEMS as u64 + (64 << 10);
+    assert!(
+        held <= bound,
+        "heap regression: ItemStore::new({NODES}, {ITEMS}) holds {held} B > {bound} B \
+         ({:.1} B per item) — per-item control state is no longer an n-wide IVV row",
+        held as f64 / ITEMS as f64,
+    );
+
+    let tmp = TempDir::new("perf-heap-checkpoint");
+    let mut cfg = DurabilityConfig::new(tmp.path());
+    cfg.checkpoint_every = 0;
+    let spec = [StreamSpec { id: NodeId(0), n_nodes: NODES, n_items: ITEMS }];
+    let (wal, mut replicas, _) =
+        GroupWal::open(&cfg, tmp.path().join("node"), &spec, ConflictPolicy::Report, 0)
+            .expect("open group WAL");
+    for x in ItemId::all(ITEMS) {
+        replicas[0].update(x, UpdateOp::set(vec![x.0 as u8; 64])).expect("populate");
+    }
+    let live = heap_window();
+    wal.checkpoint(&[&replicas[0]]).expect("checkpoint");
+    let checkpoint = heap_raised(live);
+    drop((wal, replicas));
+    assert!(
+        checkpoint <= 256 << 10,
+        "heap regression: a checkpoint of {ITEMS} x 64 B raised the peak {checkpoint} B above \
+         live (> 256 KiB) — the snapshot is being materialised instead of streamed",
+    );
+
+    let config = AsyncTcpConfig {
+        base: TcpConfig { gossip_interval: Duration::from_secs(3600), ..TcpConfig::default() },
+        worker_threads: 2,
+    };
+    let cluster = AsyncTcpCluster::spawn(NODES, ITEMS, config).expect("spawn async cluster");
+    for x in ItemId::all(64) {
+        cluster
+            .update(NodeId::from_index(x.index() % NODES), x, UpdateOp::set(vec![1; 64]))
+            .expect("update");
+    }
+    let live = heap_window();
+    let finals = cluster.shutdown();
+    let shutdown = heap_raised(live);
+    assert!(finals.iter().all(|r| r.n_items() == ITEMS), "shutdown returns the full replicas");
+    drop(finals);
+    assert!(
+        shutdown <= 64 << 10,
+        "heap regression: AsyncTcpCluster::shutdown raised the peak {shutdown} B (> 64 KiB) — \
+         the final replicas are being copied instead of moved out",
+    );
+    eprintln!(
+        "perf_report: heap assertions hold (empty store {:.1} B/item; checkpoint +{} KiB over \
+         live; shutdown +{} KiB).",
+        held as f64 / ITEMS as f64,
+        checkpoint >> 10,
+        shutdown >> 10,
+    );
+}
+
 fn run_all(s: &Sizes) -> Vec<Measure> {
     vec![
         scenario_codec_frame("codec_frame_many_small", s, s.codec_m, s.codec_val, 0),
@@ -926,7 +1040,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: perf_report [--smoke] [--out PATH] [--assert-zero-copy] [--assert-small-path]\n\
          \x20      [--assert-sharded-gossip] [--assert-group-commit] [--assert-cold-start]\n\
-         \x20      [--assert-conn-reuse]"
+         \x20      [--assert-conn-reuse] [--assert-heap]"
     );
     std::process::exit(2);
 }
@@ -946,7 +1060,8 @@ fn main() {
             | "--assert-sharded-gossip"
             | "--assert-group-commit"
             | "--assert-cold-start"
-            | "--assert-conn-reuse" => flags.push(arg),
+            | "--assert-conn-reuse"
+            | "--assert-heap" => flags.push(arg),
             _ => usage(),
         }
     }
@@ -1047,6 +1162,12 @@ fn main() {
         // Parked connections: the count law of the socket runtimes, on
         // driven rounds (exact, independent of --smoke).
         assert_conn_reuse();
+    }
+
+    if has("--assert-heap") {
+        // Resident size: the IVV arena, the streamed checkpoint and the
+        // moving shutdown, on fixed sizes (independent of --smoke).
+        assert_heap();
     }
 
     let mut report = String::new();

@@ -420,8 +420,9 @@ impl Writer {
     }
 
     /// Finish and take the encoded bytes as one contiguous buffer.
-    /// Zero-copy when no value segments were appended (the common case for
-    /// requests and snapshots); otherwise assembles once.
+    /// Zero-copy when no value segments were appended (every value at most
+    /// [`INLINE_VALUE_MAX`] bytes, as in requests and in most small-valued
+    /// frames); otherwise assembles once, copying every segment.
     pub fn into_bytes(mut self) -> Vec<u8> {
         if self.chunks.is_empty() {
             self.ctl.truncate(self.pos);
@@ -562,6 +563,24 @@ impl Writer {
         self.raw(&other.ctl[other.mark..other.pos]);
     }
 
+    /// [`append`](Writer::append) without the copy: `other`'s control
+    /// buffer moves in as one shared allocation, each of its control runs
+    /// a segment of it, so appending a large encoded message costs a
+    /// refcount per run instead of a copy of its bytes.
+    pub fn append_owned(&mut self, mut other: Writer) {
+        other.ctl.truncate(other.pos);
+        let ctl = Bytes::from(std::mem::take(&mut other.ctl));
+        for chunk in &other.chunks {
+            match chunk {
+                Chunk::Ctl(r) => self.segment(&ctl.slice(r.clone())),
+                Chunk::Val(b) => self.segment(b),
+            }
+        }
+        if other.mark < other.pos {
+            self.segment(&ctl.slice(other.mark..other.pos));
+        }
+    }
+
     /// Record `v` as a shared segment after the control bytes so far.
     fn segment(&mut self, v: &Bytes) {
         if self.mark < self.pos {
@@ -671,12 +690,11 @@ fn decode_err(msg: impl Into<String>) -> Error {
 
 // --- version vectors ------------------------------------------------------
 
-/// Encode a version vector (bulk entry write).
+/// Encode a version vector, or a stored IVV row (bulk entry write).
 #[inline]
-pub fn put_vv(w: &mut Writer, vv: &VersionVector) {
-    let e = vv.entries();
-    w.u16(e.len() as u16);
-    w.u64_slice(e);
+pub fn put_vv(w: &mut Writer, vv: &[u64]) {
+    w.u16(vv.len() as u16);
+    w.u64_slice(vv);
 }
 
 /// Decode a version vector. Allocation-free for vectors up to the inline
@@ -2004,6 +2022,35 @@ mod tests {
         encode_response_to(&resp, &mut w);
         assert!(w.chunks().count() >= 3, "must actually exercise segmented output");
         assert_eq!(w.crc32(), crc32(&encode_response(&resp)));
+    }
+
+    #[test]
+    fn append_owned_moves_the_control_buffer_in() {
+        // Control runs around a shared value segment: moving the record in
+        // yields the bytes the copying `append` does.
+        let (resp, _) = large_oob(4096);
+        let mut record = Writer::new();
+        record.raw(&[7; 300]);
+        encode_response_to(&resp, &mut record);
+        let (mut copied, mut moved) = (Writer::new(), Writer::new());
+        copied.u32(1);
+        moved.u32(1);
+        copied.append(&record);
+        moved.append_owned(record);
+        copied.u8(2);
+        moved.u8(2);
+        assert_eq!(moved.len(), copied.len());
+        assert_eq!(moved.crc32(), copied.crc32());
+        assert_eq!(moved.into_bytes(), copied.into_bytes());
+
+        // The control bytes are a segment of the moved buffer, not a copy.
+        let mut big = Writer::new();
+        big.raw(&[1; 64 << 10]);
+        let ctl = big.ctl.as_ptr();
+        let mut queue = Writer::new();
+        queue.append_owned(big);
+        assert_eq!(queue.chunks().next().unwrap().as_ptr(), ctl);
+        assert!(!queue.outgrew(0), "nothing was copied into the queue's own buffer");
     }
 
     #[test]

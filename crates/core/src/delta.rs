@@ -190,7 +190,7 @@ impl Replica {
         // the items are.
         let mut offers = Vec::with_capacity(s_items.len());
         for &x in &s_items {
-            let ivv = self.store.get(x).expect("logged item exists").ivv.clone();
+            let ivv = VersionVector::from_slice(self.store.get(x).expect("logged item exists").ivv);
             offers.push((x, ivv));
         }
 
@@ -216,14 +216,16 @@ impl Replica {
             self.check_item(x)?;
             let mut cmps = 0;
             let ord = {
-                let local_ivv = &self.store.get(x)?.ivv;
+                let local_ivv = self.store.get(x)?.ivv;
                 remote_ivv.compare_counted(local_ivv, &mut cmps)
             };
             self.costs.vv_entry_cmps += cmps;
             match ord {
                 // The IVV is cloned only when the item actually goes on the
                 // want-list (it travels in message 3).
-                VvOrd::Dominates => request.wants.push((x, self.store.get(x)?.ivv.clone())),
+                VvOrd::Dominates => {
+                    request.wants.push((x, VersionVector::from_slice(self.store.get(x)?.ivv)))
+                }
                 VvOrd::Equal => {
                     self.counters.equal_receipts += 1;
                     self.costs.redundant_deliveries += 1;
@@ -248,7 +250,7 @@ impl Replica {
                         ConflictPolicy::Report => {
                             eval.conflicts += 1;
                             let offending = {
-                                let local_ivv = &self.store.get(x)?.ivv;
+                                let local_ivv = self.store.get(x)?.ivv;
                                 remote_ivv.offending_pair(local_ivv)
                             };
                             self.report_conflict(ConflictEvent {
@@ -261,7 +263,8 @@ impl Replica {
                             eval.refused.insert(x);
                         }
                         ConflictPolicy::ResolveLww => {
-                            request.wants.push((x, self.store.get(x)?.ivv.clone()))
+                            let local_ivv = VersionVector::from_slice(self.store.get(x)?.ivv);
+                            request.wants.push((x, local_ivv))
                         }
                     }
                 }
@@ -299,7 +302,7 @@ impl Replica {
                 .filter(|ops| ops.iter().map(|c| c.op.payload_len()).sum::<usize>() <= value_len);
             if let Some(ops) = chain {
                 self.costs.log_records_examined += ops.len() as u64;
-                let final_ivv = self.store.get(*x)?.ivv.clone();
+                let final_ivv = VersionVector::from_slice(self.store.get(*x)?.ivv);
                 payload.items.push(DeltaItem::Ops { item: *x, ops, final_ivv });
             } else {
                 self.costs.items_scanned += 1;
@@ -368,8 +371,8 @@ impl Replica {
                     // raced between messages 3 and 4 — fall back by
                     // refusing now, a later pull repairs it.
                     let chain_ok = {
-                        let local_ivv = &self.store.get(x)?.ivv;
-                        ops.first().map(|c| &c.pre_vv == local_ivv).unwrap_or(false)
+                        let local_ivv = self.store.get(x)?.ivv;
+                        ops.first().map(|c| &c.pre_vv[..] == local_ivv).unwrap_or(false)
                             && final_ivv.compare(local_ivv) == VvOrd::Dominates
                     };
                     if !chain_ok {
@@ -383,9 +386,11 @@ impl Replica {
                     let prev_ivv = {
                         let stored = self.store.get_mut(x)?;
                         for c in &ops {
-                            c.op.apply(&mut stored.value);
+                            c.op.apply(stored.value);
                         }
-                        std::mem::replace(&mut stored.ivv, final_ivv)
+                        let prev_ivv = VersionVector::from_slice(stored.ivv);
+                        stored.ivv.copy_from_slice(&final_ivv);
+                        prev_ivv
                     };
                     if record_cache {
                         // Extend the local chain so this replica can relay
@@ -395,10 +400,7 @@ impl Replica {
                             self.op_cache.record(x, c.pre_vv, c.op);
                         }
                     }
-                    {
-                        let cur_ivv = &self.store.get(x)?.ivv;
-                        self.dbvv.absorb_item_copy(&prev_ivv, cur_ivv)?;
-                    }
+                    self.dbvv.absorb_item_copy(&prev_ivv, &final_ivv)?;
                     self.costs.items_copied += 1;
                     outcome.copied.push(x);
                     self.trace_record(

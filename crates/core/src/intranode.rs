@@ -5,7 +5,7 @@
 use epidb_common::trace::{OrdTag, TraceStep};
 use epidb_common::{ConflictEvent, ConflictSite, ItemId};
 use epidb_log::LogRecord;
-use epidb_vv::VvOrd;
+use epidb_vv::{row, VersionVector, VvOrd};
 
 use crate::replica::Replica;
 
@@ -42,9 +42,9 @@ impl Replica {
                 let Some(earliest) = self.aux_log.earliest(x) else {
                     // No more records for x: final catch-up check.
                     let aux_ivv = &self.aux_items[&x].ivv;
-                    let reg_ivv = &self.store.get(x).expect("item exists").ivv;
+                    let reg_ivv = self.store.get(x).expect("item exists").ivv;
                     let mut cmps = 0;
-                    let ord = reg_ivv.compare_counted(aux_ivv, &mut cmps);
+                    let ord = row::compare_counted(reg_ivv, aux_ivv, &mut cmps);
                     self.costs.vv_entry_cmps += cmps;
                     // Conflict detection is deferred to AcceptPropagation
                     // here (§5.1): only the dominates-or-equal case acts.
@@ -64,8 +64,8 @@ impl Replica {
 
                 let mut cmps = 0;
                 let ord = {
-                    let reg_ivv = &self.store.get(x).expect("item exists").ivv;
-                    reg_ivv.compare_counted(&earliest.vv, &mut cmps)
+                    let reg_ivv = self.store.get(x).expect("item exists").ivv;
+                    row::compare_counted(reg_ivv, &earliest.vv, &mut cmps)
                 };
                 self.costs.vv_entry_cmps += cmps;
                 match ord {
@@ -74,13 +74,15 @@ impl Replica {
                         // was applied on: replay it as a local update.
                         let rec = self.aux_log.pop_earliest(x).expect("checked");
                         let pre_vv = if self.op_cache.is_enabled() {
-                            Some(self.store.get(x).expect("item exists").ivv.clone())
+                            Some(VersionVector::from_slice(
+                                self.store.get(x).expect("item exists").ivv,
+                            ))
                         } else {
                             None
                         };
                         let item = self.store.get_mut(x).expect("item exists");
-                        rec.op.apply(&mut item.value);
-                        item.ivv.bump(self.id);
+                        rec.op.apply(item.value);
+                        row::bump(item.ivv, self.id);
                         let m = self.dbvv.record_local_update(self.id);
                         self.log.add_record(self.id, LogRecord { item: x, m });
                         if let Some(pre_vv) = pre_vv {
@@ -93,8 +95,8 @@ impl Replica {
                     VvOrd::Concurrent => {
                         // There exist inconsistent replicas of x (Fig. 4).
                         let offending = {
-                            let reg_ivv = &self.store.get(x).expect("item exists").ivv;
-                            reg_ivv.offending_pair(&earliest.vv)
+                            let reg_ivv = self.store.get(x).expect("item exists").ivv;
+                            row::offending_pair(reg_ivv, &earliest.vv)
                         };
                         self.report_conflict(ConflictEvent {
                             item: x,

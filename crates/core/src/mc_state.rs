@@ -325,7 +325,7 @@ mod tests {
         let mut cached = r.clone();
         cached.op_cache.record(
             ItemId(1),
-            r.item_ivv(ItemId(1)).unwrap().clone(),
+            epidb_vv::VersionVector::from_slice(r.item_ivv(ItemId(1)).unwrap()),
             UpdateOp::set(&b"op"[..]),
         );
         assert_ne!(cached.fingerprint(), base);

@@ -63,8 +63,8 @@ impl Replica {
         let mut cmps = 0;
         let ord = {
             let local_ivv = match self.aux_items.get(&x) {
-                Some(aux) => &aux.ivv,
-                None => &self.store.get(x)?.ivv,
+                Some(aux) => &aux.ivv[..],
+                None => self.store.get(x)?.ivv,
             };
             reply.ivv.compare_counted(local_ivv, &mut cmps)
         };
@@ -85,8 +85,8 @@ impl Replica {
             VvOrd::Concurrent => {
                 let offending = {
                     let local_ivv = match self.aux_items.get(&x) {
-                        Some(aux) => &aux.ivv,
-                        None => &self.store.get(x)?.ivv,
+                        Some(aux) => &aux.ivv[..],
+                        None => self.store.get(x)?.ivv,
                     };
                     reply.ivv.offending_pair(local_ivv)
                 };

@@ -45,7 +45,7 @@
 
 use std::fmt;
 
-use epidb_vv::VvOrd;
+use epidb_vv::{VersionVector, VvOrd};
 
 use epidb_common::{InvariantViolation, NodeId};
 
@@ -214,15 +214,16 @@ pub fn check_aux_dominance(replica: &Replica) -> Result<(), InvariantViolation> 
         return Ok(());
     }
     for (&x, aux) in &replica.aux_items {
-        let reg = &replica.store.get(x).expect("aux item exists in store").ivv;
-        if reg.compare(&aux.ivv) == VvOrd::Dominates {
+        let reg = replica.store.get(x).expect("aux item exists in store").ivv;
+        if aux.ivv.compare(reg) == VvOrd::DominatedBy {
             return Err(violation(
                 replica,
                 AuditCheck::AuxDominance,
                 format!(
                     "auxiliary copy of {x} (IVV {}) is older than the regular copy \
                      (IVV {}) with no conflict declared",
-                    aux.ivv, reg
+                    aux.ivv,
+                    VersionVector::from_slice(reg)
                 ),
             ));
         }

@@ -15,8 +15,6 @@
 //! local update, so the merged copy dominates both parents and wins
 //! everywhere through normal propagation.
 
-use epidb_vv::VersionVector;
-
 /// What a replica does when `AcceptPropagation` detects inconsistent
 /// copies.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -42,17 +40,19 @@ pub enum ConflictPolicy {
 /// installs whichever copy won.
 pub fn lww_remote_wins(
     local_value: &[u8],
-    local_ivv: &VersionVector,
+    local_ivv: &[u64],
     remote_value: &[u8],
-    remote_ivv: &VersionVector,
+    remote_ivv: &[u64],
 ) -> bool {
-    let lt = local_ivv.total();
-    let rt = remote_ivv.total();
+    let lt: u64 = local_ivv.iter().sum();
+    let rt: u64 = remote_ivv.iter().sum();
     rt > lt || (rt == lt && remote_value > local_value)
 }
 
 #[cfg(test)]
 mod tests {
+    use epidb_vv::VersionVector;
+
     use super::*;
 
     fn vv(e: &[u64]) -> VersionVector {

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use epidb_common::trace::{OrdTag, TraceStep};
 use epidb_common::{ConflictEvent, ConflictSite, ItemId, NodeId, Result};
 use epidb_log::LogRecord;
-use epidb_vv::DbVersionVector;
+use epidb_vv::{row, DbVersionVector, VersionVector};
 
 use crate::engine::{Engine, LocalTransport};
 use crate::messages::{PropagationPayload, PropagationResponse, ShippedItem};
@@ -186,7 +186,7 @@ impl Replica {
             let mut cmps = 0;
             let ord = {
                 let local = self.store.get(x).expect("checked");
-                shipped.ivv.compare_counted(&local.ivv, &mut cmps)
+                shipped.ivv.compare_counted(local.ivv, &mut cmps)
             };
             self.costs.vv_entry_cmps += cmps;
             match ord {
@@ -194,11 +194,9 @@ impl Replica {
                     // Received copy is strictly newer: adopt it and apply
                     // DBVV maintenance rule 3. Whole-item adoption breaks
                     // the local operation chain for delta propagation.
-                    {
-                        let local = self.store.get(x).expect("checked");
-                        self.dbvv.absorb_item_copy(&local.ivv, &shipped.ivv)?;
-                    }
-                    self.store.adopt(x, shipped.value.into(), shipped.ivv)?;
+                    let local = self.store.get(x).expect("checked");
+                    self.dbvv.absorb_item_copy(local.ivv, &shipped.ivv)?;
+                    self.store.adopt(x, shipped.value.into(), &shipped.ivv)?;
                     self.op_cache.clear_item(x);
                     self.costs.items_copied += 1;
                     outcome.copied.push(x);
@@ -241,7 +239,7 @@ impl Replica {
                     outcome.conflicts += 1;
                     let offending = {
                         let local = self.store.get(x).expect("checked");
-                        shipped.ivv.offending_pair(&local.ivv)
+                        shipped.ivv.offending_pair(local.ivv)
                     };
                     self.report_conflict(ConflictEvent {
                         item: x,
@@ -256,7 +254,7 @@ impl Replica {
                             // `Replica::debug_break_conflict_adopt`): adopt
                             // the concurrent copy with no DBVV absorb,
                             // breaking maintenance rule 3.
-                            self.store.adopt(x, shipped.value.into(), shipped.ivv)?;
+                            self.store.adopt(x, shipped.value.into(), &shipped.ivv)?;
                             self.op_cache.clear_item(x);
                             self.costs.items_copied += 1;
                             outcome.copied.push(x);
@@ -329,25 +327,20 @@ impl Replica {
     /// and record the resolution as a fresh local update so it dominates
     /// both parents. Returns the `m` of the resolution's log record.
     pub(crate) fn resolve_lww(&mut self, x: ItemId, shipped: &ShippedItem) -> Result<u64> {
-        let local_ivv = self.store.get(x)?.ivv.clone();
-        let mut merged = local_ivv.clone();
+        let local = self.store.get(x)?;
+        let mut merged = VersionVector::from_slice(local.ivv);
         merged.merge_max(&shipped.ivv)?;
-        self.dbvv.absorb_item_copy(&local_ivv, &merged)?;
-        let remote_wins = {
-            let it = self.store.get(x)?;
-            lww_remote_wins(it.value.as_bytes(), &local_ivv, &shipped.value, &shipped.ivv)
-        };
-        if remote_wins {
+        self.dbvv.absorb_item_copy(local.ivv, &merged)?;
+        if lww_remote_wins(local.value.as_bytes(), local.ivv, &shipped.value, &shipped.ivv) {
             // Refcount bump: the shipped value is already a shared buffer.
-            self.store.adopt(x, shipped.value.clone().into(), merged)?;
+            self.store.adopt(x, shipped.value.clone().into(), &merged)?;
         } else {
             // Local value survives in place; only the IVV merges.
-            self.store.get_mut(x)?.ivv = merged;
+            self.store.get_mut(x)?.ivv.copy_from_slice(&merged);
         }
         self.op_cache.clear_item(x);
         // The resolution is a new update performed here.
-        let it = self.store.get_mut(x)?;
-        it.ivv.bump(self.id);
+        row::bump(self.store.get_mut(x)?.ivv, self.id);
         let m = self.dbvv.record_local_update(self.id);
         self.log.add_record(self.id, LogRecord { item: x, m });
         self.counters.lww_resolutions += 1;

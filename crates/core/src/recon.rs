@@ -178,16 +178,14 @@ impl Replica {
             let mut cmps = 0;
             let ord = {
                 let local = self.store.get(x).expect("checked");
-                shipped.ivv.compare_counted(&local.ivv, &mut cmps)
+                shipped.ivv.compare_counted(local.ivv, &mut cmps)
             };
             self.costs.vv_entry_cmps += cmps;
             match ord {
                 epidb_vv::VvOrd::Dominates => {
-                    {
-                        let local = self.store.get(x).expect("checked");
-                        self.dbvv.absorb_item_copy(&local.ivv, &shipped.ivv)?;
-                    }
-                    self.store.adopt(x, shipped.value.into(), shipped.ivv)?;
+                    let local = self.store.get(x).expect("checked");
+                    self.dbvv.absorb_item_copy(local.ivv, &shipped.ivv)?;
+                    self.store.adopt(x, shipped.value.into(), &shipped.ivv)?;
                     self.op_cache.clear_item(x);
                     self.costs.items_copied += 1;
                     outcome.copied.push(x);
@@ -226,7 +224,7 @@ impl Replica {
                     outcome.conflicts += 1;
                     let offending = {
                         let local = self.store.get(x).expect("checked");
-                        shipped.ivv.offending_pair(&local.ivv)
+                        shipped.ivv.offending_pair(local.ivv)
                     };
                     self.report_conflict(ConflictEvent {
                         item: x,
@@ -242,7 +240,7 @@ impl Replica {
                     };
                     match self.policy {
                         ConflictPolicy::Report if self.debug_adopt_conflicts => {
-                            self.store.adopt(x, shipped.value.into(), shipped.ivv)?;
+                            self.store.adopt(x, shipped.value.into(), &shipped.ivv)?;
                             self.op_cache.clear_item(x);
                             self.costs.items_copied += 1;
                             outcome.copied.push(x);

@@ -227,6 +227,15 @@ impl Replica {
         }
     }
 
+    /// Move the replica out, leaving a stand-in of the same id and server
+    /// set that holds no items. Lets a runtime give up a replica it keeps
+    /// behind a lock without cloning it, or drop it before building its
+    /// replacement, so the two are never resident at once.
+    pub fn take(&mut self) -> Replica {
+        let stand_in = Replica::new(self.id, self.n_nodes(), 0);
+        std::mem::replace(self, stand_in)
+    }
+
     /// This replica's server id.
     pub fn id(&self) -> NodeId {
         self.id
@@ -286,7 +295,7 @@ impl Replica {
             return Ok(());
         }
         let pre_vv = if self.op_cache.is_enabled() {
-            Some(self.store.get(x)?.ivv.clone())
+            Some(VersionVector::from_slice(self.store.get(x)?.ivv))
         } else {
             self.check_item(x)?;
             None
@@ -310,17 +319,19 @@ impl Replica {
         if let Some(aux) = self.aux_items.get(&x) {
             return Ok(&aux.value);
         }
-        Ok(&self.store.get(x)?.value)
+        self.store.value(x)
     }
 
     /// The regular copy's value (what scheduled propagation ships).
     pub fn read_regular(&self, x: ItemId) -> Result<&ItemValue> {
-        Ok(&self.store.get(x)?.value)
+        self.store.value(x)
     }
 
-    /// The regular copy's IVV.
-    pub fn item_ivv(&self, x: ItemId) -> Result<&VersionVector> {
-        Ok(&self.store.get(x)?.ivv)
+    /// The regular copy's IVV: its row of the store's IVV arena, exactly
+    /// `n` entries. Compare it with [`epidb_vv::row`], or with a
+    /// [`VersionVector`]'s methods.
+    pub fn item_ivv(&self, x: ItemId) -> Result<&[u64]> {
+        Ok(self.store.get(x)?.ivv)
     }
 
     /// The auxiliary copy of `x`, if the item is currently out-of-bound
@@ -618,7 +629,7 @@ mod tests {
         r.update(ItemId(0), UpdateOp::set(&b"w"[..])).unwrap();
 
         assert_eq!(r.read(ItemId(2)).unwrap().as_bytes(), b"v1+");
-        assert_eq!(r.item_ivv(ItemId(2)).unwrap().get(NodeId(0)), 2);
+        assert_eq!(r.item_ivv(ItemId(2)).unwrap(), &[2, 0, 0]);
         assert_eq!(r.dbvv().get(NodeId(0)), 3);
         // Log retains only the latest record per item.
         assert_eq!(r.log().component_len(NodeId(0)), 2);

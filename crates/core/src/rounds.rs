@@ -266,7 +266,7 @@ impl Round {
             // are stable) and put them back at the head of the queue.
             let mut unserved = f.ids[served..]
                 .iter()
-                .map(|&x| Ok((x, initiator.store.get(x)?.ivv.clone())))
+                .map(|&x| Ok((x, VersionVector::from_slice(initiator.store.get(x)?.ivv))))
                 .collect::<Result<Vec<_>>>()?;
             unserved.append(&mut f.remaining);
             f.remaining = unserved;

@@ -41,10 +41,58 @@ fn corrupt(e: Error) -> Error {
     }
 }
 
+/// Encoded bytes [`Replica::write_snapshot`] gathers before each call of
+/// its `emit`: a checkpoint's transient buffer, whatever the replica's size.
+pub const SNAPSHOT_PIECE: usize = 64 << 10;
+
 impl Replica {
-    /// Serialize the replica's durable state.
+    /// Serialize the replica's durable state in pieces of about
+    /// [`SNAPSHOT_PIECE`] bytes. `emit` sees each piece in order (as
+    /// [`Writer::chunks`]: control runs, and large shared values by
+    /// reference); their concatenation is byte for byte
+    /// [`to_snapshot`](Self::to_snapshot). One writer is reused for every
+    /// piece, so encoding a replica of any size holds one piece at a time.
+    /// The first error `emit` returns stops the encode and is returned.
+    pub fn write_snapshot<E>(
+        &self,
+        mut emit: impl FnMut(&Writer) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        // Headroom past the flush mark for the item that crosses it.
+        let mut w = Writer::with_capacity(SNAPSHOT_PIECE + (4 << 10));
+        self.encode_snapshot(&mut w, SNAPSHOT_PIECE, &mut emit)?;
+        if w.is_empty() {
+            return Ok(());
+        }
+        emit(&w)
+    }
+
+    /// Serialize the replica's durable state into one buffer: what
+    /// [`write_snapshot`](Self::write_snapshot) emits, collected. Holds the
+    /// whole encoded replica at once; checkpoints stream instead.
     pub fn to_snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        let no_pieces = &mut |_: &Writer| Ok::<(), std::convert::Infallible>(());
+        match self.encode_snapshot(&mut w, usize::MAX, no_pieces) {
+            Ok(()) => w.into_bytes(),
+            Err(never) => match never {},
+        }
+    }
+
+    /// Encode into `w`, handing it to `emit` and clearing it whenever it
+    /// holds `piece` bytes or more; the remainder is left in `w`.
+    fn encode_snapshot<E>(
+        &self,
+        w: &mut Writer,
+        piece: usize,
+        emit: &mut impl FnMut(&Writer) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let mut flush = |w: &mut Writer| {
+            if w.len() >= piece {
+                emit(w)?;
+                w.clear();
+            }
+            Ok(())
+        };
         w.bytes(SNAPSHOT_MAGIC);
         w.u8(CODEC_VERSION);
         w.u16(self.id.0);
@@ -54,7 +102,7 @@ impl Replica {
             ConflictPolicy::Report => 0,
             ConflictPolicy::ResolveLww => 1,
         });
-        put_dbvv(&mut w, &self.dbvv);
+        put_dbvv(w, &self.dbvv);
 
         // Regular copies. Values go through `Writer::value` (wire-identical
         // to `Writer::bytes`): large shared values become refcounted
@@ -62,7 +110,8 @@ impl Replica {
         for x in ItemId::all(self.n_items()) {
             let item = self.store.get(x).expect("dense items");
             w.value(&item.value.to_bytes());
-            put_vv(&mut w, &item.ivv);
+            put_vv(w, item.ivv);
+            flush(w)?;
         }
 
         // Log vector, per origin, head-to-tail.
@@ -71,6 +120,7 @@ impl Replica {
             for rec in self.log.iter_component(j) {
                 w.u32(rec.item.0);
                 w.u64(rec.m);
+                flush(w)?;
             }
         }
 
@@ -80,15 +130,17 @@ impl Replica {
         for (x, item) in &self.aux_items {
             w.u32(x.0);
             w.value(&item.value.to_bytes());
-            put_vv(&mut w, &item.ivv);
+            put_vv(w, &item.ivv);
+            flush(w)?;
         }
 
         // Auxiliary log, arrival order.
         w.u32(self.aux_log.len() as u32);
         for rec in self.aux_log.iter() {
             w.u32(rec.item.0);
-            put_vv(&mut w, &rec.vv);
-            put_op(&mut w, &rec.op);
+            put_vv(w, &rec.vv);
+            put_op(w, &rec.op);
+            flush(w)?;
         }
 
         // Log retention and the coverage floor (§4.2 compaction state). The
@@ -98,8 +150,7 @@ impl Replica {
         for k in NodeId::all(self.n_nodes()) {
             w.u64(self.floor[k.index()]);
         }
-
-        w.into_bytes()
+        Ok(())
     }
 
     /// Recover a replica from a snapshot. Every failure — bad magic,
@@ -110,10 +161,17 @@ impl Replica {
     }
 
     /// Recover a replica from a refcounted snapshot frame. Identical to
-    /// [`Replica::from_snapshot`] except that item values larger than the
-    /// inline threshold alias the frame (sub-views, refcount bumps) instead
-    /// of being copied — recovering a large replica allocates no per-item
-    /// value buffers.
+    /// [`Replica::from_snapshot`] except that *every* value — regular,
+    /// auxiliary, and in auxiliary-log operations, whatever its size —
+    /// aliases the frame (a sub-view, a refcount bump) instead of being
+    /// copied, so recovering a large replica allocates no per-item value
+    /// buffers.
+    ///
+    /// The price is pinning: the whole frame stays allocated until the
+    /// last value aliasing it is gone, i.e. until every recovered item has
+    /// been overwritten (a value rewritten in place copies on write, and
+    /// the copy no longer aliases). A recovered replica therefore holds
+    /// its snapshot buffer next to any values written since.
     pub fn from_snapshot_shared(frame: &Bytes) -> Result<Replica> {
         Replica::decode_snapshot(Reader::shared(frame)).map_err(corrupt)
     }
@@ -151,7 +209,7 @@ impl Replica {
             if ivv.len() != n_nodes {
                 return Err(Error::DimensionMismatch { left: n_nodes, right: ivv.len() });
             }
-            replica.store.adopt(x, value, ivv)?;
+            replica.store.adopt(x, value, &ivv)?;
         }
 
         for j in NodeId::all(n_nodes) {
@@ -343,6 +401,62 @@ mod tests {
         assert_eq!(restored.coverage_floor(), &[4, 0, 0]);
         assert_replicas_equal(&r, &restored);
         restored.check_invariants().unwrap();
+    }
+
+    /// Every snapshot section populated, `n_items` regular copies with
+    /// values on both sides of the 128 B inline threshold.
+    fn rich_replica(n_items: usize) -> Replica {
+        let mut a = Replica::new(NodeId(0), 3, n_items);
+        let mut b = Replica::new(NodeId(1), 3, n_items);
+        for x in ItemId::all(n_items) {
+            a.update(x, UpdateOp::set(vec![x.0 as u8; (x.index() * 37) % 300])).unwrap();
+        }
+        pull(&mut b, &mut a).unwrap();
+        b.set_log_retention(n_items / 2);
+        a.update(ItemId(1), UpdateOp::append(&b"+new"[..])).unwrap();
+        oob_copy(&mut b, &mut a, ItemId(1)).unwrap();
+        b.update(ItemId(1), UpdateOp::append(vec![7; 200])).unwrap();
+        b.update(ItemId(1), UpdateOp::append(&b"+aux"[..])).unwrap();
+        assert!(b.coverage_floor()[0] > 0 && b.aux_log().len() == 2);
+        b
+    }
+
+    #[test]
+    fn streamed_pieces_concatenate_to_the_snapshot() {
+        let mut sizes = Vec::new();
+        for n_items in [2, 330, 345, 360, 375, 390, 3000] {
+            let r = rich_replica(n_items);
+            let whole = r.to_snapshot();
+            let mut pieces: Vec<Vec<u8>> = Vec::new();
+            r.write_snapshot(|w| {
+                pieces.push(w.chunks().flatten().copied().collect());
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            assert!(pieces.concat() == whole, "{n_items} items: pieces differ");
+            let (last, full) = pieces.split_last().unwrap();
+            assert!(!last.is_empty());
+            for p in full {
+                assert!((SNAPSHOT_PIECE..SNAPSHOT_PIECE + 1024).contains(&p.len()), "{}", p.len());
+            }
+            sizes.push(whole.len());
+        }
+        assert!(
+            sizes.iter().any(|&s| s < SNAPSHOT_PIECE) && sizes.iter().any(|&s| s > SNAPSHOT_PIECE)
+        );
+
+        // The first error stops the encode.
+        let r = rich_replica(3000);
+        let mut calls = 0;
+        let out = r.write_snapshot(|_| {
+            calls += 1;
+            if calls == 2 {
+                Err("disk full")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((out, calls), (Err("disk full"), 2));
     }
 
     #[test]

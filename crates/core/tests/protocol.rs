@@ -7,7 +7,7 @@
 use epidb_common::{ConflictSite, ItemId, NodeId};
 use epidb_core::{oob_copy, pull, ConflictPolicy, OobOutcome, PullOutcome, Replica};
 use epidb_store::UpdateOp;
-use epidb_vv::VvOrd;
+use epidb_vv::{row, VvOrd};
 
 fn cluster(n_nodes: usize, n_items: usize) -> Vec<Replica> {
     (0..n_nodes).map(|i| Replica::new(NodeId::from_index(i), n_nodes, n_items)).collect()
@@ -234,7 +234,7 @@ fn lww_policy_resolves_and_converges() {
     // larger bytes win) and dominates both parents.
     assert_eq!(b.read(ItemId(2)).unwrap().as_bytes(), b"zz");
     assert_eq!(
-        b.item_ivv(ItemId(2)).unwrap().compare(a.item_ivv(ItemId(2)).unwrap()),
+        row::compare(b.item_ivv(ItemId(2)).unwrap(), a.item_ivv(ItemId(2)).unwrap()),
         VvOrd::Dominates
     );
     // A pulls the resolution; the cluster converges.
@@ -497,7 +497,10 @@ fn lww_resolution_re_syncs_cleanly_with_third_node() {
     pull_pair(&mut c, 1, 0);
     assert_eq!(c[1].counters().lww_resolutions, 1);
     // The resolution strictly dominates both parents.
-    assert_eq!(c[1].item_ivv(x).unwrap().compare(c[0].item_ivv(x).unwrap()), VvOrd::Dominates);
+    assert_eq!(
+        row::compare(c[1].item_ivv(x).unwrap(), c[0].item_ivv(x).unwrap()),
+        VvOrd::Dominates
+    );
     let resolved = c[1].read_regular(x).unwrap().as_bytes().to_vec();
 
     // A third node syncs from the resolver and adopts the resolved copy.

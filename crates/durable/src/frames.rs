@@ -6,8 +6,11 @@
 //! them is a torn write (clean truncation point); a frame that passes them
 //! but fails to decode is genuine corruption (typed error, never silent).
 
+use std::io::{self, ErrorKind, IoSlice, Write};
+
 use bytes::Bytes;
-use epidb_core::codec::{crc32, Writer};
+use epidb_core::codec::{crc32, Crc32, Writer};
+use epidb_core::Replica;
 
 /// Bytes of frame header preceding each body (`len` + `crc`).
 pub const WAL_FRAME_HEADER: usize = 8;
@@ -36,6 +39,42 @@ pub fn write_frame(body: &[u8]) -> Vec<u8> {
 /// `write_frame(&w.into_bytes())`.
 pub(crate) fn writer_frame_header(w: &Writer) -> [u8; WAL_FRAME_HEADER] {
     frame_header(w.len(), w.crc32())
+}
+
+/// Write everything `w` holds, in order, with vectored writes that resume
+/// after short ones.
+pub(crate) fn write_chunks(out: &mut impl Write, w: &Writer) -> io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> = w.chunks().map(IoSlice::new).collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match out.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Stream `replica`'s snapshot into `out` as one frame, without ever
+/// holding it whole: an all-zero placeholder header first, then the body
+/// piece by piece ([`Replica::write_snapshot`]) under a running CRC.
+/// Returns the real header, which the caller writes over the placeholder
+/// (at offset 0) to make the output byte for byte
+/// `write_frame(&replica.to_snapshot())`.
+pub(crate) fn stream_snapshot(
+    out: &mut impl Write,
+    replica: &Replica,
+) -> io::Result<[u8; WAL_FRAME_HEADER]> {
+    out.write_all(&[0; WAL_FRAME_HEADER])?;
+    let (mut len, mut crc) = (0, Crc32::new());
+    replica.write_snapshot(|piece| {
+        len += piece.len();
+        piece.chunks().for_each(|chunk| crc.update(chunk));
+        write_chunks(out, piece)
+    })?;
+    Ok(frame_header(len, crc.finish()))
 }
 
 /// The result of scanning a frame sequence from byte 0.

@@ -23,8 +23,10 @@
 //! length and checksum are computed over the encoded record's chunks,
 //! then the header and control bytes are copied once into the queue's
 //! buffer, and values above `INLINE_VALUE_MAX` ride along as shared
-//! segments until the leader's vectored write. The leader hands the
-//! buffer back for the next batch when it is at most 16 KiB. Bodies are
+//! segments until the leader's vectored write. A record whose control
+//! buffer is over 16 KiB is not copied: the buffer itself moves into the
+//! queue. The leader hands the queue's buffer back for the next batch when
+//! it is at most 16 KiB. Bodies are
 //! demultiplexed by a leading [`GROUP_RECORD_TAG`] byte and a `stream`
 //! index, so one generation scan recovers every stream. Checkpoints
 //! snapshot *all* streams (`snap-<g>-<k>.epdb`) and roll the shared WAL
@@ -33,7 +35,6 @@
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
-use std::io::{ErrorKind, IoSlice, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -44,11 +45,11 @@ use epidb_core::codec::{Reader, Writer};
 use epidb_core::journal::{get_mutation, put_mutation};
 use epidb_core::{ConflictPolicy, Mutation, MutationSink, Replica, SinkHandle};
 
-use crate::frames::{write_frame, writer_frame_header, WAL_FRAME_HEADER};
+use crate::frames::{write_chunks, write_frame, writer_frame_header, WAL_FRAME_HEADER};
 use crate::header::{encode_header, WalHeader};
 use crate::node::{
-    atomic_write, fsync_dir, io_err, list_generations, load_snapshot, open_wal, scan_wals,
-    wal_path, DurabilityConfig,
+    fsync_dir, io_err, list_generations, load_snapshot, open_wal, scan_wals, wal_path,
+    write_snapshot_file, DurabilityConfig,
 };
 
 /// First byte of a group WAL record body: distinguishes multiplexed
@@ -127,7 +128,8 @@ struct GroupState {
     wal: Option<Arc<File>>,
     /// Encoded frames enqueued but not yet taken by a leader: frame
     /// headers and control bytes inline, values above `INLINE_VALUE_MAX`
-    /// as shared segments.
+    /// and the control buffers of records over `PENDING_KEEP` as shared
+    /// segments.
     pending: Writer,
     /// Records inside `pending`.
     pending_records: u64,
@@ -213,8 +215,10 @@ impl MutationSink for GroupSink {
         let w = encode_record(self.stream, m);
         // Length and checksum outside the lock; under it, the frame goes
         // straight into the commit queue: control bytes copied once, large
-        // values by reference until a leader writes them. No thread is
-        // woken: whoever waits for the record writes it.
+        // values by reference until a leader writes them. A record whose
+        // control bytes outgrow `PENDING_KEEP` (a many-item propagation)
+        // is not copied at all: its buffer moves into the queue. No thread
+        // is woken: whoever waits for the record writes it.
         let header = writer_frame_header(&w);
         let frame_len = WAL_FRAME_HEADER + w.len();
         let mut st = self.shared.state.lock().unwrap();
@@ -227,7 +231,11 @@ impl MutationSink for GroupSink {
         }
         assert!(st.wal.is_some(), "durable: group WAL is closed");
         st.pending.raw(&header);
-        st.pending.append(&w);
+        if w.outgrew(PENDING_KEEP) {
+            st.pending.append_owned(w);
+        } else {
+            st.pending.append(&w);
+        }
         st.pending_records += 1;
         st.appended_seq += 1;
         st.wal_records += 1;
@@ -299,16 +307,7 @@ impl Shared {
     /// Write a batch with vectored writes, resuming after short ones, then
     /// `sync_data` when fsync is on.
     fn write_batch(&self, mut file: &File, batch: &Writer) -> std::io::Result<()> {
-        let mut slices: Vec<IoSlice<'_>> = batch.chunks().map(IoSlice::new).collect();
-        let mut rest = &mut slices[..];
-        while !rest.is_empty() {
-            match file.write_vectored(rest) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut rest, n),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+        write_chunks(&mut file, batch)?;
         if self.fsync {
             file.sync_data()?;
             self.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -531,7 +530,7 @@ impl GroupWal {
         let next = st.generation + 1;
         for (stream, replica) in replicas.iter().enumerate() {
             let snap = group_snap_path(&self.shared.dir, next, stream);
-            atomic_write(&self.shared.dir, &snap, &write_frame(&replica.to_snapshot()))?;
+            write_snapshot_file(&self.shared.dir, &snap, replica)?;
         }
 
         let (wal, wal_bytes) = open_wal(&self.shared.dir, next, &st.header_frame, 0)?;
@@ -636,10 +635,14 @@ fn decode_group_record(body: &Bytes, n_streams: usize) -> Result<(usize, Mutatio
 
 #[cfg(test)]
 mod tests {
+    use std::io::{self, Write};
+
     use super::*;
+    use crate::frames::stream_snapshot;
+    use crate::node::{atomic_write_with, NodeDurability};
     use crate::testdir::TempDir;
     use epidb_common::ItemId;
-    use epidb_core::{PropagationPayload, ShippedItem};
+    use epidb_core::{oob_copy, pull, PropagationPayload, ShippedItem};
     use epidb_store::UpdateOp;
     use epidb_vv::{VersionVector, VvOrd};
 
@@ -747,6 +750,129 @@ mod tests {
         assert_eq!(recovered[1].read(ItemId(0)).unwrap(), fresh.read(ItemId(0)).unwrap());
     }
 
+    /// Give the journaled replica `node` something in every snapshot
+    /// section: values on both sides of the 128 B inline threshold, log
+    /// records, a compaction floor, an auxiliary copy and an auxiliary log.
+    fn fill_every_section(node: &mut Replica) {
+        let n_items = node.n_items();
+        let mut peer = Replica::new(NodeId(0), N_NODES, n_items);
+        for x in ItemId::all(n_items) {
+            peer.update(x, UpdateOp::set(vec![x.0 as u8; (x.index() * 37) % 300])).unwrap();
+        }
+        pull(node, &mut peer).unwrap();
+        node.set_log_retention(n_items / 2);
+        assert!(node.coverage_floor()[0] > 0, "retention evicted records");
+        peer.update(ItemId(1), UpdateOp::append(&b"+new"[..])).unwrap();
+        oob_copy(node, &mut peer, ItemId(1)).unwrap();
+        node.update(ItemId(1), UpdateOp::append(vec![7; 200])).unwrap();
+        node.update(ItemId(1), UpdateOp::append(&b"+aux"[..])).unwrap();
+        assert_eq!((node.aux_item_count(), node.aux_log().len()), (1, 2));
+    }
+
+    fn open_one(cfg: &DurabilityConfig, n_items: usize) -> (Arc<GroupWal>, Replica) {
+        let spec = [StreamSpec { id: NodeId(1), n_nodes: N_NODES, n_items }];
+        let (wal, mut replicas, _) =
+            GroupWal::open(cfg, cfg.dir.join("group"), &spec, ConflictPolicy::Report, 0).unwrap();
+        let mut replica = replicas.pop().unwrap();
+        wal.attach(0, &mut replica);
+        (wal, replica)
+    }
+
+    #[test]
+    fn checkpoint_files_are_write_frame_byte_for_byte() {
+        // Totals just under, at and over one 64 KiB snapshot piece, and
+        // many pieces; both WALs stream the same frame.
+        let mut sizes = Vec::new();
+        for n_items in [4, 330, 345, 360, 375, 390, 3000] {
+            let tmp = TempDir::new("group-snapfile");
+            let mut cfg = DurabilityConfig::new(tmp.path());
+            cfg.checkpoint_every = 0;
+            let (wal, mut replica) = open_one(&cfg, n_items);
+            fill_every_section(&mut replica);
+            wal.checkpoint(&[&replica]).unwrap();
+            let want = write_frame(&replica.to_snapshot());
+            let got = fs::read(group_snap_path(&cfg.dir.join("group"), 1, 0)).unwrap();
+            assert!(got == want, "group checkpoint of {n_items} items differs");
+
+            let (node_wal, mut single, _) =
+                NodeDurability::open(&cfg, NodeId(1), N_NODES, n_items, ConflictPolicy::Report)
+                    .unwrap();
+            node_wal.attach(&mut single);
+            fill_every_section(&mut single);
+            node_wal.checkpoint(&single).unwrap();
+            let got = fs::read(cfg.node_dir(NodeId(1)).join("snap-1.epdb")).unwrap();
+            assert!(got == write_frame(&single.to_snapshot()), "node checkpoint differs");
+            sizes.push(want.len());
+        }
+        let piece = epidb_core::snapshot::SNAPSHOT_PIECE;
+        assert!(sizes.iter().any(|&s| s < piece) && sizes.iter().any(|&s| s > piece));
+        assert!(sizes.iter().any(|&s| s > 4 * piece));
+    }
+
+    /// A writer that accepts `left` more bytes, then fails.
+    struct FailAfter<W> {
+        out: W,
+        left: usize,
+    }
+
+    impl<W: Write> Write for FailAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("injected write failure"));
+            }
+            let n = self.out.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.out.flush()
+        }
+    }
+
+    #[test]
+    fn snapshot_write_error_mid_stream_leaves_only_the_tmp_file() {
+        let tmp = TempDir::new("group-snapfail");
+        let mut cfg = DurabilityConfig::new(tmp.path());
+        cfg.checkpoint_every = 0;
+        let dir = cfg.dir.join("group");
+        let (wal, mut replica) = open_one(&cfg, 3000);
+        fill_every_section(&mut replica);
+        wal.checkpoint(&[&replica]).unwrap();
+        replica.update(ItemId(7), UpdateOp::set(&b"after gen 1"[..])).unwrap();
+        wal.wait_durable();
+
+        // The next checkpoint's snapshot write, through a disk that fails
+        // after 100 KiB: the error surfaces, and the snapshot it would have
+        // replaced is all that names generation 2.
+        let snap = group_snap_path(&dir, 2, 0);
+        let failing = |file: &File| {
+            let mut out = FailAfter { out: file, left: 100 << 10 };
+            stream_snapshot(&mut out, &replica).map(drop)
+        };
+        assert!(atomic_write_with(&dir, &snap, failing).is_err());
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["snap-1-0.epdb", "snap-2-0.tmp", "wal-1.log"]);
+        assert_eq!(fs::metadata(dir.join("snap-2-0.tmp")).unwrap().len(), 100 << 10);
+        drop(wal);
+
+        let (_wal, recovered, report) = GroupWal::open(
+            &cfg,
+            &dir,
+            &[StreamSpec { id: NodeId(1), n_nodes: N_NODES, n_items: 3000 }],
+            ConflictPolicy::Report,
+            0,
+        )
+        .unwrap();
+        assert_eq!((report.generation, report.snapshots_loaded), (1, 1));
+        assert_eq!(report.wal_records_replayed, 1);
+        assert_same_state(&recovered[0], &replica);
+    }
+
     impl GroupWal {
         /// Whether the commit queue holds a control buffer above `keep` B.
         fn pending_outgrew(&self, keep: usize) -> bool {
@@ -757,8 +883,9 @@ mod tests {
     #[test]
     fn queued_frames_are_write_frame_byte_for_byte() {
         // Empty and inline values, the inline edge (128 B) and shared
-        // segments (129 B, 8 KiB): the WAL must hold exactly what framing
-        // the assembled record would have produced.
+        // segments (129 B, 8 KiB), then a record whose control buffer is
+        // over `PENDING_KEEP` and moves into the queue: the WAL must hold
+        // exactly what framing the assembled record would have produced.
         let tmp = TempDir::new("group-format");
         let mut cfg = DurabilityConfig::new(tmp.path());
         cfg.checkpoint_every = 0;
@@ -766,20 +893,35 @@ mod tests {
         let sink = GroupSink { shared: wal.shared.clone(), stream: 1 };
         let mut want = wal.shared.state.lock().unwrap().header_frame.clone();
         let lens = [0usize, 64, 128, 129, 8192];
-        for (i, &len) in lens.iter().enumerate() {
-            let m = Mutation::Update {
+        let mut records: Vec<Mutation> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| Mutation::Update {
                 item: ItemId(i as u32 % 4),
                 op: UpdateOp::set(vec![0x30 + i as u8; len]),
-            };
-            sink.record(&m);
-            want.extend_from_slice(&write_frame(&encode_record(1, &m).into_bytes()));
+            })
+            .collect();
+        let items = (0..400)
+            .map(|i| ShippedItem {
+                item: ItemId(i % 4),
+                ivv: VersionVector::from_entries(vec![0, 0, i as u64 + 1]),
+                value: Bytes::from(vec![i as u8; 40 + (i as usize % 3) * 60]),
+            })
+            .collect();
+        let tails = vec![Vec::new(); N_NODES];
+        let payload = PropagationPayload { tails, items };
+        records.push(Mutation::Propagation { from: NodeId(2), payload });
+        for m in &records {
+            sink.record(m);
+            want.extend_from_slice(&write_frame(&encode_record(1, m).into_bytes()));
         }
+        assert!(encode_record(1, &records[5]).outgrew(PENDING_KEEP), "moves, not copies");
         wal.close();
         let got = fs::read(wal_path(&cfg.dir.join("group"), 0)).unwrap();
         assert_eq!(got, want);
 
         let (_wal2, recovered, report) = open(&cfg);
-        assert_eq!(report.wal_records_replayed, lens.len() as u64);
+        assert_eq!(report.wal_records_replayed, records.len() as u64);
         assert_eq!(report.replay_errors, 0);
         assert_eq!(recovered[1].read(ItemId(3)).unwrap().as_bytes(), &[0x33; 129][..]);
         assert_eq!(recovered[1].read(ItemId(0)).unwrap().as_bytes(), &[0x34; 8192][..]);
@@ -803,8 +945,9 @@ mod tests {
         assert!(!wal.pending_outgrew(PENDING_KEEP));
         assert!(value.try_into_vec().is_ok(), "the leader released the value");
 
-        // ~200 KiB of inline values outgrow the control buffer: it is
-        // freed, not pinned for the life of the WAL.
+        // ~270 KiB of inline values: the record's control buffer moves
+        // into the queue instead of being copied into it, and goes with
+        // the written batch; the queue's own buffer stays small.
         let items = (0..2048)
             .map(|i| ShippedItem {
                 item: ItemId(i % 8),
@@ -817,7 +960,7 @@ mod tests {
             Mutation::Propagation { from: NodeId(1), payload: PropagationPayload { tails, items } };
         sink.record(&m);
         wal.wait_durable();
-        assert!(!wal.pending_outgrew(0), "a 200 KiB batch buffer is not retained");
+        assert!(!wal.pending_outgrew(PENDING_KEEP), "a 270 KiB record is not retained");
     }
 
     #[test]

@@ -10,7 +10,11 @@
 //!   (see [`epidb_core::journal`]);
 //! * a **snapshot** (`snap-<gen>.epdb`) — the replica's full durable state
 //!   ([`Replica::to_snapshot`](epidb_core::Replica::to_snapshot)) wrapped
-//!   in the same CRC frame, written temp-file → fsync → atomic rename.
+//!   in the same CRC frame, written temp-file → fsync → atomic rename. It
+//!   is streamed there in ~64 KiB pieces
+//!   ([`Replica::write_snapshot`](epidb_core::Replica::write_snapshot))
+//!   under a running CRC, the header written last in place, so a
+//!   checkpoint never holds the encoded replica whole.
 //!
 //! A **checkpoint** rolls the WAL into a new snapshot generation: write
 //! `snap-<g+1>`, start an empty `wal-<g+1>`, then delete the old

@@ -2,6 +2,7 @@
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -11,7 +12,7 @@ use epidb_core::codec::{Reader, Writer};
 use epidb_core::journal::{get_mutation, put_mutation};
 use epidb_core::{ConflictPolicy, Mutation, MutationSink, Replica, ShardedNode, SinkHandle};
 
-use crate::frames::{read_frames, write_frame};
+use crate::frames::{read_frames, stream_snapshot, write_frame};
 use crate::header::{decode_header, encode_header, is_header, WalHeader};
 
 /// Durability settings for a cluster runtime.
@@ -211,16 +212,32 @@ pub(crate) fn fsync_dir(dir: &Path) -> Result<()> {
     File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err("fsync dir", dir, e))
 }
 
-/// Write `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename over the target, fsync the directory.
-pub(crate) fn atomic_write(dir: &Path, path: &Path, bytes: &[u8]) -> Result<()> {
+/// Write a file atomically: `fill` writes a temp file in the same
+/// directory, which is fsynced and renamed over `path`, then the directory
+/// is fsynced. If `fill` fails, `path` is untouched and the temp file is
+/// left behind (recovery never reads it; the next attempt truncates it).
+pub(crate) fn atomic_write_with(
+    dir: &Path,
+    path: &Path,
+    fill: impl FnOnce(&File) -> std::io::Result<()>,
+) -> Result<()> {
     let tmp = path.with_extension("tmp");
-    let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
-    f.write_all(bytes).map_err(|e| io_err("write", &tmp, e))?;
+    let f = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+    fill(&f).map_err(|e| io_err("write", &tmp, e))?;
     f.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
     drop(f);
     fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))?;
     fsync_dir(dir)
+}
+
+/// Checkpoint `replica` to the snapshot file `path`, atomically and
+/// streamed: the file is one frame ([`stream_snapshot`]) whose header is
+/// written last, in place, so no step holds the encoded replica whole.
+pub(crate) fn write_snapshot_file(dir: &Path, path: &Path, replica: &Replica) -> Result<()> {
+    atomic_write_with(dir, path, |mut file| {
+        let header = stream_snapshot(&mut file, replica)?;
+        file.write_all_at(&header, 0)
+    })
 }
 
 struct Inner {
@@ -531,7 +548,7 @@ impl Inner {
     fn checkpoint(&mut self, replica: &Replica) -> Result<()> {
         let next = self.generation + 1;
         let snap = snap_path(&self.dir, next);
-        atomic_write(&self.dir, &snap, &write_frame(&replica.to_snapshot()))?;
+        write_snapshot_file(&self.dir, &snap, replica)?;
 
         // Fresh WAL for the new generation — header first, durable before
         // the old generations go away.

@@ -935,8 +935,10 @@ impl AsyncTcpCluster {
             server.close_connections(node.index());
         }
         if self.config.base.durability.is_some() {
-            let placeholder = Replica::new(node, self.n_nodes(), self.n_items);
-            *n.replica.lock() = placeholder;
+            let mut replica = n.replica.lock();
+            drop(replica.take()); // the live replica goes before its stand-in is built
+            *replica = Replica::new(node, self.n_nodes(), self.n_items);
+            drop(replica);
             *n.durable.lock() = None;
         }
     }
@@ -1008,14 +1010,16 @@ impl AsyncTcpCluster {
             })
     }
 
-    /// Stop gossip and the reactor; return the final replicas (journal
-    /// sinks detached — the clones are for inspection, not appending).
+    /// Stop gossip and the reactor; return the final replicas, moved out
+    /// of their nodes (every thread that served or gossiped for them is
+    /// joined by then), journal sinks detached: they are for inspection,
+    /// not for appending to the cluster's WALs.
     pub fn shutdown(mut self) -> Vec<Replica> {
         self.stop();
         self.nodes
             .iter()
             .map(|n| {
-                let mut r = n.replica.lock().clone();
+                let mut r = n.replica.lock().take();
                 r.set_mutation_sink(None);
                 r
             })

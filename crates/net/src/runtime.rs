@@ -426,9 +426,11 @@ impl ThreadedCluster {
         let shared = &self.nodes[node.index()];
         shared.alive.store(false, Ordering::SeqCst);
         if self.config.durability.is_some() {
-            let placeholder =
-                Replica::new(node, self.n_nodes(), self.with_replica(node, Replica::n_items));
-            *shared.replica.lock() = placeholder;
+            let mut replica = shared.replica.lock();
+            let n_items = replica.n_items();
+            drop(replica.take()); // the live replica goes before its stand-in is built
+            *replica = Replica::new(node, self.n_nodes(), n_items);
+            drop(replica);
             *shared.durability.lock() = None;
         }
     }
@@ -494,15 +496,15 @@ impl ThreadedCluster {
         })
     }
 
-    /// Stop all threads and return the final replicas (journal sinks
-    /// detached — the clones are for inspection, not for appending to the
-    /// cluster's WALs).
+    /// Stop all threads and return the final replicas, moved out of their
+    /// nodes (every thread is joined by then), journal sinks detached:
+    /// they are for inspection, not for appending to the cluster's WALs.
     pub fn shutdown(mut self) -> Vec<Replica> {
         self.stop();
         self.nodes
             .iter()
             .map(|n| {
-                let mut r = n.replica.lock().clone();
+                let mut r = n.replica.lock().take();
                 r.set_mutation_sink(None);
                 r
             })

@@ -21,7 +21,7 @@
 
 use epidb_common::FnvHasher;
 
-use crate::store::StoredItem;
+use crate::store::{ItemRef, ItemStore};
 
 /// Nodes at most this many leaves wide are never cached: a probe hashes
 /// their leaves directly.
@@ -29,10 +29,10 @@ pub const BUCKET: u32 = 16;
 
 /// Leaf digest of one item: FNV-1a over the IVV (length + entries) and the
 /// value (length + bytes).
-fn leaf_digest(item: &StoredItem) -> u64 {
+fn leaf_digest(item: ItemRef<'_>) -> u64 {
     let mut h = FnvHasher::new();
     h.write_u64(item.ivv.len() as u64);
-    for &e in item.ivv.entries() {
+    for &e in item.ivv {
         h.write_u64(e);
     }
     h.write_u64(item.value.len() as u64);
@@ -58,14 +58,14 @@ fn combine(start: u32, end: u32, left: u64, right: u64) -> u64 {
 
 /// The uncached fold of `[start, end)`: every leaf under the range is
 /// hashed and counted into `hashed`.
-pub(crate) fn fold(items: &[StoredItem], start: u32, end: u32, hashed: &mut u64) -> u64 {
+pub(crate) fn fold(store: &ItemStore, start: u32, end: u32, hashed: &mut u64) -> u64 {
     debug_assert!(start < end);
     if end - start == 1 {
         *hashed += 1;
-        return leaf_digest(&items[start as usize]);
+        return leaf_digest(store.item(start as usize));
     }
     let mid = midpoint(start, end);
-    combine(start, end, fold(items, start, mid, hashed), fold(items, mid, end, hashed))
+    combine(start, end, fold(store, start, mid, hashed), fold(store, mid, end, hashed))
 }
 
 /// Heap index of the node `[start, end)` in the tree over `n` items, or
@@ -135,23 +135,23 @@ impl DigestTree {
     /// Digest of the node `[start, end)`, or `None` if it is not a node.
     pub(crate) fn digest(
         &mut self,
-        items: &[StoredItem],
+        store: &ItemStore,
         start: u32,
         end: u32,
         hashed: &mut u64,
     ) -> Option<u64> {
         let i = locate(self.n, start, end)?;
-        Some(self.node(items, start, end, i, hashed))
+        Some(self.node(store, start, end, i, hashed))
     }
 
-    fn node(&mut self, items: &[StoredItem], s: u32, e: u32, i: usize, hashed: &mut u64) -> u64 {
+    fn node(&mut self, store: &ItemStore, s: u32, e: u32, i: usize, hashed: &mut u64) -> u64 {
         if e - s <= BUCKET {
-            return fold(items, s, e, hashed);
+            return fold(store, s, e, hashed);
         }
         if self.dirty[i] {
             let mid = midpoint(s, e);
-            let left = self.node(items, s, mid, 2 * i + 1, hashed);
-            let right = self.node(items, mid, e, 2 * i + 2, hashed);
+            let left = self.node(store, s, mid, 2 * i + 1, hashed);
+            let right = self.node(store, mid, e, 2 * i + 2, hashed);
             self.digests[i] = combine(s, e, left, right);
             self.dirty[i] = false;
         }
@@ -160,20 +160,20 @@ impl DigestTree {
 
     /// Check every clean cached digest against the uncached fold of its
     /// range, in one O(N) pass.
-    pub(crate) fn check(&self, items: &[StoredItem]) -> Result<(), String> {
+    pub(crate) fn check(&self, store: &ItemStore) -> Result<(), String> {
         if self.digests.is_empty() {
             return Ok(());
         }
-        self.verify(items, 0, self.n, 0).map(drop)
+        self.verify(store, 0, self.n, 0).map(drop)
     }
 
-    fn verify(&self, items: &[StoredItem], s: u32, e: u32, i: usize) -> Result<u64, String> {
+    fn verify(&self, store: &ItemStore, s: u32, e: u32, i: usize) -> Result<u64, String> {
         if e - s <= BUCKET {
-            return Ok(fold(items, s, e, &mut 0));
+            return Ok(fold(store, s, e, &mut 0));
         }
         let mid = midpoint(s, e);
-        let left = self.verify(items, s, mid, 2 * i + 1)?;
-        let right = self.verify(items, mid, e, 2 * i + 2)?;
+        let left = self.verify(store, s, mid, 2 * i + 1)?;
+        let right = self.verify(store, mid, e, 2 * i + 2)?;
         let d = combine(s, e, left, right);
         if !self.dirty[i] && self.digests[i] != d {
             return Err(format!(

@@ -15,10 +15,12 @@
 //!   byte range of the update and the new value of data in the range)"
 //!   (§4.4), so operations carry their payload.
 //! * [`ItemValue`] — a data item's value: an owned byte buffer.
-//! * [`StoredItem`] — value plus its item version vector (IVV).
 //! * [`ItemStore`] — the dense collection of a replica's regular item
-//!   copies, with the cached reconciliation digest tree ([`digest`]) that
-//!   its mutations keep current.
+//!   copies: a column of values next to one `N × n` arena of item version
+//!   vectors (IVVs), each row exactly `n` wide, with the cached
+//!   reconciliation digest tree ([`digest`]) that its mutations keep
+//!   current. [`ItemRef`] and [`ItemMut`] borrow one item's value and IVV
+//!   row.
 
 pub mod digest;
 pub mod op;
@@ -26,5 +28,5 @@ pub mod store;
 pub mod value;
 
 pub use op::UpdateOp;
-pub use store::{ItemStore, StoredItem};
+pub use store::{ItemMut, ItemRef, ItemStore};
 pub use value::ItemValue;

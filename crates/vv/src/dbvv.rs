@@ -22,6 +22,7 @@ use std::fmt;
 
 use epidb_common::{NodeId, Result};
 
+use crate::row;
 use crate::vector::{VersionVector, VvOrd};
 
 /// Version vector over an entire database replica.
@@ -73,11 +74,7 @@ impl DbVersionVector {
     ///
     /// The protocol only copies when the remote IVV dominates, so every
     /// per-component difference is non-negative; this is debug-asserted.
-    pub fn absorb_item_copy(
-        &mut self,
-        local_ivv: &VersionVector,
-        remote_ivv: &VersionVector,
-    ) -> Result<()> {
+    pub fn absorb_item_copy(&mut self, local_ivv: &[u64], remote_ivv: &[u64]) -> Result<()> {
         if local_ivv.len() != remote_ivv.len() || local_ivv.len() != self.inner.len() {
             return Err(epidb_common::Error::DimensionMismatch {
                 left: self.inner.len(),
@@ -85,13 +82,13 @@ impl DbVersionVector {
             });
         }
         debug_assert!(
-            remote_ivv.dominates_or_equal(local_ivv),
+            row::compare(remote_ivv, local_ivv).dominates_or_equal(),
             "rule 3 applied to a non-dominating copy"
         );
-        for l in 0..self.inner.len() {
-            let l = NodeId::from_index(l);
-            let extra = remote_ivv.get(l) - local_ivv.get(l);
+        for (l, (&remote, &local)) in remote_ivv.iter().zip(local_ivv).enumerate() {
+            let extra = remote - local;
             if extra > 0 {
+                let l = NodeId::from_index(l);
                 self.inner.set(l, self.inner.get(l) + extra);
             }
         }

@@ -14,9 +14,12 @@
 //!
 //! Comparing two vectors yields a [`VvOrd`]: equality, domination in either
 //! direction, or mutual inconsistency (`Concurrent`) — corollaries 1–4 of
-//! the paper's Theorem 3.
+//! the paper's Theorem 3. The algebra itself lives once in [`row`], over
+//! borrowed `&[u64]` rows, so an IVV stored in a replica's dense arena and
+//! a shipped [`VersionVector`] are compared by the same code.
 
 pub mod dbvv;
+pub mod row;
 pub mod vector;
 
 pub use dbvv::DbVersionVector;

@@ -2,8 +2,11 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
-use epidb_common::{Error, NodeId, Result};
+use epidb_common::{NodeId, Result};
+
+use crate::row;
 
 /// Outcome of comparing two version vectors.
 ///
@@ -166,22 +169,14 @@ impl VersionVector {
     /// update's sequence number at `i`.
     #[inline]
     pub fn bump(&mut self, i: NodeId) -> u64 {
-        let e = &mut self.as_mut_slice()[i.index()];
-        *e += 1;
-        *e
+        row::bump(self.as_mut_slice(), i)
     }
 
     /// Component-wise maximum with `other`
     /// (`v_ik := max(v_ik, v_jk)` for all `k`) — the rule applied when a
     /// replica obtains missing updates (§3).
-    pub fn merge_max(&mut self, other: &VersionVector) -> Result<()> {
-        self.check_dims(other)?;
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            if *b > *a {
-                *a = *b;
-            }
-        }
-        Ok(())
+    pub fn merge_max(&mut self, other: &[u64]) -> Result<()> {
+        row::merge_max(self.as_mut_slice(), other)
     }
 
     /// Compare against `other`, charging `n` entry comparisons to `cmps`.
@@ -189,40 +184,23 @@ impl VersionVector {
     /// Every caller in the workspace that models protocol overhead passes
     /// its comparison counter here, so the experiments count exactly the
     /// work the paper's complexity analysis charges.
-    pub fn compare_counted(&self, other: &VersionVector, cmps: &mut u64) -> VvOrd {
-        *cmps += self.len() as u64;
-        self.compare(other)
+    #[inline]
+    pub fn compare_counted(&self, other: &[u64], cmps: &mut u64) -> VvOrd {
+        row::compare_counted(self.as_slice(), other, cmps)
     }
 
-    /// Compare against `other`.
+    /// Compare against `other` (a vector, or a stored IVV row).
     ///
     /// # Panics
     /// Panics if the vectors have different dimensions; vectors of one
     /// database instance always share the fixed server count.
-    pub fn compare(&self, other: &VersionVector) -> VvOrd {
-        assert_eq!(self.len(), other.len(), "comparing version vectors of different dimensions");
-        let mut less = false;
-        let mut greater = false;
-        for (a, b) in self.as_slice().iter().zip(other.as_slice()) {
-            if a < b {
-                less = true;
-            } else if a > b {
-                greater = true;
-            }
-            if less && greater {
-                return VvOrd::Concurrent;
-            }
-        }
-        match (less, greater) {
-            (false, false) => VvOrd::Equal,
-            (false, true) => VvOrd::Dominates,
-            (true, false) => VvOrd::DominatedBy,
-            (true, true) => unreachable!("early-returned above"),
-        }
+    #[inline]
+    pub fn compare(&self, other: &[u64]) -> VvOrd {
+        row::compare(self.as_slice(), other)
     }
 
     /// True iff `self` dominates or equals `other`.
-    pub fn dominates_or_equal(&self, other: &VersionVector) -> bool {
+    pub fn dominates_or_equal(&self, other: &[u64]) -> bool {
         self.compare(other).dominates_or_equal()
     }
 
@@ -230,20 +208,8 @@ impl VersionVector {
     /// updates are mutually missing — the paper's footnote 3: if the vectors
     /// conflict in components `k` and `l`, nodes `k` and `l` hold the
     /// offending updates. Returns `None` when the vectors do not conflict.
-    pub fn offending_pair(&self, other: &VersionVector) -> Option<(NodeId, NodeId)> {
-        let mut below = None; // a component where self < other
-        let mut above = None; // a component where self > other
-        for (idx, (a, b)) in self.as_slice().iter().zip(other.as_slice()).enumerate() {
-            if a < b && below.is_none() {
-                below = Some(NodeId::from_index(idx));
-            } else if a > b && above.is_none() {
-                above = Some(NodeId::from_index(idx));
-            }
-            if let (Some(k), Some(l)) = (below, above) {
-                return Some((k, l));
-            }
-        }
-        None
+    pub fn offending_pair(&self, other: &[u64]) -> Option<(NodeId, NodeId)> {
+        row::offending_pair(self.as_slice(), other)
     }
 
     /// Sum of all entries: the total number of updates (across all origins)
@@ -262,13 +228,6 @@ impl VersionVector {
     pub fn entries(&self) -> &[u64] {
         self.as_slice()
     }
-
-    fn check_dims(&self, other: &VersionVector) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(Error::DimensionMismatch { left: self.len(), right: other.len() });
-        }
-        Ok(())
-    }
 }
 
 /// Equality is over the entry slice: the storage representation (inline vs
@@ -286,6 +245,17 @@ impl Eq for VersionVector {}
 impl Hash for VersionVector {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state);
+    }
+}
+
+/// A vector reads as its entry slice, so it can be passed wherever a
+/// stored IVV row (`&[u64]`) is expected.
+impl Deref for VersionVector {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        self.as_slice()
     }
 }
 
@@ -311,6 +281,8 @@ impl fmt::Display for VersionVector {
 #[cfg(test)]
 mod tests {
     use std::collections::hash_map::DefaultHasher;
+
+    use epidb_common::Error;
 
     use super::*;
 
