@@ -45,11 +45,11 @@ cargo run --release -q -p epidb-bench --bin mc -- --smoke
 echo "== chaos soak smoke (seeded, deterministic) =="
 cargo run --release -q -p epidb-bench --bin chaos_soak -- --smoke --seed 42
 
-echo "== crash-restart recovery soak smoke (durable runtimes) =="
+echo "== crash-restart recovery soak smoke (durable TCP runtime, 2 and 8 reactor workers) =="
 cargo run --release -q -p epidb-bench --bin chaos_soak -- \
   --smoke --seed 42 --restart-from-disk
 
-echo "== sharded chaos soak smoke (2 groups x 2 nodes, all runtimes) =="
+echo "== sharded chaos soak smoke (2 groups x 2 nodes, in-process and TCP) =="
 cargo run --release -q -p epidb-bench --bin chaos_soak -- \
   --smoke --seed 42 --sharded
 

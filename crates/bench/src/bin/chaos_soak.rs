@@ -1,9 +1,9 @@
 //! `chaos_soak` — the seeded chaos soak harness.
 //!
 //! Runs a randomized fault schedule — loss, duplication, reordering,
-//! corruption, mid-exchange resets, healing partitions — over all three
-//! runtimes (in-process, threaded channels, TCP sockets) with paranoid
-//! auditing on, then heals every link and asserts:
+//! corruption, mid-exchange resets, healing partitions — over both
+//! runtimes (in-process and TCP sockets) with paranoid auditing on, then
+//! heals every link and asserts:
 //!
 //! * **convergence** — every replica reads the expected final value of
 //!   every item, DBVVs are equal, and no auxiliary state remains;
@@ -17,8 +17,8 @@
 //! * **determinism** — the whole soak is a pure function of the seed: each
 //!   runtime is run twice and must produce byte-for-byte identical
 //!   [`Costs`] and injection stats;
-//! * **parity** — every runtime charges the same [`Costs`] as the first
-//!   (in-process) one.
+//! * **parity** — the socket runtime charges the same [`Costs`] as the
+//!   in-process one.
 //!
 //! The TCP leg is [`AsyncTcpCluster`], every node served by one epoll
 //! reactor: mid-exchange resets tear sockets out from under parked
@@ -27,24 +27,24 @@
 //! The seed is printed on every run; a failing soak replays exactly with
 //! `--seed <printed seed>`.
 //!
-//! With `--restart-from-disk`, the soak instead runs the durable runtimes
-//! (threaded with a per-node WAL, TCP with the group-commit WAL, both with
-//! snapshot checkpoints) under a seeded kill/restart schedule: nodes are
-//! crashed mid-soak — really dropping their in-memory replicas — and
-//! later revived from disk, with paranoid audits on throughout. After the
-//! schedule, every node is revived and the soak asserts convergence to
-//! the per-item ground truth, replica invariants, byte-identical
-//! [`Costs`] across two same-seed runs, and the same [`Costs`] on both
-//! runtimes.
+//! With `--restart-from-disk`, the soak instead runs the durable socket
+//! runtime (each node's group-commit WAL with snapshot checkpoints) under
+//! a seeded kill/restart schedule, once with 2 reactor workers and once
+//! with 8: nodes are crashed mid-soak — really dropping their in-memory
+//! replicas — and later revived from disk, with paranoid audits on
+//! throughout. After the schedule, every node is revived and the soak
+//! asserts convergence to the per-item ground truth, replica invariants,
+//! byte-identical [`Costs`] across two same-seed runs, and the same
+//! [`Costs`] on both worker pools.
 //!
 //! With `--sharded`, the soak instead runs a partially replicated
 //! deployment — two replica groups of two nodes each, each group owning
-//! one disjoint shard — over all three sharded runtimes. Per-shard chaos
+//! one disjoint shard — over both sharded runtimes. Per-shard chaos
 //! pulls among co-owners plus occasional cross-group out-of-bound fetches
 //! run with paranoid audits on; the soak then asserts per-shard
 //! convergence to ground truth, replica invariants, fault accounting, and
 //! that the same seed produces byte-identical *per-node* [`Costs`] both
-//! across passes and across all three runtimes.
+//! across passes and across both runtimes.
 //!
 //! Usage:
 //!
@@ -62,10 +62,7 @@ use epidb_core::{
     ShardedNode,
 };
 use epidb_durable::DurabilityConfig;
-use epidb_net::{
-    AsyncTcpCluster, AsyncTcpConfig, ClusterConfig, ShardedConfig, ShardedTcpCluster,
-    ShardedThreadedCluster, TcpConfig, ThreadedCluster,
-};
+use epidb_net::{AsyncTcpCluster, AsyncTcpConfig, ShardedConfig, ShardedTcpCluster, TcpConfig};
 use epidb_sim::{EpidbCluster, ShardedSimCluster};
 use epidb_store::UpdateOp;
 use rand::rngs::StdRng;
@@ -176,55 +173,6 @@ impl SoakRuntime for InProc {
 
     fn check_invariants(&self, _n_nodes: usize) {
         self.0.assert_invariants();
-    }
-}
-
-struct Threaded(ThreadedCluster);
-
-impl SoakRuntime for Threaded {
-    fn update(&mut self, node: NodeId, item: ItemId, value: Vec<u8>) {
-        self.0.update(node, item, UpdateOp::set(value)).expect("update");
-    }
-
-    fn pull_chaos(
-        &mut self,
-        recipient: NodeId,
-        source: NodeId,
-        link: &mut ChaosLink,
-        policy: &RetryPolicy,
-    ) -> epidb_common::Result<PullOutcome> {
-        self.0.pull_delta_now_chaos(recipient, source, link, policy)
-    }
-
-    fn oob(&mut self, recipient: NodeId, source: NodeId, item: ItemId) {
-        self.0.oob_fetch(recipient, source, item).expect("oob");
-    }
-
-    fn value(&self, node: NodeId, item: ItemId) -> Vec<u8> {
-        self.0.read(node, item).expect("read")
-    }
-
-    fn converged(&self, n_nodes: usize) -> bool {
-        let reference = self.0.with_replica(NodeId(0), |r| r.dbvv().clone());
-        (0..n_nodes).all(|i| {
-            self.0.with_replica(NodeId::from_index(i), |r| {
-                r.aux_item_count() == 0 && r.dbvv().compare(&reference) == epidb_vv::VvOrd::Equal
-            })
-        })
-    }
-
-    fn costs(&self, n_nodes: usize) -> Costs {
-        (0..n_nodes)
-            .map(|i| self.0.with_replica(NodeId::from_index(i), |r| r.costs()))
-            .fold(Costs::ZERO, |a, b| a + b)
-    }
-
-    fn check_invariants(&self, n_nodes: usize) {
-        for i in 0..n_nodes {
-            self.0
-                .with_replica(NodeId::from_index(i), |r| r.check_invariants())
-                .unwrap_or_else(|e| panic!("invariant violated at node {i}: {e}"));
-        }
     }
 }
 
@@ -420,80 +368,6 @@ fn run_soak(
 
 // --- the restart-from-disk soak ---------------------------------------------
 
-/// The slice of the durable runtimes the restart soak drives: the regular
-/// soak operations plus kill/restart.
-trait RestartRuntime {
-    fn update(&mut self, node: NodeId, item: ItemId, value: Vec<u8>);
-    fn pull(&mut self, recipient: NodeId, source: NodeId) -> epidb_common::Result<PullOutcome>;
-    fn oob(&mut self, recipient: NodeId, source: NodeId, item: ItemId);
-    fn value(&self, node: NodeId, item: ItemId) -> Vec<u8>;
-    fn converged(&self, n_nodes: usize) -> bool;
-    fn costs(&self, n_nodes: usize) -> Costs;
-    fn check_invariants(&self, n_nodes: usize);
-    fn crash(&mut self, node: NodeId);
-    fn revive(&mut self, node: NodeId);
-}
-
-impl RestartRuntime for Threaded {
-    fn update(&mut self, node: NodeId, item: ItemId, value: Vec<u8>) {
-        SoakRuntime::update(self, node, item, value);
-    }
-    fn pull(&mut self, recipient: NodeId, source: NodeId) -> epidb_common::Result<PullOutcome> {
-        self.0.pull_delta_now(recipient, source)
-    }
-    fn oob(&mut self, recipient: NodeId, source: NodeId, item: ItemId) {
-        SoakRuntime::oob(self, recipient, source, item);
-    }
-    fn value(&self, node: NodeId, item: ItemId) -> Vec<u8> {
-        SoakRuntime::value(self, node, item)
-    }
-    fn converged(&self, n_nodes: usize) -> bool {
-        SoakRuntime::converged(self, n_nodes)
-    }
-    fn costs(&self, n_nodes: usize) -> Costs {
-        SoakRuntime::costs(self, n_nodes)
-    }
-    fn check_invariants(&self, n_nodes: usize) {
-        SoakRuntime::check_invariants(self, n_nodes);
-    }
-    fn crash(&mut self, node: NodeId) {
-        self.0.crash(node);
-    }
-    fn revive(&mut self, node: NodeId) {
-        self.0.revive(node);
-    }
-}
-
-impl RestartRuntime for AsyncTcp {
-    fn update(&mut self, node: NodeId, item: ItemId, value: Vec<u8>) {
-        SoakRuntime::update(self, node, item, value);
-    }
-    fn pull(&mut self, recipient: NodeId, source: NodeId) -> epidb_common::Result<PullOutcome> {
-        self.0.pull_delta_now(recipient, source)
-    }
-    fn oob(&mut self, recipient: NodeId, source: NodeId, item: ItemId) {
-        SoakRuntime::oob(self, recipient, source, item);
-    }
-    fn value(&self, node: NodeId, item: ItemId) -> Vec<u8> {
-        SoakRuntime::value(self, node, item)
-    }
-    fn converged(&self, n_nodes: usize) -> bool {
-        SoakRuntime::converged(self, n_nodes)
-    }
-    fn costs(&self, n_nodes: usize) -> Costs {
-        SoakRuntime::costs(self, n_nodes)
-    }
-    fn check_invariants(&self, n_nodes: usize) {
-        SoakRuntime::check_invariants(self, n_nodes);
-    }
-    fn crash(&mut self, node: NodeId) {
-        self.0.crash(node);
-    }
-    fn revive(&mut self, node: NodeId) {
-        self.0.revive(node);
-    }
-}
-
 struct RestartResult {
     costs: Costs,
     crashes: u64,
@@ -505,11 +379,7 @@ struct RestartResult {
 /// fetches among alive nodes, with a seeded kill/restart schedule on top.
 /// Crashing really drops a node's in-memory replica; reviving recovers it
 /// from its WAL + snapshot. Deterministic in `(seed, params)`.
-fn run_restart_soak(
-    runtime: &mut dyn RestartRuntime,
-    seed: u64,
-    params: SoakParams,
-) -> RestartResult {
+fn run_restart_soak(runtime: &mut AsyncTcp, seed: u64, params: SoakParams) -> RestartResult {
     let SoakParams { n_nodes, n_items, rounds, updates_per_round } = params;
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C_0D1E);
     let mut alive = vec![true; n_nodes];
@@ -526,7 +396,7 @@ fn run_restart_soak(
         let crashed: Vec<usize> = (0..n_nodes).filter(|&i| !alive[i]).collect();
         if !crashed.is_empty() && rng.gen_bool(0.4) {
             let node = pick(&mut rng, &crashed);
-            runtime.revive(NodeId::from_index(node));
+            runtime.0.revive(NodeId::from_index(node));
             alive[node] = true;
             revivals += 1;
         }
@@ -536,7 +406,7 @@ fn run_restart_soak(
         let up = alive_nodes(&alive);
         if up.len() > 2 && (crashes == 0 || rng.gen_bool(0.35)) {
             let node = pick(&mut rng, &up);
-            runtime.crash(NodeId::from_index(node));
+            runtime.0.crash(NodeId::from_index(node));
             alive[node] = false;
             crashes += 1;
         }
@@ -563,7 +433,8 @@ fn run_restart_soak(
             let others: Vec<usize> = up.iter().copied().filter(|&s| s != r).collect();
             let s = pick(&mut rng, &others);
             runtime
-                .pull(NodeId::from_index(r), NodeId::from_index(s))
+                .0
+                .pull_delta_now(NodeId::from_index(r), NodeId::from_index(s))
                 .expect("pull between alive nodes must succeed");
         }
 
@@ -588,7 +459,7 @@ fn run_restart_soak(
     // full-mesh pulls until quiescent.
     for (node, up) in alive.iter_mut().enumerate() {
         if !*up {
-            runtime.revive(NodeId::from_index(node));
+            runtime.0.revive(NodeId::from_index(node));
             *up = true;
             revivals += 1;
         }
@@ -600,7 +471,8 @@ fn run_restart_soak(
             for s in 0..n_nodes {
                 if s != r {
                     runtime
-                        .pull(NodeId::from_index(r), NodeId::from_index(s))
+                        .0
+                        .pull_delta_now(NodeId::from_index(r), NodeId::from_index(s))
                         .expect("post-recovery pull must succeed");
                 }
             }
@@ -628,69 +500,54 @@ fn run_restart_soak(
     RestartResult { costs: runtime.costs(n_nodes), crashes, revivals, heal_sweeps }
 }
 
-const RESTART_RUNTIMES: [&str; 2] = ["threaded", "tcp"];
+/// Reactor worker pools the restart soak runs on: the default size and a
+/// pool wider than the cluster, so the same schedule is served by
+/// different thread interleavings and must still charge the same costs.
+const RESTART_WORKERS: [usize; 2] = [2, 8];
 
-/// Build one durable runtime journaling under `dir` (fresh per pass).
-fn build_durable_runtime(kind: &str, params: SoakParams, dir: PathBuf) -> Box<dyn RestartRuntime> {
-    let durability = Some(DurabilityConfig::new(dir));
-    match kind {
-        "threaded" => {
-            let config = ClusterConfig {
-                gossip_interval: Duration::from_secs(3600),
-                delta_budget: DELTA_BUDGET,
-                paranoid: true,
-                durability,
-                ..ClusterConfig::default()
-            };
-            Box::new(Threaded(ThreadedCluster::spawn(params.n_nodes, params.n_items, config)))
-        }
-        "tcp" => {
-            let config = AsyncTcpConfig {
-                base: TcpConfig { durability, ..tcp_config() },
-                worker_threads: 2,
-            };
-            Box::new(AsyncTcp(
-                AsyncTcpCluster::spawn(params.n_nodes, params.n_items, config).expect("spawn"),
-            ))
-        }
-        other => panic!("unknown durable runtime {other}"),
-    }
+/// Build one durable socket cluster journaling under `dir` (fresh per
+/// pass), served by `workers` reactor threads.
+fn build_durable_runtime(workers: usize, params: SoakParams, dir: PathBuf) -> AsyncTcp {
+    let config = AsyncTcpConfig {
+        base: TcpConfig { durability: Some(DurabilityConfig::new(dir)), ..tcp_config() },
+        worker_threads: workers,
+    };
+    AsyncTcp(AsyncTcpCluster::spawn(params.n_nodes, params.n_items, config).expect("spawn"))
 }
 
-/// The `--restart-from-disk` mode: both durable runtimes, two same-seed
-/// passes each (fresh directories per pass), asserting identical costs
-/// across passes and across runtimes.
+/// The `--restart-from-disk` mode: the durable socket runtime on each
+/// worker pool, two same-seed passes each (fresh directories per pass),
+/// asserting identical costs across passes and across pools.
 fn run_restart_mode(seed: u64, params: SoakParams) {
     let mut reference: Option<Costs> = None;
-    for kind in RESTART_RUNTIMES {
+    for workers in RESTART_WORKERS {
+        let leg = format!("tcp/{workers}w+disk");
         let mut first: Option<Costs> = None;
         for pass in 0..2 {
-            let tmp = epidb_durable::testdir::TempDir::new(&format!("soak-{kind}-{pass}"));
-            let mut runtime = build_durable_runtime(kind, params, tmp.path().clone());
-            let result = run_restart_soak(runtime.as_mut(), seed, params);
+            let tmp = epidb_durable::testdir::TempDir::new(&format!("soak-{workers}w-{pass}"));
+            let mut runtime = build_durable_runtime(workers, params, tmp.path().clone());
+            assert_eq!(runtime.0.worker_threads(), workers);
+            let result = run_restart_soak(&mut runtime, seed, params);
             drop(runtime);
 
             if pass == 0 {
                 println!(
-                    "[{kind}+disk] crashes={} revivals={} heal_sweeps={}",
+                    "[{leg}] crashes={} revivals={} heal_sweeps={}",
                     result.crashes, result.revivals, result.heal_sweeps
                 );
-                println!("[{kind}+disk] costs: {}", result.costs);
+                println!("[{leg}] costs: {}", result.costs);
             }
             match &first {
                 None => first = Some(result.costs),
                 Some(c0) => {
-                    assert_eq!(
-                        c0, &result.costs,
-                        "[{kind}+disk] same seed produced different costs"
-                    );
-                    println!("[{kind}+disk] replay: identical costs");
+                    assert_eq!(c0, &result.costs, "[{leg}] same seed produced different costs");
+                    println!("[{leg}] replay: identical costs");
                 }
             }
         }
-        assert_parity(&mut reference, first.expect("two passes ran"), &format!("{kind}+disk"));
+        assert_parity(&mut reference, first.expect("two passes ran"), &leg);
     }
-    println!("OK: durable runtimes converged to ground truth across crash-restart schedules");
+    println!("OK: durable runtime converged to ground truth across crash-restart schedules");
 }
 
 // --- the sharded soak -------------------------------------------------------
@@ -779,52 +636,6 @@ impl ShardedSoakRuntime for ShardedInProc {
     }
     fn check_invariants(&self) {
         self.0.assert_invariants();
-    }
-}
-
-struct ShardedThreaded(ShardedThreadedCluster);
-
-impl ShardedSoakRuntime for ShardedThreaded {
-    fn update(&mut self, node: NodeId, item: ItemId, value: Vec<u8>) {
-        self.0.update(node, item, UpdateOp::set(value)).expect("update at shard owner");
-    }
-    fn pull_shard_chaos(
-        &mut self,
-        recipient: NodeId,
-        source: NodeId,
-        shard: ShardId,
-        link: &mut ChaosLink,
-        policy: &RetryPolicy,
-    ) -> epidb_common::Result<PullOutcome> {
-        self.0.pull_shard_now_chaos(recipient, source, shard, link, policy)
-    }
-    fn oob(&mut self, recipient: NodeId, source: NodeId, item: ItemId) {
-        self.0.oob_fetch(recipient, source, item).expect("oob");
-    }
-    fn value(&self, node: NodeId, item: ItemId) -> Vec<u8> {
-        self.0.read(node, item).expect("read at shard owner")
-    }
-    fn node_costs(&self, node: NodeId) -> Costs {
-        self.0.node_costs(node)
-    }
-    fn converged(&self, map: &ShardMap) -> bool {
-        sharded_converged(map, |n, s| {
-            self.0.with_node(n, |node| {
-                node.shard_state(s).map(|r| (r.dbvv().clone(), r.aux_item_count()))
-            })
-        })
-    }
-    fn audits(&self) -> u64 {
-        (0..SHARDED_NODES)
-            .map(|i| self.0.with_node(NodeId::from_index(i), ShardedNode::audits_run))
-            .sum()
-    }
-    fn check_invariants(&self) {
-        for i in 0..SHARDED_NODES {
-            self.0
-                .with_node(NodeId::from_index(i), check_sharded_node)
-                .unwrap_or_else(|e| panic!("invariant violated at node {i}: {e}"));
-        }
     }
 }
 
@@ -1027,18 +838,6 @@ fn build_sharded_runtime(kind: &str, map: &ShardMap) -> Box<dyn ShardedSoakRunti
             c.set_paranoid(true);
             Box::new(ShardedInProc(c))
         }
-        "threaded" => {
-            let config = ShardedConfig {
-                gossip_interval: Duration::from_secs(3600),
-                paranoid: true,
-                ..ShardedConfig::default()
-            };
-            Box::new(ShardedThreaded(ShardedThreadedCluster::spawn(
-                map.clone(),
-                SHARDED_NODES,
-                config,
-            )))
-        }
         "tcp" => {
             let config = ShardedConfig {
                 gossip_interval: Duration::from_secs(3600),
@@ -1053,7 +852,7 @@ fn build_sharded_runtime(kind: &str, map: &ShardMap) -> Box<dyn ShardedSoakRunti
     }
 }
 
-/// The `--sharded` mode: all three sharded runtimes, two same-seed passes
+/// The `--sharded` mode: both sharded runtimes, two same-seed passes
 /// each, asserting per-node cost/fault determinism per runtime and
 /// byte-identical per-node costs *across* runtimes.
 fn run_sharded_mode(seed: u64, plan: &FaultPlan, params: SoakParams) {
@@ -1136,7 +935,7 @@ fn assert_parity<C: PartialEq + std::fmt::Debug>(reference: &mut Option<C>, cost
 
 // --- runtime construction ---------------------------------------------------
 
-const RUNTIMES: [&str; 3] = ["inproc", "threaded", "tcp"];
+const RUNTIMES: [&str; 2] = ["inproc", "tcp"];
 
 /// The socket runtime's knobs: gossip out of the way (the soak drives
 /// every exchange itself), delta mode, paranoid audits.
@@ -1156,17 +955,6 @@ fn build_runtime(kind: &str, params: SoakParams) -> Box<dyn SoakRuntime> {
             c.enable_delta(DELTA_BUDGET);
             c.set_paranoid(true);
             Box::new(InProc(c))
-        }
-        "threaded" => {
-            let config = ClusterConfig {
-                // Gossip stays out of the way: the soak drives every
-                // exchange itself so runs are schedule-deterministic.
-                gossip_interval: Duration::from_secs(3600),
-                delta_budget: DELTA_BUDGET,
-                paranoid: true,
-                ..ClusterConfig::default()
-            };
-            Box::new(Threaded(ThreadedCluster::spawn(params.n_nodes, params.n_items, config)))
         }
         "tcp" => {
             let config = AsyncTcpConfig { base: tcp_config(), worker_threads: 2 };
@@ -1326,5 +1114,7 @@ fn main() {
         assert_parity(&mut reference, first.expect("two passes ran").0, kind);
     }
 
-    println!("OK: all runtimes converged under chaos; accounting, replay and parity checks passed");
+    println!(
+        "OK: both runtimes converged under chaos; accounting, replay and parity checks passed"
+    );
 }

@@ -57,7 +57,8 @@ pub enum Error {
         /// The node currently holding it.
         holder: NodeId,
     },
-    /// The network (simulated or threaded) failed to deliver a message.
+    /// The network (simulated or real) failed to deliver a message, or a
+    /// durable file operation failed.
     Network(String),
     /// A received frame failed its integrity check (bad checksum, bad
     /// version byte, or malformed interior). Retryable: the sender's state

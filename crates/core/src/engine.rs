@@ -18,12 +18,11 @@
 //! * the in-process helpers (`pull`, `pull_delta`, `oob_copy`) and
 //!   `epidb-sim` use [`LocalTransport`] — two replicas in one address
 //!   space;
-//! * `epidb-net`'s `ThreadedCluster` and `ShardedThreadedCluster` move the
-//!   same enums over channels;
 //! * `epidb-net`'s `AsyncTcpCluster` and `ShardedTcpCluster`, both served
-//!   by one epoll reactor, frame them with [`crate::codec`] — the wire codec serializes exactly the values the
-//!   engine executes; the sharded runtimes add the
-//!   [`ProtocolRequest::Shard`] envelope via [`ShardTransport`];
+//!   by one epoll reactor, frame the same enums with [`crate::codec`] —
+//!   the wire codec serializes exactly the values the engine executes; the
+//!   sharded runtimes add the [`ProtocolRequest::Shard`] envelope via
+//!   [`ShardTransport`];
 //! * `epidb-mc` steps the same `Round`s one message at a time.
 //!
 //! Cost accounting ([`Costs::charge_message`](epidb_common::Costs)),
@@ -282,7 +281,7 @@ impl<T: Transport + ?Sized> Transport for &mut T {
 /// Access to the initiating replica between exchanges.
 ///
 /// Drivers never hold the replica across a blocking
-/// [`Transport::exchange`] — under a threaded runtime that would hold the
+/// [`Transport::exchange`] — under a live runtime that would hold the
 /// replica's lock while waiting on a peer that may be waiting on us
 /// (mutual pulls would deadlock). Implementations scope each borrow to one
 /// local protocol step.

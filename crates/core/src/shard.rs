@@ -542,7 +542,7 @@ impl Engine {
 
 /// The in-process transport to a sharded node: an exchange is a direct
 /// call to [`Engine::handle_sharded`] on the serving node. Used by the
-/// simulator and by tests; real runtimes put channels or sockets here.
+/// simulator and by tests; the live runtime puts a socket here.
 pub struct LocalShardedTransport<'a> {
     serving: &'a mut ShardedNode,
 }

@@ -1,10 +1,10 @@
 //! Group commit: one shared write-ahead log per node, batched fsyncs.
 //!
-//! [`NodeDurability`](crate::NodeDurability) journals one replica to one
-//! WAL and fsyncs inline — correct, but a node hosting many
-//! databases/shards pays one fsync *per mutation per journal*. `GroupWal`
-//! interleaves every stream (database, shard) of a node into a single WAL
-//! file behind a commit queue, committed leader–follower. Appenders
+//! A WAL per replica that fsyncs inline is correct, but a node hosting
+//! many shards would pay one fsync *per mutation per journal*. `GroupWal`
+//! is the one WAL every durable replica journals through: it interleaves
+//! every stream (one per replica, e.g. per owned shard) of a node into a
+//! single WAL file behind a commit queue, committed leader–follower. Appenders
 //! enqueue encoded records and return without waking anyone. A caller of
 //! [`GroupWal::wait_durable`] that finds its record not yet durable and
 //! no batch in flight is the **leader**: it takes the whole queue, writes
@@ -14,12 +14,11 @@
 //! still not covered leads the next one, holding everything queued
 //! meanwhile. A lone writer thus writes its own record with no thread
 //! hand-off, and concurrent writers still share fsyncs. A response is
-//! released only after `wait_durable` returns, so the write-ahead
-//! guarantee is the same as the per-replica WAL — only the fsyncs are
-//! amortized.
+//! released only after `wait_durable` returns, so an acknowledged
+//! mutation is durable — only the fsyncs are amortized.
 //!
-//! Record framing reuses the per-replica WAL format (`len | crc32 | body`,
-//! torn-tail rule), but records are framed straight into the commit queue:
+//! Records use the checked frame format (`len | crc32 | body`, torn-tail
+//! rule) and are framed straight into the commit queue:
 //! length and checksum are computed over the encoded record's chunks,
 //! then the header and control bytes are copied once into the queue's
 //! buffer, and values above `INLINE_VALUE_MAX` ride along as shared
@@ -30,8 +29,10 @@
 //! demultiplexed by a leading [`GROUP_RECORD_TAG`] byte and a `stream`
 //! index, so one generation scan recovers every stream. Checkpoints
 //! snapshot *all* streams (`snap-<g>-<k>.epdb`) and roll the shared WAL
-//! together; retention and the journaled [`WalHeader`] work exactly as in
-//! the per-replica layer.
+//! together, under the retention rule and the journaled [`WalHeader`]
+//! described in the crate docs. [`GroupWal::read_wal_tail`] reads one
+//! stream's records back out of the current generation, for a shard
+//! handoff's snapshot-plus-tail.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File};
@@ -45,16 +46,18 @@ use epidb_core::codec::{Reader, Writer};
 use epidb_core::journal::{get_mutation, put_mutation};
 use epidb_core::{ConflictPolicy, Mutation, MutationSink, Replica, SinkHandle};
 
-use crate::frames::{write_chunks, write_frame, writer_frame_header, WAL_FRAME_HEADER};
-use crate::header::{encode_header, WalHeader};
-use crate::node::{
+use crate::files::{
     fsync_dir, io_err, list_generations, load_snapshot, open_wal, scan_wals, wal_path,
     write_snapshot_file, DurabilityConfig,
 };
+use crate::frames::{
+    read_frames, write_chunks, write_frame, writer_frame_header, WAL_FRAME_HEADER,
+};
+use crate::header::{encode_header, is_header, WalHeader};
 
-/// First byte of a group WAL record body: distinguishes multiplexed
-/// records (tag + stream index + mutation) from bare mutation records
-/// (tags 0–3) and the header record (`0xEE`).
+/// First byte of a group WAL record body (tag + stream index + mutation):
+/// distinguishes it from the header record (`0xEE`), and from a bare
+/// mutation encoding (tags 0–3), which is never a record of its own.
 pub(crate) const GROUP_RECORD_TAG: u8 = 0xD7;
 
 /// One stream of a group WAL: the shape of the replica journaled under
@@ -81,14 +84,18 @@ pub struct GroupCommitStats {
     pub fsyncs: u64,
 }
 
-/// What group recovery found on disk.
+/// What recovery found on disk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GroupRecoveryReport {
+pub struct RecoveryReport {
     /// The generation recovered into (and now being appended to).
     pub generation: u64,
     /// Stream snapshots loaded (0 = fresh start; otherwise one per
     /// stream — checkpoints write all streams or none).
     pub snapshots_loaded: usize,
+    /// The generation of the snapshots that were loaded (0 when none).
+    /// Can trail `generation` when recovery fell back past a corrupt newer
+    /// generation and replayed the surviving WALs forward.
+    pub snapshot_generation: u64,
     /// WAL records replayed across all streams.
     pub wal_records_replayed: u64,
     /// Bytes discarded from the WAL tail (torn-write truncation).
@@ -223,8 +230,8 @@ impl MutationSink for GroupSink {
         let frame_len = WAL_FRAME_HEADER + w.len();
         let mut st = self.shared.state.lock().unwrap();
         // The sink API cannot report errors; losing a record would break
-        // the write-ahead contract silently, so fail loudly (same policy
-        // as the per-replica WAL append).
+        // the write-ahead contract silently, so fail loudly, as a real
+        // server losing its disk would.
         if let Some(e) = st.failed.clone() {
             drop(st); // unpoisoned, so `close` still runs
             panic!("{e}");
@@ -321,23 +328,25 @@ impl GroupWal {
     /// Knobs (`fsync`, checkpoint triggers, retention) come from `cfg`;
     /// `cfg.dir` is ignored in favor of the explicit group directory.
     ///
-    /// Recovery mirrors [`NodeDurability::open_with`](crate::NodeDurability::open_with)
-    /// (newest fully-valid snapshot generation, forward replay of every
-    /// retained WAL, torn-tail truncation of the resumed WAL, journaled
-    /// header overriding `policy`/`delta_budget`), except that one WAL
-    /// scan demultiplexes records into all streams and a generation is
-    /// valid only if *every* stream's snapshot loads.
+    /// Recovery takes the newest generation whose snapshots *all* load
+    /// and match their specs, replays every retained WAL from there
+    /// forward (one scan demultiplexes records into all streams),
+    /// truncates the resumed WAL's torn tail, and lets a journaled header
+    /// override `policy`/`delta_budget`: those two are fresh-start
+    /// defaults, so recovery is config-free. An empty directory yields
+    /// fresh replicas. The delta cache is enabled after replay, so the
+    /// recovered op caches start cold.
     ///
-    /// The returned replicas have **no sinks attached**; call
-    /// [`GroupWal::attach`] per stream once runtime reconfiguration is
-    /// done.
+    /// The returned replicas have **no sinks attached** (so the recovery
+    /// itself is not re-journaled); call [`GroupWal::attach`] per stream
+    /// once runtime reconfiguration is done.
     pub fn open(
         cfg: &DurabilityConfig,
         dir: impl Into<PathBuf>,
         streams: &[StreamSpec],
         policy: ConflictPolicy,
         delta_budget: usize,
-    ) -> Result<(Arc<GroupWal>, Vec<Replica>, GroupRecoveryReport)> {
+    ) -> Result<(Arc<GroupWal>, Vec<Replica>, RecoveryReport)> {
         assert!(!streams.is_empty(), "durable: group WAL needs at least one stream");
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err("create dir", &dir, e))?;
@@ -346,7 +355,7 @@ impl GroupWal {
         // specs wins; partial generations (a crash mid-checkpoint) and
         // corrupt ones fall back to older retained generations.
         let snap_map = list_group_snaps(&dir)?;
-        let mut report = GroupRecoveryReport::default();
+        let mut report = RecoveryReport::default();
         let mut recovered: Option<Vec<Replica>> = None;
         let mut last_snap_err = None;
         for (&gen, by_stream) in snap_map.iter().rev() {
@@ -354,6 +363,7 @@ impl GroupWal {
                 Ok(replicas) => {
                     report.generation = gen;
                     report.snapshots_loaded = replicas.len();
+                    report.snapshot_generation = gen;
                     recovered = Some(replicas);
                     break;
                 }
@@ -509,9 +519,9 @@ impl GroupWal {
     ///
     /// `replicas` must be the group's streams **in stream order**, and the
     /// caller must hold whatever locks guard them (so no new records can
-    /// be enqueued mid-checkpoint) — the same discipline as
-    /// [`NodeDurability::checkpoint`](crate::NodeDurability::checkpoint),
-    /// widened to all streams at once.
+    /// be enqueued mid-checkpoint). Callers invoke this *after* a batch of
+    /// operations, never from inside a sink (the replica is mid-mutation
+    /// there).
     pub fn checkpoint(&self, replicas: &[&Replica]) -> Result<()> {
         let st = self.shared.state.lock().unwrap();
         self.checkpoint_locked(st, replicas)
@@ -541,8 +551,12 @@ impl GroupWal {
         st.wal_records = 0;
         st.wal_bytes = wal_bytes;
 
-        // Prune only now, with the newer generation fully fsynced (same
-        // retention rule as the per-replica WAL).
+        // Prune generations beyond the retention window — only now, with
+        // the newer snapshots and their WAL fully fsynced (a crash before
+        // these deletes just leaves extra files; recovery prefers the
+        // newest valid generation). Retaining N > 1 generations keeps the
+        // snapshots *and* the WAL of each: recovering from generation `g`
+        // needs every WAL from `g` forward.
         let keep_from = next.saturating_sub(self.shared.retain_generations.max(1) as u64 - 1);
         let snap_map = list_group_snaps(&self.shared.dir)?;
         for (&gen, by_stream) in &snap_map {
@@ -558,6 +572,35 @@ impl GroupWal {
             }
         }
         Ok(())
+    }
+
+    /// Stream `stream`'s records in the current generation's WAL after its
+    /// first `skip`: the *tail* a shard handoff ships on top of a snapshot
+    /// taken when the stream had journaled `skip` records this generation
+    /// (with one stream, [`wal_records`](Self::wal_records) at that
+    /// moment). Reads the file only, so records still queued are not in
+    /// it: call [`wait_durable`](Self::wait_durable) first. Torn trailing
+    /// bytes are ignored, exactly as in recovery; a `skip` past the
+    /// stream's records is an error.
+    pub fn read_wal_tail(&self, stream: usize, skip: u64) -> Result<Vec<Mutation>> {
+        let path = wal_path(&self.shared.dir, self.generation());
+        let raw = fs::read(&path).map_err(|e| io_err("read", &path, e))?;
+        let mut records = Vec::new();
+        // `skip` counts mutation records; the header record is
+        // configuration, not state.
+        for body in read_frames(&Bytes::from(raw)).bodies.iter().filter(|b| !is_header(b)) {
+            let (s, m) = decode_group_record(body, self.shared.n_streams)?;
+            if s == stream {
+                records.push(m);
+            }
+        }
+        if skip > records.len() as u64 {
+            return Err(Error::Network(format!(
+                "durable: WAL tail skip {skip} exceeds stream {stream}'s {} records",
+                records.len()
+            )));
+        }
+        Ok(records.split_off(skip as usize))
     }
 
     /// Flush the queue through the leader step and release the file.
@@ -633,13 +676,43 @@ fn decode_group_record(body: &Bytes, n_streams: usize) -> Result<(usize, Mutatio
     Ok((stream, m))
 }
 
+/// Build the replica a crash-and-recover of `live` would produce — the
+/// model checker's crash semantics, grounded against this crate's real
+/// disk recovery.
+///
+/// Because every state change is journaled *before* it applies (see
+/// [`epidb_core::journal`]), the WAL always covers the full in-memory
+/// durable state: recovery (snapshot + WAL replay) reconstructs exactly
+/// what [`Replica::to_snapshot`] captures right now. A crash therefore
+/// loses only the ephemeral remainder — cost counters, pending conflict
+/// reports, the op cache, traces — plus any runtime-only configuration
+/// the operator reapplies on restart.
+///
+/// The twin restarts with a cold op cache, re-enabled at `delta_budget`
+/// (matching the journaled WAL-header config). Real recovery is cold too:
+/// [`GroupWal::open`] replays the WAL *before* enabling the
+/// delta cache, so replayed updates cache nothing. A cold cache only
+/// degrades delta rounds to whole-item shipping — it cannot change
+/// protocol correctness, which is what the checker verifies. The
+/// `crash_twin_matches_disk_recovery` tests pin exact state equality (by
+/// [`Replica::fingerprint`]) against a real crash-and-reopen, both from a
+/// checkpoint and from pure WAL replay (where only the `restored` marker
+/// legitimately differs — replay rebuilds state without a snapshot load).
+pub fn crash_recovered_twin(live: &Replica, delta_budget: usize) -> Result<Replica> {
+    let mut twin = Replica::from_snapshot(&live.to_snapshot())?;
+    if delta_budget > 0 {
+        twin.enable_delta(delta_budget);
+    }
+    Ok(twin)
+}
+
 #[cfg(test)]
 mod tests {
     use std::io::{self, Write};
 
     use super::*;
+    use crate::files::atomic_write_with;
     use crate::frames::stream_snapshot;
-    use crate::node::{atomic_write_with, NodeDurability};
     use crate::testdir::TempDir;
     use epidb_common::ItemId;
     use epidb_core::{oob_copy, pull, PropagationPayload, ShippedItem};
@@ -655,7 +728,7 @@ mod tests {
         ]
     }
 
-    fn open(cfg: &DurabilityConfig) -> (Arc<GroupWal>, Vec<Replica>, GroupRecoveryReport) {
+    fn open(cfg: &DurabilityConfig) -> (Arc<GroupWal>, Vec<Replica>, RecoveryReport) {
         let (wal, mut replicas, report) =
             GroupWal::open(cfg, cfg.dir.join("group"), &specs(), ConflictPolicy::Report, 1 << 16)
                 .unwrap();
@@ -750,6 +823,47 @@ mod tests {
         assert_eq!(recovered[1].read(ItemId(0)).unwrap(), fresh.read(ItemId(0)).unwrap());
     }
 
+    #[test]
+    fn wal_tail_reads_one_stream_after_its_first_records() {
+        let tmp = TempDir::new("group-tail");
+        let mut cfg = DurabilityConfig::new(tmp.path());
+        cfg.checkpoint_every = 0;
+        let (wal, mut replicas, _) = open(&cfg);
+        let value = |stream: usize, i: u32| format!("s{stream}-{i}").into_bytes();
+        for i in 0..4u32 {
+            for (stream, r) in replicas.iter_mut().enumerate() {
+                r.update(ItemId(i), UpdateOp::set(value(stream, i))).unwrap();
+            }
+        }
+        wal.wait_durable();
+        let updates = |tail: Vec<Mutation>| -> Vec<(ItemId, UpdateOp)> {
+            tail.into_iter()
+                .map(|m| match m {
+                    Mutation::Update { item, op } => (item, op),
+                    other => panic!("expected an update, got {other:?}"),
+                })
+                .collect()
+        };
+        for k in 0..=4u32 {
+            let want: Vec<_> = (k..4).map(|i| (ItemId(i), UpdateOp::set(value(1, i)))).collect();
+            assert_eq!(updates(wal.read_wal_tail(1, k as u64).unwrap()), want, "skip {k}");
+        }
+        match wal.read_wal_tail(1, 5) {
+            Err(e @ Error::Network(_)) => assert!(e.to_string().contains("exceeds"), "{e}"),
+            other => panic!("a skip past the stream's records must fail, got {other:?}"),
+        }
+
+        // A torn trailing record (stream 1's fifth) is not part of the tail.
+        replicas[1].update(ItemId(0), UpdateOp::set(&b"torn"[..])).unwrap();
+        wal.wait_durable();
+        let path = wal_path(&cfg.dir.join("group"), 0);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let want: Vec<_> = (2..4).map(|i| (ItemId(i), UpdateOp::set(value(1, i)))).collect();
+        assert_eq!(updates(wal.read_wal_tail(1, 2).unwrap()), want);
+        assert_eq!(wal.read_wal_tail(0, 4).unwrap().len(), 0, "stream 0 has exactly four");
+    }
+
     /// Give the journaled replica `node` something in every snapshot
     /// section: values on both sides of the 128 B inline threshold, log
     /// records, a compaction floor, an auxiliary copy and an auxiliary log.
@@ -781,7 +895,8 @@ mod tests {
     #[test]
     fn checkpoint_files_are_write_frame_byte_for_byte() {
         // Totals just under, at and over one 64 KiB snapshot piece, and
-        // many pieces; both WALs stream the same frame.
+        // many pieces; a one-stream group and a later stream of a
+        // two-stream group stream the same frame.
         let mut sizes = Vec::new();
         for n_items in [4, 330, 345, 360, 375, 390, 3000] {
             let tmp = TempDir::new("group-snapfile");
@@ -794,13 +909,17 @@ mod tests {
             let got = fs::read(group_snap_path(&cfg.dir.join("group"), 1, 0)).unwrap();
             assert!(got == want, "group checkpoint of {n_items} items differs");
 
-            let (node_wal, mut single, _) =
-                NodeDurability::open(&cfg, NodeId(1), N_NODES, n_items, ConflictPolicy::Report)
+            // The same replica as the second stream of a node's group.
+            let spec = |n_items| StreamSpec { id: NodeId(1), n_nodes: N_NODES, n_items };
+            let dir = cfg.node_dir(NodeId(1));
+            let (node_wal, mut streams, _) =
+                GroupWal::open(&cfg, &dir, &[spec(4), spec(n_items)], ConflictPolicy::Report, 0)
                     .unwrap();
-            node_wal.attach(&mut single);
+            let mut single = streams.pop().unwrap();
+            node_wal.attach(1, &mut single);
             fill_every_section(&mut single);
-            node_wal.checkpoint(&single).unwrap();
-            let got = fs::read(cfg.node_dir(NodeId(1)).join("snap-1.epdb")).unwrap();
+            node_wal.checkpoint(&[&streams[0], &single]).unwrap();
+            let got = fs::read(dir.join("snap-1-1.epdb")).unwrap();
             assert!(got == write_frame(&single.to_snapshot()), "node checkpoint differs");
             sizes.push(want.len());
         }

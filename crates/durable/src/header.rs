@@ -1,6 +1,6 @@
 //! The WAL header record: the first frame of every WAL generation, tagged
-//! so it can never be confused with a [`Mutation`](epidb_core::Mutation)
-//! record (whose tags are small integers).
+//! so it can never be confused with a group record, which carries a
+//! [`Mutation`](epidb_core::Mutation).
 //!
 //! The header journals the *configuration* a recovering node would
 //! otherwise have to be handed out-of-band: the conflict policy and the
@@ -14,10 +14,9 @@ use epidb_common::{Error, Result};
 use epidb_core::codec::{Reader, Writer};
 use epidb_core::ConflictPolicy;
 
-/// First byte of a header frame body. Mutation records start with their
-/// mutation tag (0–3) and group-commit records with
-/// [`GROUP_RECORD_TAG`](crate::group::GROUP_RECORD_TAG); `0xEE` collides
-/// with neither.
+/// First byte of a header frame body. Group records start with
+/// [`GROUP_RECORD_TAG`](crate::group::GROUP_RECORD_TAG) and mutation
+/// encodings with their tag (0–3); `0xEE` collides with neither.
 pub(crate) const WAL_HEADER_TAG: u8 = 0xEE;
 
 /// Header layout version.

@@ -8,53 +8,52 @@
 //!   CRC-framed [`Mutation`](epidb_core::Mutation) records, one per
 //!   durable state change, written *before* the in-memory application
 //!   (see [`epidb_core::journal`]);
-//! * a **snapshot** (`snap-<gen>.epdb`) — the replica's full durable state
-//!   ([`Replica::to_snapshot`](epidb_core::Replica::to_snapshot)) wrapped
-//!   in the same CRC frame, written temp-file → fsync → atomic rename. It
+//! * a **snapshot** per replica (`snap-<gen>-<stream>.epdb`) — its full
+//!   durable state ([`Replica::to_snapshot`](epidb_core::Replica::to_snapshot))
+//!   wrapped in the same CRC frame, written temp-file → fsync → atomic rename. It
 //!   is streamed there in ~64 KiB pieces
 //!   ([`Replica::write_snapshot`](epidb_core::Replica::write_snapshot))
 //!   under a running CRC, the header written last in place, so a
 //!   checkpoint never holds the encoded replica whole.
 //!
 //! A **checkpoint** rolls the WAL into a new snapshot generation: write
-//! `snap-<g+1>`, start an empty `wal-<g+1>`, then delete the old
+//! every `snap-<g+1>-*`, start an empty `wal-<g+1>`, then delete the old
 //! generation. Every step is crash-safe — a crash at any point leaves
 //! either the old generation intact or both generations on disk, and
 //! recovery picks the newest one that passes its checks.
 //!
-//! **Recovery** ([`NodeDurability::open`]) = newest valid snapshot + replay
-//! of that generation's WAL. The WAL tail is read tolerantly: a frame with
-//! a short header, short body, or CRC mismatch is a *torn tail* — the file
-//! is truncated to the last valid frame and recovery proceeds with the
-//! clean prefix (truncating the WAL at **any** byte offset yields a valid
-//! prefix, never a panic). A frame whose CRC verifies but whose body does
+//! **Recovery** ([`GroupWal::open`]) = newest valid snapshot generation +
+//! replay of that generation's WAL. The WAL tail is read tolerantly: a
+//! frame with a short header, short body, or CRC mismatch is a *torn
+//! tail* — the file is truncated to the last valid frame and recovery
+//! proceeds with the clean prefix (truncating the WAL at **any** byte
+//! offset yields a valid prefix, never a panic). A frame whose CRC verifies but whose body does
 //! not decode cannot be a torn write; that is real corruption and surfaces
 //! as the non-retryable
 //! [`Error::CorruptSnapshot`](epidb_common::Error::CorruptSnapshot).
 //!
-//! Two extensions on the base layer:
+//! Every WAL generation opens with a **header record** ([`WalHeader`]):
+//! the conflict policy and delta budget are journaled, so recovery is
+//! config-free.
 //!
-//! * every WAL generation opens with a **header record** ([`WalHeader`]):
-//!   the conflict policy and delta budget are journaled, so recovery is
-//!   config-free;
-//! * [`GroupWal`] multiplexes every stream (database/shard) of a node
-//!   into **one shared WAL** behind a commit queue — one fsync per
-//!   *batch* instead of per record (group commit). No thread of its own:
-//!   [`GroupWal::wait_durable`], the acknowledgement gate, writes the
-//!   queue itself (leader) unless a batch is in flight, and then waits
-//!   for it (follower).
+//! There is one WAL, [`GroupWal`]. It multiplexes every stream (one
+//! replica each: the node's replica, or one per owned shard) of a node
+//! into **one shared WAL** behind a commit queue — one fsync per *batch*
+//! instead of per record (group commit). No thread of its own:
+//! [`GroupWal::wait_durable`], the acknowledgement gate, writes the queue
+//! itself (leader) unless a batch is in flight, and then waits for it
+//! (follower). Snapshots are per stream (`snap-<gen>-<stream>.epdb`),
+//! written together at each checkpoint.
 
 #![warn(missing_docs)]
 
+mod files;
 mod frames;
 mod group;
 mod header;
-mod node;
 pub mod testdir;
 
+pub use files::DurabilityConfig;
 pub use frames::{read_frames, write_frame, FrameScan, WAL_FRAME_HEADER};
-pub use group::{GroupCommitStats, GroupRecoveryReport, GroupWal, StreamSpec};
+pub use group::{crash_recovered_twin, GroupCommitStats, GroupWal, RecoveryReport, StreamSpec};
 pub use header::WalHeader;
-pub use node::{
-    crash_recovered_twin, DurabilityConfig, NodeDurability, RecoveryReport, ShardedDurability,
-};

@@ -4,8 +4,8 @@
 //! pulls, delta pulls, and out-of-bound fetches (single-writer per item,
 //! paranoid audits on):
 //!
-//! * the **durable world**, where every replica journals to an on-disk
-//!   WAL with snapshot checkpoints, and the schedule injects crash-restart
+//! * the **durable world**, where every replica journals to its node's
+//!   on-disk group WAL with snapshot checkpoints, and the schedule injects crash-restart
 //!   points (drop the replica + WAL handle, recover from disk) and forced
 //!   checkpoints at random positions;
 //! * the **twin world** of plain in-memory replicas that never crash.
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use epidb_common::{ItemId, NodeId};
 use epidb_core::{oob_copy, pull, pull_delta, ConflictPolicy, Replica};
 use epidb_durable::testdir::TempDir;
-use epidb_durable::{DurabilityConfig, NodeDurability};
+use epidb_durable::{DurabilityConfig, GroupWal, StreamSpec};
 use epidb_store::UpdateOp;
 use epidb_vv::VvOrd;
 use proptest::prelude::*;
@@ -59,21 +59,24 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The durable world: each node is a replica journaling to its own WAL.
+/// The durable world: each node is a replica journaling to its own
+/// one-stream group WAL.
 struct DurableWorld {
     cfg: DurabilityConfig,
-    nodes: Vec<(Arc<NodeDurability>, Replica)>,
+    nodes: Vec<(Arc<GroupWal>, Replica)>,
 }
 
 impl DurableWorld {
-    fn open_node(cfg: &DurabilityConfig, id: NodeId) -> (Arc<NodeDurability>, Replica) {
-        let (durability, mut replica, _report) =
-            NodeDurability::open(cfg, id, N_NODES, N_ITEMS, ConflictPolicy::Report)
+    fn open_node(cfg: &DurabilityConfig, id: NodeId) -> (Arc<GroupWal>, Replica) {
+        let spec = [StreamSpec { id, n_nodes: N_NODES, n_items: N_ITEMS }];
+        let (wal, mut replicas, _report) =
+            GroupWal::open(cfg, cfg.node_dir(id), &spec, ConflictPolicy::Report, 0)
                 .expect("durable open");
+        let mut replica = replicas.pop().expect("one stream");
         replica.enable_delta(DELTA_BUDGET);
         replica.set_paranoid(true);
-        durability.attach(&mut replica);
-        (durability, replica)
+        wal.attach(0, &mut replica);
+        (wal, replica)
     }
 
     fn new(dir: &TempDir) -> DurableWorld {
@@ -86,16 +89,19 @@ impl DurableWorld {
     }
 
     fn crash_restart(&mut self, node: usize) {
-        // Drop the in-memory replica and the WAL handle, then recover
-        // purely from what reached the disk.
-        let placeholder = Replica::new(NodeId::from_index(node), N_NODES, N_ITEMS);
-        let _ = std::mem::replace(&mut self.nodes[node].1, placeholder);
-        self.nodes[node] = DurableWorld::open_node(&self.cfg, NodeId::from_index(node));
+        // Drop the in-memory replica and release the WAL, then recover
+        // purely from what reached the disk. Every mutation already passed
+        // the ack gate in `maybe_checkpoint`, so closing writes nothing.
+        let id = NodeId::from_index(node);
+        let (wal, replica) = &mut self.nodes[node];
+        drop(std::mem::replace(replica, Replica::new(id, N_NODES, N_ITEMS)));
+        wal.close();
+        self.nodes[node] = DurableWorld::open_node(&self.cfg, id);
     }
 
     fn checkpoint_all_due(&mut self, node: usize) {
         let (d, r) = &self.nodes[node];
-        d.checkpoint(r).expect("forced checkpoint");
+        d.checkpoint(&[r]).expect("forced checkpoint");
     }
 
     /// Two distinct replicas by index, for pull/oob pairs.
@@ -111,9 +117,12 @@ impl DurableWorld {
         }
     }
 
+    /// What a runtime runs after every mutation: the ack gate (wait until
+    /// the mutation is durable), then the checkpoint policy.
     fn maybe_checkpoint(&self, node: usize) {
         let (d, r) = &self.nodes[node];
-        d.maybe_checkpoint(r).expect("auto checkpoint");
+        d.wait_durable();
+        d.maybe_checkpoint(&[r]).expect("auto checkpoint");
     }
 }
 

@@ -1,26 +1,27 @@
 //! Grounds the model checker's crash semantics against real disk
 //! recovery: `crash_recovered_twin` (pure in-memory snapshot round-trip)
 //! must produce the same replica state — by canonical fingerprint — that
-//! `NodeDurability::open` reconstructs from the WAL/snapshot files after
-//! an actual crash.
+//! `GroupWal::open` reconstructs from the WAL/snapshot files after an
+//! actual crash.
 
 use std::sync::Arc;
 
 use epidb_common::{ItemId, NodeId};
 use epidb_core::{oob_copy, pull, pull_delta, ConflictPolicy, Replica};
 use epidb_durable::testdir::TempDir;
-use epidb_durable::{crash_recovered_twin, DurabilityConfig, NodeDurability};
+use epidb_durable::{crash_recovered_twin, DurabilityConfig, GroupWal, StreamSpec};
 use epidb_store::UpdateOp;
 
 const N_NODES: usize = 3;
 const N_ITEMS: usize = 12;
 const DELTA_BUDGET: usize = 1 << 16;
 
-fn open(cfg: &DurabilityConfig, id: NodeId) -> (Arc<NodeDurability>, Replica) {
-    let (d, mut r, _) =
-        NodeDurability::open_with(cfg, id, N_NODES, N_ITEMS, ConflictPolicy::Report, DELTA_BUDGET)
-            .unwrap();
-    d.attach(&mut r);
+fn open(cfg: &DurabilityConfig, id: NodeId) -> (Arc<GroupWal>, Replica) {
+    let spec = [StreamSpec { id, n_nodes: N_NODES, n_items: N_ITEMS }];
+    let (d, mut replicas, _) =
+        GroupWal::open(cfg, cfg.node_dir(id), &spec, ConflictPolicy::Report, DELTA_BUDGET).unwrap();
+    let mut r = replicas.pop().unwrap();
+    d.attach(0, &mut r);
     (d, r)
 }
 
@@ -48,7 +49,7 @@ fn crash_twin_matches_disk_recovery() {
     mixed_workload(&mut node);
     // Checkpoint so the recovered op cache is cold, matching the twin's
     // deliberate approximation (see `crash_recovered_twin`'s docs).
-    d.checkpoint(&node).unwrap();
+    d.checkpoint(&[&node]).unwrap();
 
     let twin = crash_recovered_twin(&node, DELTA_BUDGET).unwrap();
     drop(d);
@@ -87,7 +88,8 @@ fn crash_twin_loses_exactly_the_ephemeral_state() {
 #[test]
 fn crash_twin_matches_wal_replay_recovery() {
     // No checkpoint: real recovery is pure WAL replay. It is still
-    // cache-cold (`open_with` enables the delta cache only after replay),
+    // cache-cold (`GroupWal::open` enables the delta cache only after
+    // replay),
     // so the twin must match it exactly too.
     let tmp = TempDir::new("crash-twin-replay");
     let cfg = DurabilityConfig::new(tmp.path());

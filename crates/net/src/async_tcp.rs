@@ -565,10 +565,8 @@ impl Drop for AsyncServer {
 }
 
 /// Tuning for [`AsyncTcpCluster`]: the shared [`TcpConfig`] knobs plus
-/// the worker-pool size. With `base.durability` set, durability is the
-/// group-commit [`GroupWal`] (not the per-node
-/// [`NodeDurability`](epidb_durable::NodeDurability) the channel runtime
-/// uses).
+/// the worker-pool size. With `base.durability` set, each node journals
+/// through its group-commit [`GroupWal`].
 #[derive(Clone, Debug, Default)]
 pub struct AsyncTcpConfig {
     /// Protocol, gossip, fault, socket, and durability knobs.
@@ -647,9 +645,8 @@ fn open_group_node(
     delta_budget: usize,
     paranoid: bool,
 ) -> (Arc<GroupWal>, Replica) {
-    // As with `NodeDurability::open_with`, policy and delta budget are
-    // journaled into the WAL header — the arguments are fresh-start
-    // defaults and recovery is config-free.
+    // Policy and delta budget are journaled into the WAL header — the
+    // arguments are fresh-start defaults and recovery is config-free.
     let (wal, mut replicas, _report) = GroupWal::open(
         cfg,
         cfg.node_dir(id),
@@ -665,9 +662,8 @@ fn open_group_node(
 }
 
 /// A cluster of replicas served by the nonblocking reactor and gossiping
-/// over localhost TCP — the socket counterpart of
-/// [`ThreadedCluster`](crate::ThreadedCluster), with the same protocol
-/// bytes and the same harness API.
+/// over localhost TCP, exchanging the same protocol requests and responses
+/// as the in-process simulator.
 pub struct AsyncTcpCluster {
     nodes: Vec<Arc<AsyncNode>>,
     server: Option<AsyncServer>,
@@ -986,11 +982,8 @@ impl AsyncTcpCluster {
     /// As [`quiesce`](Self::quiesce), surfacing a timeout as the typed
     /// [`Error::DeadlineExceeded`].
     pub fn try_quiesce(&self, timeout: Duration) -> Result<()> {
-        crate::runtime::quiesce_policy(self.config.base.gossip_interval).poll_until(
-            "quiescence",
-            timeout,
-            || self.is_quiescent(),
-        )
+        quiesce_policy(self.config.base.gossip_interval)
+            .poll_until("quiescence", timeout, || self.is_quiescent())
     }
 
     fn is_quiescent(&self) -> bool {
@@ -1039,6 +1032,20 @@ impl AsyncTcpCluster {
         for n in &self.nodes {
             *n.durable.lock() = None;
         }
+    }
+}
+
+/// The probe-pacing policy of both socket clusters' `quiesce`: probes
+/// start near the gossip interval and decay exponentially (with the
+/// standard deterministic jitter) toward a 50 ms cap — converging clusters
+/// are checked often early, idle ones rarely.
+pub(crate) fn quiesce_policy(gossip_interval: Duration) -> RetryPolicy {
+    RetryPolicy {
+        max_attempts: u32::MAX,
+        base_backoff: gossip_interval.min(Duration::from_millis(1)).max(Duration::from_micros(100)),
+        max_backoff: Duration::from_millis(50),
+        round_deadline: None,
+        jitter_seed: 0,
     }
 }
 
@@ -1130,6 +1137,10 @@ mod tests {
                 base: TcpConfig {
                     gossip_interval: Duration::from_millis(2),
                     delta_budget: 1 << 20,
+                    paranoid: true,
+                    // Tight budgets on both ends of every gossip link: 2
+                    // wants per fetch frame, a 64-byte responder payload
+                    // budget — same converged state, more (smaller) frames.
                     max_frame_items: 2,
                     delta_frame_bytes: 64,
                     ..TcpConfig::default()
@@ -1152,6 +1163,7 @@ mod tests {
         let replicas = cluster.shutdown();
         for r in &replicas {
             r.check_invariants().unwrap();
+            assert!(r.audits_run() > 0, "paranoid audits should have run");
         }
     }
 
@@ -1162,6 +1174,21 @@ mod tests {
         let out = cluster.oob_fetch(NodeId(1), NodeId(0), ItemId(1)).unwrap();
         assert_eq!(out, OobOutcome::Adopted { from_aux: false });
         assert_eq!(cluster.read(NodeId(1), ItemId(1)).unwrap(), b"wire");
+        // Regular copy still old — it's an auxiliary copy.
+        cluster.with_replica(NodeId(1), |r| {
+            assert_eq!(r.aux_item_count(), 1);
+            assert_eq!(r.read_regular(ItemId(1)).unwrap().as_bytes(), b"");
+        });
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn explicit_pulls_without_gossip() {
+        let cluster = quiet(2, 10);
+        cluster.update(NodeId(0), ItemId(2), UpdateOp::set(&b"v"[..])).unwrap();
+        let out = cluster.pull_now(NodeId(1), NodeId(0)).unwrap();
+        assert_eq!(out.copied(), &[ItemId(2)]);
+        assert!(matches!(cluster.pull_now(NodeId(1), NodeId(0)).unwrap(), PullOutcome::UpToDate));
         cluster.shutdown();
     }
 
@@ -1304,6 +1331,36 @@ mod tests {
         for r in &replicas {
             r.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn durable_revive_restores_state_from_disk_alone() {
+        // Gossip effectively disabled: after the crash nothing can refill
+        // node 0 except its own disk.
+        let tmp = epidb_durable::testdir::TempDir::new("async-disk-only");
+        let cluster = AsyncTcpCluster::spawn(
+            2,
+            10,
+            AsyncTcpConfig {
+                base: TcpConfig {
+                    gossip_interval: Duration::from_secs(3600),
+                    durability: Some(DurabilityConfig::new(tmp.path().clone())),
+                    ..TcpConfig::default()
+                },
+                worker_threads: 2,
+            },
+        )
+        .unwrap();
+        for i in 0..4u32 {
+            cluster.update(NodeId(0), ItemId(i), UpdateOp::set(vec![i as u8; 32])).unwrap();
+        }
+        cluster.crash(NodeId(0));
+        cluster.revive(NodeId(0));
+        for i in 0..4u32 {
+            assert_eq!(cluster.read(NodeId(0), ItemId(i)).unwrap(), vec![i as u8; 32]);
+        }
+        cluster.with_replica(NodeId(0), |r| r.check_invariants().unwrap());
+        cluster.shutdown();
     }
 
     #[test]

@@ -20,18 +20,14 @@ use rand::{Rng, SeedableRng};
 use crate::sharded::{gossip_rounds, ShardHost};
 use crate::transport::MutexHost;
 
-/// Peer-choice rng salt of the channel runtimes.
-pub(crate) const CHANNEL_RNG_SALT: u64 = 0x9E37_79B9;
-/// Peer-choice rng salt of the socket runtimes.
-pub(crate) const TCP_RNG_SALT: u64 = 0x51_7C_C1;
+/// Mixed with `me` into the peer-choice rng seed (the value the socket
+/// runtimes have always used, so seeded schedules do not move).
+const RNG_SALT: u64 = 0x51_7C_C1;
 
 /// The part of a cluster config the gossip tick reads.
 pub(crate) struct GossipConfig {
     pub interval: Duration,
     pub seed: u64,
-    /// Mixed with `me` into the peer-choice rng seed. Each runtime keeps
-    /// the salt it has always had, so seeded schedules do not move.
-    pub rng_salt: u64,
     pub plan: FaultPlan,
     pub retry: RetryPolicy,
     /// Gossip in delta mode (the replicas cache update operations).
@@ -75,7 +71,7 @@ pub(crate) fn gossip_loop<T: Transport>(
     gossiped: Gossiped<'_>,
     connect: impl Fn(NodeId) -> T,
 ) {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (me.index() as u64).wrapping_mul(cfg.rng_salt));
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ (me.index() as u64).wrapping_mul(RNG_SALT));
     // One persistent chaos link per peer: the fault process on each link
     // is continuous across gossip rounds and deterministic in
     // (seed, me, peer).

@@ -1,26 +1,24 @@
-//! Live runtimes for *sharded* deployments: the per-shard protocol of
-//! [`epidb_core::shard`] over the same two fabrics the unsharded runtimes
-//! use — crossbeam channels ([`ShardedThreadedCluster`]) and framed
-//! localhost sockets ([`ShardedTcpCluster`]).
+//! The live runtime for *sharded* deployments: the per-shard protocol of
+//! [`epidb_core::shard`] over the framed localhost sockets the unsharded
+//! runtime uses ([`ShardedTcpCluster`]).
 //!
 //! Each node is one [`ShardedFrameService`]: every incoming exchange
 //! executes [`Engine::handle_sharded`] (so it routes through the shard
 //! map: unowned shards refuse with the typed, non-retryable
 //! [`Error::NotServedHere`], mid-handoff shards with the retryable
-//! [`Error::ShardMoving`]), served by one thread per node over channels and
-//! by the reactor ([`AsyncServer`]) over sockets. Each node also runs one
-//! gossip loop that iterates its *owned* shards each tick, pulling every
-//! shard from a random co-owner in that shard's replica group. A node
+//! [`Error::ShardMoving`]), served by the reactor ([`AsyncServer`]). Each
+//! node also runs one gossip loop that iterates its *owned* shards each
+//! tick, pulling every shard from a random co-owner in that shard's
+//! replica group. A node
 //! therefore pays gossip costs only for the shards it owns — the
 //! partial-replication property the shard map exists to provide — and
 //! each shard converges within its group by the ordinary §2.1
 //! anti-entropy argument, independently of every other shard.
 //!
-//! Over channels the typed refusals travel natively (the reply channel
-//! carries `Result<ProtocolResponse>`); over TCP they ride in-band as
-//! [`ProtocolResponse::Refused`] frames and are re-raised by the transport
-//! — either way the initiator observes the same [`Error`] with the same
-//! retryability.
+//! The typed refusals ride in-band as [`ProtocolResponse::Refused`]
+//! frames and are re-raised by the transport, so the initiator observes
+//! the same [`Error`], with the same retryability, as an in-process
+//! caller of the engine.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,7 +26,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use epidb_common::{Costs, Error, ItemId, NodeId, Result, ShardId};
 use epidb_core::codec::{decode_request_checked, encode_response_to, Writer};
 use epidb_core::{
@@ -41,15 +38,11 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::async_tcp::{refusal_or_error, AsyncServer, FrameService};
-use crate::gossip::{gossip_loop, GossipConfig, Gossiped, CHANNEL_RNG_SALT, TCP_RNG_SALT};
-use crate::message::NetMessage;
-use crate::runtime::ChannelTransport;
+use crate::async_tcp::{quiesce_policy, refusal_or_error, AsyncServer, FrameService};
+use crate::gossip::{gossip_loop, GossipConfig, Gossiped};
 use crate::tcp::{connector, TcpSocketOptions, TcpTransport};
 
-/// Tuning and fault-injection knobs shared by both sharded runtimes.
-/// (The channel runtime ignores `socket`; the TCP runtime ignores
-/// `exchange_timeout`.)
+/// Tuning and fault-injection knobs of [`ShardedTcpCluster`].
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// How often each node walks its owned shards and pulls each from a
@@ -67,9 +60,7 @@ pub struct ShardedConfig {
     /// Retry policy the gossip loop applies within each anti-entropy
     /// round (between rounds, the next tick is the retry).
     pub retry: RetryPolicy,
-    /// How long a channel exchange waits for the peer's reply.
-    pub exchange_timeout: Duration,
-    /// Socket timeouts and connect retry schedule (TCP runtime).
+    /// Socket timeouts and connect retry schedule.
     pub socket: TcpSocketOptions,
     /// Maximum wanted items per `DeltaFetch` frame in delta gossip rounds.
     pub max_frame_items: usize,
@@ -84,7 +75,6 @@ impl Default for ShardedConfig {
             paranoid: false,
             fault_plan: None,
             retry: RetryPolicy::none(),
-            exchange_timeout: Duration::from_millis(500),
             socket: TcpSocketOptions::default(),
             max_frame_items: usize::MAX,
         }
@@ -92,11 +82,10 @@ impl Default for ShardedConfig {
 }
 
 impl ShardedConfig {
-    fn gossip(&self, rng_salt: u64) -> GossipConfig {
+    fn gossip(&self) -> GossipConfig {
         GossipConfig {
             interval: self.gossip_interval,
             seed: self.seed,
-            rng_salt,
             plan: self.fault_plan.clone().unwrap_or(FaultPlan::lossy(0.0)),
             retry: self.retry.clone(),
             delta: self.delta_budget > 0,
@@ -132,39 +121,9 @@ impl ReplicaHost for ShardHost<'_> {
     }
 }
 
-/// Wait until, for every shard, all alive owners hold equal shard DBVVs
-/// and no auxiliary state — the sharded quiescence criterion. Shared by
-/// both runtimes via a probe closure.
-fn quiesce_with(
-    map: &ShardMap,
-    gossip_interval: Duration,
-    timeout: Duration,
-    probe: impl Fn(NodeId, ShardId) -> Option<(epidb_vv::DbVersionVector, usize)>,
-) -> bool {
-    // Probe pacing via the shared RetryPolicy backoff; the bool form keeps
-    // both sharded runtimes' public `quiesce` signatures.
-    crate::runtime::quiesce_policy(gossip_interval)
-        .poll_until("sharded quiescence", timeout, || {
-            ShardId::all(map.n_shards()).all(|shard| {
-                let states: Vec<_> =
-                    map.owners(shard).iter().filter_map(|&n| probe(n, shard)).collect();
-                match states.split_first() {
-                    None => true, // every owner crashed: nothing to compare
-                    Some(((reference, aux0), rest)) => {
-                        *aux0 == 0
-                            && rest
-                                .iter()
-                                .all(|(vv, aux)| *aux == 0 && vv.compare(reference) == VvOrd::Equal)
-                    }
-                }
-            })
-        })
-        .is_ok()
-}
-
 /// One sharded node as its peers reach it: the node behind its lock,
 /// whether it is up, and — as a [`FrameService`] — the responder every
-/// request to it runs, over channels and over sockets alike.
+/// request to it runs.
 pub struct ShardedFrameService {
     node: Mutex<ShardedNode>,
     alive: AtomicBool,
@@ -211,282 +170,6 @@ impl FrameService for ShardedFrameService {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Channel runtime
-// ---------------------------------------------------------------------------
-
-/// A sharded cluster over crossbeam channels: one server thread and one
-/// gossip thread per node, as in [`ThreadedCluster`](crate::ThreadedCluster),
-/// but each node serves and gossips only the shards its map entry assigns
-/// to it.
-pub struct ShardedThreadedCluster {
-    nodes: Vec<Arc<ShardedFrameService>>,
-    senders: Vec<Sender<NetMessage>>,
-    running: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
-    map: ShardMap,
-    config: ShardedConfig,
-}
-
-impl ShardedThreadedCluster {
-    /// Spawn `n_nodes` sharded node threads placed by `map`.
-    pub fn spawn(map: ShardMap, n_nodes: usize, config: ShardedConfig) -> ShardedThreadedCluster {
-        assert!(n_nodes >= 2, "a cluster needs at least two nodes");
-        let running = Arc::new(AtomicBool::new(true));
-        let nodes: Vec<Arc<ShardedFrameService>> = (0..n_nodes)
-            .map(|i| {
-                Arc::new(ShardedFrameService::new(build_node(
-                    NodeId::from_index(i),
-                    n_nodes,
-                    &map,
-                    &config,
-                )))
-            })
-            .collect();
-        let channels: Vec<(Sender<NetMessage>, Receiver<NetMessage>)> =
-            (0..n_nodes).map(|_| unbounded()).collect();
-        let senders: Vec<Sender<NetMessage>> = channels.iter().map(|(s, _)| s.clone()).collect();
-        let mut handles = Vec::new();
-        for (i, (_, rx)) in channels.into_iter().enumerate() {
-            let shared = nodes[i].clone();
-            handles.push(std::thread::spawn(move || serve_loop_sharded(shared, rx)));
-            let shared = nodes[i].clone();
-            let run = running.clone();
-            let peer_senders = senders.clone();
-            let me = NodeId::from_index(i);
-            let cfg = config.clone();
-            handles.push(std::thread::spawn(move || {
-                let connect = |peer: NodeId| ChannelTransport {
-                    peer,
-                    sender: &peer_senders[peer.index()],
-                    timeout: cfg.exchange_timeout,
-                };
-                let gossip = cfg.gossip(CHANNEL_RNG_SALT);
-                let gossiped = Gossiped::Shards(&shared.node);
-                gossip_loop(me, n_nodes, gossip, &run, &shared.alive, gossiped, connect)
-            }));
-        }
-        ShardedThreadedCluster { nodes, senders, running, handles, map, config }
-    }
-
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The placement map the cluster was spawned with.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    fn checked(&self, node: NodeId) -> Result<&Arc<ShardedFrameService>> {
-        let n = self.nodes.get(node.index()).ok_or(Error::UnknownNode(node))?;
-        if !n.alive.load(Ordering::SeqCst) {
-            return Err(Error::NodeDown(node));
-        }
-        Ok(n)
-    }
-
-    /// Apply a user update at `node` (globally addressed item, routed
-    /// through the node's shard map).
-    pub fn update(&self, node: NodeId, item: ItemId, op: UpdateOp) -> Result<()> {
-        self.checked(node)?.node.lock().update(item, op)
-    }
-
-    /// Read the user-visible value at `node`.
-    pub fn read(&self, node: NodeId, item: ItemId) -> Result<Vec<u8>> {
-        Ok(self.checked(node)?.node.lock().read(item)?.as_bytes().to_vec())
-    }
-
-    /// Run a closure over a locked node — inspection for tests and
-    /// harnesses (costs, invariants, owned shards).
-    pub fn with_node<T>(&self, node: NodeId, f: impl FnOnce(&ShardedNode) -> T) -> T {
-        f(&self.nodes[node.index()].node.lock())
-    }
-
-    /// A node's cumulative costs: the sum over its owned shards plus its
-    /// cross-group meta-costs.
-    pub fn node_costs(&self, node: NodeId) -> Costs {
-        self.with_node(node, ShardedNode::costs)
-    }
-
-    /// One whole pull of `shard` right now (`recipient` from `source`),
-    /// bypassing the gossip schedule — deterministic schedules for tests.
-    pub fn pull_shard_now(
-        &self,
-        recipient: NodeId,
-        source: NodeId,
-        shard: ShardId,
-    ) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut channel = ChannelTransport {
-            peer: source,
-            sender: &self.senders[source.index()],
-            timeout: self.config.exchange_timeout,
-        };
-        let mut transport = ShardTransport::new(&mut channel, shard);
-        let mut host = ShardHost { node: &node.node, shard };
-        Engine::pull(&mut host, &mut transport)
-    }
-
-    /// As [`pull_shard_now`](Self::pull_shard_now), in delta mode.
-    pub fn pull_delta_shard_now(
-        &self,
-        recipient: NodeId,
-        source: NodeId,
-        shard: ShardId,
-    ) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut channel = ChannelTransport {
-            peer: source,
-            sender: &self.senders[source.index()],
-            timeout: self.config.exchange_timeout,
-        };
-        let mut transport = ShardTransport::new(&mut channel, shard);
-        let mut host = ShardHost { node: &node.node, shard };
-        Engine::pull_delta(&mut host, &mut transport)
-    }
-
-    /// As [`pull_shard_now`](Self::pull_shard_now), via digest-tree set
-    /// reconciliation — the cold-start rung below whole-pull.
-    pub fn pull_recon_shard_now(
-        &self,
-        recipient: NodeId,
-        source: NodeId,
-        shard: ShardId,
-    ) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut channel = ChannelTransport {
-            peer: source,
-            sender: &self.senders[source.index()],
-            timeout: self.config.exchange_timeout,
-        };
-        let mut transport = ShardTransport::new(&mut channel, shard);
-        let mut host = ShardHost { node: &node.node, shard };
-        Engine::pull_recon(&mut host, &mut transport)
-    }
-
-    /// Bound log retention to `keep` records per component on every shard
-    /// `node` owns.
-    pub fn set_log_retention(&self, node: NodeId, keep: usize) -> Result<()> {
-        let node = self.checked(node)?;
-        node.node.lock().set_log_retention(keep);
-        Ok(())
-    }
-
-    /// One whole pull of `shard` through a caller-owned [`ChaosLink`] —
-    /// the chaos-soak entry point.
-    pub fn pull_shard_now_chaos(
-        &self,
-        recipient: NodeId,
-        source: NodeId,
-        shard: ShardId,
-        link: &mut ChaosLink,
-        policy: &RetryPolicy,
-    ) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let channel = ChannelTransport {
-            peer: source,
-            sender: &self.senders[source.index()],
-            timeout: self.config.exchange_timeout,
-        };
-        let mut chaos = ChaosTransport::new(channel, link);
-        let mut transport = ShardTransport::new(&mut chaos, shard);
-        let mut host = ShardHost { node: &node.node, shard };
-        Engine::pull_with(&mut host, &mut transport, policy)
-    }
-
-    /// Resolve an out-of-bound copy of a globally addressed item at
-    /// `recipient`, served by `source` — within-group it adopts into the
-    /// owned shard (§5.2); cross-group it fetches via the shard map.
-    /// Drive from harness threads one exchange at a time: the recipient's
-    /// node lock is held across the exchange.
-    pub fn oob_fetch(&self, recipient: NodeId, source: NodeId, item: ItemId) -> Result<ShardedOob> {
-        assert_ne!(recipient, source, "a node cannot fetch from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut transport = ChannelTransport {
-            peer: source,
-            sender: &self.senders[source.index()],
-            timeout: self.config.exchange_timeout,
-        };
-        Engine::oob_sharded(&mut node.node.lock(), &mut transport, item)
-    }
-
-    /// Crash a node: it silently drops requests and stops gossiping (the
-    /// in-memory state survives, as in the undurable runtimes).
-    pub fn crash(&self, node: NodeId) {
-        self.nodes[node.index()].alive.store(false, Ordering::SeqCst);
-    }
-
-    /// Revive a crashed node; anti-entropy brings its shards back up to
-    /// date.
-    pub fn revive(&self, node: NodeId) {
-        self.nodes[node.index()].alive.store(true, Ordering::SeqCst);
-    }
-
-    /// Wait until every shard's alive owners hold equal shard DBVVs and
-    /// no auxiliary state, or the deadline passes.
-    pub fn quiesce(&self, timeout: Duration) -> bool {
-        quiesce_with(&self.map, self.config.gossip_interval, timeout, |n, shard| {
-            let shared = &self.nodes[n.index()];
-            if !shared.alive.load(Ordering::SeqCst) {
-                return None;
-            }
-            let node = shared.node.lock();
-            node.shard_state(shard).map(|r| (r.dbvv().clone(), r.aux_item_count()))
-        })
-    }
-
-    fn stop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        for s in &self.senders {
-            let _ = s.send(NetMessage::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-
-    /// Stop all threads. Inspect final state with
-    /// [`with_node`](Self::with_node) *before* shutting down.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-}
-
-impl Drop for ShardedThreadedCluster {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// The server side of a sharded node: every incoming request routes
-/// through [`Engine::handle_sharded`]. A crashed node silently drops
-/// requests (the initiator times out).
-fn serve_loop_sharded(shared: Arc<ShardedFrameService>, rx: Receiver<NetMessage>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            NetMessage::Shutdown => return,
-            NetMessage::Request { req, reply } => {
-                if !shared.alive.load(Ordering::SeqCst) {
-                    continue;
-                }
-                let result = Engine::handle_sharded(&mut shared.node.lock(), req);
-                let _ = reply.send(result);
-            }
-        }
-    }
-}
-
 /// One tick's gossip plan for `me`: for each owned, non-moving shard,
 /// a random co-owner from that shard's replica group (per the node's
 /// *current* map copy, so a reassignment redirects gossip immediately).
@@ -511,12 +194,8 @@ pub(crate) fn gossip_rounds(
     rounds
 }
 
-// ---------------------------------------------------------------------------
-// TCP runtime
-// ---------------------------------------------------------------------------
-
-/// A sharded cluster over localhost TCP: the same per-owned-shard gossip
-/// as [`ShardedThreadedCluster`], with every exchange a CRC-framed
+/// A sharded cluster over localhost TCP: each node serves and gossips only
+/// the shards its map entry assigns to it, every exchange a CRC-framed
 /// request/response pair on a real socket, served by one reactor for all
 /// nodes. Typed routing refusals cross the wire as
 /// [`ProtocolResponse::Refused`] frames.
@@ -566,7 +245,7 @@ impl ShardedTcpCluster {
                 let cfg = config.clone();
                 std::thread::spawn(move || {
                     let connect = connector(peer_addrs, cfg.socket);
-                    let gossip = cfg.gossip(TCP_RNG_SALT);
+                    let gossip = cfg.gossip();
                     let gossiped = Gossiped::Shards(&shared.node);
                     gossip_loop(me, n_nodes, gossip, &run, &shared.alive, gossiped, connect)
                 })
@@ -729,14 +408,33 @@ impl ShardedTcpCluster {
     /// Wait until every shard's alive owners hold equal shard DBVVs and
     /// no auxiliary state, or the deadline passes.
     pub fn quiesce(&self, timeout: Duration) -> bool {
-        quiesce_with(&self.map, self.config.gossip_interval, timeout, |n, shard| {
+        // The shard's state at `n`, if `n` is up.
+        let probe = |n: NodeId, shard| {
             let shared = &self.nodes[n.index()];
             if !shared.alive.load(Ordering::SeqCst) {
                 return None;
             }
             let node = shared.node.lock();
             node.shard_state(shard).map(|r| (r.dbvv().clone(), r.aux_item_count()))
-        })
+        };
+        let map = &self.map;
+        quiesce_policy(self.config.gossip_interval)
+            .poll_until("sharded quiescence", timeout, || {
+                ShardId::all(map.n_shards()).all(|shard| {
+                    let states: Vec<_> =
+                        map.owners(shard).iter().filter_map(|&n| probe(n, shard)).collect();
+                    match states.split_first() {
+                        None => true, // every owner crashed: nothing to compare
+                        Some(((reference, aux0), rest)) => {
+                            *aux0 == 0
+                                && rest.iter().all(|(vv, aux)| {
+                                    *aux == 0 && vv.compare(reference) == VvOrd::Equal
+                                })
+                        }
+                    }
+                })
+            })
+            .is_ok()
     }
 
     fn stop(&mut self) {
@@ -789,18 +487,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cluster_converges_per_group_over_channels() {
-        let cluster = ShardedThreadedCluster::spawn(
+    fn sharded_cluster_converges_per_group_over_tcp() {
+        let cluster = ShardedTcpCluster::spawn(
             two_group_map(),
             4,
             ShardedConfig { paranoid: true, ..fast_config() },
-        );
+        )
+        .unwrap();
         // Writes land at an owner of each item's shard.
-        cluster.update(NodeId(0), ItemId(1), UpdateOp::set(&b"left"[..])).unwrap();
-        cluster.update(NodeId(2), ItemId(9), UpdateOp::set(&b"right"[..])).unwrap();
-        assert!(cluster.quiesce(Duration::from_secs(20)), "no sharded quiescence");
-        assert_eq!(cluster.read(NodeId(1), ItemId(1)).unwrap(), b"left");
-        assert_eq!(cluster.read(NodeId(3), ItemId(9)).unwrap(), b"right");
+        cluster.update(NodeId(1), ItemId(3), UpdateOp::set(&b"alpha"[..])).unwrap();
+        cluster.update(NodeId(3), ItemId(12), UpdateOp::set(&b"beta"[..])).unwrap();
+        assert!(cluster.quiesce(Duration::from_secs(30)), "no sharded quiescence over TCP");
+        assert_eq!(cluster.read(NodeId(0), ItemId(3)).unwrap(), b"alpha");
+        assert_eq!(cluster.read(NodeId(2), ItemId(12)).unwrap(), b"beta");
         // Partial replication: each node holds only its own group's shard
         // and pays costs only there.
         for n in 0..4u16 {
@@ -811,30 +510,11 @@ mod tests {
             });
         }
         // Cross-group reads redirect with the owning group.
-        match cluster.read(NodeId(0), ItemId(9)) {
+        match cluster.read(NodeId(0), ItemId(12)) {
             Err(Error::NotServedHere { owners, .. }) => {
                 assert_eq!(owners, vec![NodeId(2), NodeId(3)]);
             }
             other => panic!("expected redirect, got {other:?}"),
-        }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn sharded_cluster_converges_per_group_over_tcp() {
-        let cluster = ShardedTcpCluster::spawn(
-            two_group_map(),
-            4,
-            ShardedConfig { paranoid: true, ..fast_config() },
-        )
-        .unwrap();
-        cluster.update(NodeId(1), ItemId(3), UpdateOp::set(&b"alpha"[..])).unwrap();
-        cluster.update(NodeId(3), ItemId(12), UpdateOp::set(&b"beta"[..])).unwrap();
-        assert!(cluster.quiesce(Duration::from_secs(30)), "no sharded quiescence over TCP");
-        assert_eq!(cluster.read(NodeId(0), ItemId(3)).unwrap(), b"alpha");
-        assert_eq!(cluster.read(NodeId(2), ItemId(12)).unwrap(), b"beta");
-        for n in 0..4u16 {
-            cluster.with_node(NodeId(n), |node| node.check_invariants_clean().unwrap());
         }
         cluster.shutdown();
     }
@@ -885,15 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_group_oob_over_both_fabrics() {
-        let threaded = ShardedThreadedCluster::spawn(two_group_map(), 4, quiet_config());
-        threaded.update(NodeId(2), ItemId(9), UpdateOp::set(&b"chan"[..])).unwrap();
-        match threaded.oob_fetch(NodeId(0), NodeId(2), ItemId(9)).unwrap() {
-            ShardedOob::Fetched { value, .. } => assert_eq!(&value[..], b"chan"),
-            other => panic!("expected a cross-group fetch, got {other:?}"),
-        }
-        threaded.shutdown();
-
+    fn cross_group_oob_over_tcp() {
         let tcp = ShardedTcpCluster::spawn(two_group_map(), 4, quiet_config()).unwrap();
         tcp.update(NodeId(3), ItemId(10), UpdateOp::set(&b"wire"[..])).unwrap();
         match tcp.oob_fetch(NodeId(1), NodeId(3), ItemId(10)).unwrap() {
@@ -904,36 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_shard_pulls_are_deterministic_across_fabrics() {
-        // The same fixed schedule on both fabrics charges identical costs
-        // — the transport-parity property, at the sharded layer.
-        let run = |costs_of: &dyn Fn() -> (Costs, Costs)| costs_of();
-        let threaded = {
-            let cluster = ShardedThreadedCluster::spawn(two_group_map(), 4, quiet_config());
-            cluster.update(NodeId(0), ItemId(1), UpdateOp::set(&b"x"[..])).unwrap();
-            cluster.pull_shard_now(NodeId(1), NodeId(0), ShardId(0)).unwrap();
-            let out = run(&|| (cluster.node_costs(NodeId(0)), cluster.node_costs(NodeId(1))));
-            cluster.shutdown();
-            out
-        };
-        let tcp = {
-            let cluster = ShardedTcpCluster::spawn(two_group_map(), 4, quiet_config()).unwrap();
-            cluster.update(NodeId(0), ItemId(1), UpdateOp::set(&b"x"[..])).unwrap();
-            cluster.pull_shard_now(NodeId(1), NodeId(0), ShardId(0)).unwrap();
-            let out = run(&|| (cluster.node_costs(NodeId(0)), cluster.node_costs(NodeId(1))));
-            cluster.shutdown();
-            out
-        };
-        assert_eq!(threaded, tcp, "per-node costs must match across fabrics");
-    }
-
-    #[test]
-    fn delta_gossip_converges_per_shard_over_channels() {
-        let cluster = ShardedThreadedCluster::spawn(
+    fn delta_gossip_converges_per_shard_over_tcp() {
+        let cluster = ShardedTcpCluster::spawn(
             two_group_map(),
             4,
             ShardedConfig { delta_budget: 1 << 20, ..fast_config() },
-        );
+        )
+        .unwrap();
         for i in 0..4u32 {
             cluster.update(NodeId(0), ItemId(i), UpdateOp::set(vec![i as u8; 16])).unwrap();
             cluster.update(NodeId(2), ItemId(8 + i), UpdateOp::set(vec![i as u8; 16])).unwrap();

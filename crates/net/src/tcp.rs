@@ -25,7 +25,7 @@ use epidb_core::codec::{
 use epidb_core::{FaultPlan, ProtocolRequest, ProtocolResponse, RetryPolicy, Transport};
 use epidb_durable::DurabilityConfig;
 
-use crate::gossip::{GossipConfig, TCP_RNG_SALT};
+use crate::gossip::GossipConfig;
 use crate::pool;
 
 /// Socket-level tuning for [`TcpTransport`]: every timeout the transport
@@ -130,7 +130,6 @@ impl TcpConfig {
         GossipConfig {
             interval: self.gossip_interval,
             seed: self.seed,
-            rng_salt: TCP_RNG_SALT,
             plan: self.effective_plan(),
             retry: self.retry.clone(),
             delta: self.delta_budget > 0,

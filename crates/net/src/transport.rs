@@ -1,5 +1,5 @@
-//! Transport plumbing shared by the threaded and TCP runtimes: the
-//! mutex-guarded [`ReplicaHost`].
+//! Transport plumbing of the socket runtime: the mutex-guarded
+//! [`ReplicaHost`].
 //!
 //! Fault injection lives in `epidb-core` now — [`ChaosTransport`]
 //! (composable over any [`Transport`](epidb_core::Transport), driven by a

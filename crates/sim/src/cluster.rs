@@ -57,7 +57,7 @@ impl EpidbCluster {
 
     /// One anti-entropy pull: `recipient` from `source` (§5.1), driven
     /// through the engine over the in-process [`LocalTransport`] — the
-    /// same dispatch surface the threaded and TCP runtimes use.
+    /// same dispatch surface the TCP runtime uses.
     pub fn pull_pair(&mut self, recipient: NodeId, source: NodeId) -> Result<PullOutcome> {
         let (r, s) = self.pair_mut(recipient, source);
         Engine::pull(r, &mut LocalTransport::new(s))

@@ -1,8 +1,7 @@
 //! Deterministic in-process simulation of a *sharded* deployment: the
 //! per-shard protocol of [`epidb_core::shard`], driven by explicit
-//! schedules — the in-process analogue of
-//! `epidb_net::ShardedThreadedCluster` / `ShardedTcpCluster`, with the
-//! same dispatch surface ([`Engine::handle_sharded`] at the serving node,
+//! schedules — the in-process analogue of `epidb_net::ShardedTcpCluster`,
+//! with the same dispatch surface ([`Engine::handle_sharded`] at the serving node,
 //! [`ShardTransport`] envelopes on the wire) so per-node costs match the
 //! live runtimes byte for byte.
 
@@ -16,7 +15,7 @@ use epidb_store::UpdateOp;
 /// A simulated sharded cluster: one [`ShardedNode`] per server, placed by
 /// a shared [`ShardMap`]. Exchanges are direct in-process calls; every
 /// pull and out-of-bound copy still routes through the engine's shard
-/// envelope, exactly as over channels or sockets.
+/// envelope, exactly as over sockets.
 pub struct ShardedSimCluster {
     nodes: Vec<ShardedNode>,
     map: ShardMap,

@@ -8,8 +8,8 @@
 //! compacted log vector, out-of-bound copying with intra-node propagation —
 //! together with the baselines the paper compares against (per-item version
 //! vectors, Lotus Notes, Oracle Symmetric Replication, Wuu–Bernstein
-//! gossip), a deterministic simulator with a correctness auditor, a
-//! threaded runtime, and a benchmark/experiment harness.
+//! gossip), a deterministic simulator with a correctness auditor, a live
+//! socket runtime, and a benchmark/experiment harness.
 //!
 //! This crate is a facade: it re-exports the workspace's public API. See
 //! the individual crates for details:
@@ -20,9 +20,9 @@
 //! | [`store`] | items, values, re-doable update operations (§2, §4.4) |
 //! | [`log`] | the log vector and auxiliary log (§4.2, §4.4, Fig. 1) |
 //! | [`core`] | the protocol: replicas, propagation, OOB, tokens (§5), the transport-agnostic engine + wire codec, sharded partial replication (shard maps, routing, handoff) |
-//! | [`durable`] | on-disk durability: write-ahead log, atomic snapshot checkpoints, crash recovery, per-shard WAL/snapshot directories |
+//! | [`durable`] | on-disk durability: one group-commit write-ahead log per node (one stream per replica or owned shard), atomic snapshot checkpoints, crash recovery, WAL tails for shard handoff |
 //! | [`mc`] | exhaustive protocol model checker: bounded exploration of message/crash interleavings with invariant predicates and minimized counterexamples |
-//! | [`net`] | channel and TCP cluster runtimes (engine adapters) with fault injection, every socket node served by one epoll reactor; sharded variants gossiping per owned shard |
+//! | [`net`] | the TCP cluster runtime (an engine adapter) with fault injection, every node served by one epoll reactor; a sharded variant gossiping per owned shard |
 //! | [`baselines`] | the §8 comparison protocols |
 //! | [`sim`] | simulator, workloads, auditor, experiment suite |
 //!

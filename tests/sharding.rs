@@ -3,8 +3,10 @@
 //! and the durable shard-handoff flow (snapshot-ship + WAL-tail catch-up)
 //! with §2.1 invariants verified at every step.
 
+use std::sync::Arc;
+
 use epidb::core::{ChaosLink, FaultPlan, RetryPolicy};
-use epidb::durable::{DurabilityConfig, NodeDurability, ShardedDurability};
+use epidb::durable::{DurabilityConfig, GroupWal, RecoveryReport, StreamSpec};
 use epidb::prelude::*;
 use epidb::sim::ShardedSimCluster;
 
@@ -110,11 +112,30 @@ fn routing_errors_are_typed() {
     assert!(matches!(cluster.read(NodeId(0), ItemId(99)), Err(Error::UnknownItem(ItemId(99)))));
 }
 
+/// Open node `node`'s group WAL with one stream per shard it owns (in
+/// `owned_shards` order), returning the WAL, the recovered shard
+/// replicas and the recovery report.
+fn open_shard_wal(
+    cfg: &DurabilityConfig,
+    node: &ShardedNode,
+) -> (Arc<GroupWal>, Vec<Replica>, RecoveryReport) {
+    let streams: Vec<StreamSpec> = node
+        .owned_shards()
+        .into_iter()
+        .map(|_| StreamSpec {
+            id: node.id(),
+            n_nodes: node.n_nodes(),
+            n_items: node.map().items_per_shard(),
+        })
+        .collect();
+    GroupWal::open(cfg, cfg.node_dir(node.id()), &streams, ConflictPolicy::Report, 0).unwrap()
+}
+
 /// The dedicated durable-handoff test: shard 0 moves from group {0,1} to
 /// node 2 by shipping a *real* durable snapshot plus the WAL records
 /// written after it, with reads refused during the cutover window and the
 /// §2.1 invariants checked on the moved replica — then the target's own
-/// durability recovers the moved shard from disk.
+/// group WAL recovers the moved shard from disk.
 #[test]
 fn durable_handoff_ships_snapshot_plus_wal_tail() {
     let tmp = epidb::durable::testdir::TempDir::new("sharded-handoff");
@@ -125,19 +146,24 @@ fn durable_handoff_ships_snapshot_plus_wal_tail() {
         ..DurabilityConfig::new(tmp.path().join("source"))
     };
 
+    // The source journals each owned shard as one stream of its group WAL.
     let mut n0 = ShardedNode::new(NodeId(0), 4, two_group_map(), ConflictPolicy::Report);
-    let (source_dur, reports) =
-        ShardedDurability::open(&source_cfg, &mut n0, ConflictPolicy::Report).unwrap();
-    assert!(reports.contains_key(&ShardId(0)));
+    let owned = n0.owned_shards();
+    assert_eq!(owned, vec![ShardId(0)]);
+    let (source_wal, recovered, _) = open_shard_wal(&source_cfg, &n0);
+    for (stream, (shard, mut replica)) in owned.into_iter().zip(recovered).enumerate() {
+        source_wal.attach(stream, &mut replica);
+        n0.adopt_shard(shard, replica);
+    }
     n0.set_paranoid(true);
 
     // Pre-snapshot history, journaled per shard.
     n0.update(ItemId(0), UpdateOp::set(&b"pre-snapshot"[..])).unwrap();
     n0.update(ItemId(1), UpdateOp::set(&b"also-pre"[..])).unwrap();
 
-    // Snapshot point: remember how many WAL records it covers.
-    let shard0_dur = source_dur.shard(ShardId(0)).unwrap();
-    let skip = shard0_dur.wal_records();
+    // Snapshot point: remember how many WAL records it covers (shard 0 is
+    // the WAL's only stream, so its records are all of them).
+    let skip = source_wal.wal_records();
     assert_eq!(skip, 2);
     let snapshot = n0.shard_snapshot(ShardId(0)).unwrap();
 
@@ -147,7 +173,8 @@ fn durable_handoff_ships_snapshot_plus_wal_tail() {
 
     // Cutover: freeze, read the durable tail, ship.
     n0.freeze_shard(ShardId(0)).unwrap();
-    let tail = shard0_dur.read_wal_tail(skip).unwrap();
+    source_wal.wait_durable();
+    let tail = source_wal.read_wal_tail(0, skip).unwrap();
     assert_eq!(tail.len(), 2, "exactly the post-snapshot records ship");
     match n0.update(ItemId(0), UpdateOp::set(&b"late"[..])) {
         Err(e @ Error::ShardMoving(_)) => assert!(e.is_retryable()),
@@ -176,25 +203,27 @@ fn durable_handoff_ships_snapshot_plus_wal_tail() {
         other => panic!("the old owner must redirect, got {other:?}"),
     }
 
-    // The target now owns the shard durably: checkpoint the moved replica
-    // into its own per-shard directory, then prove a cold restart
-    // recovers the full (snapshot + tail) history from the target's disk.
+    // The target now owns the shard durably: checkpoint its owned shards
+    // (the moved one and its own) into the streams of its group WAL, then
+    // prove a cold restart recovers the full (snapshot + tail) history
+    // from the target's disk.
     let target_cfg = DurabilityConfig {
         checkpoint_every: 10_000,
         ..DurabilityConfig::new(tmp.path().join("target"))
     };
-    let shard_cfg = target_cfg.shard_config(ShardId(0));
+    assert_eq!(n2.owned_shards(), vec![ShardId(0), ShardId(1)]);
     {
-        let (target_dur, _, _) =
-            NodeDurability::open(&shard_cfg, NodeId(2), 4, 4, ConflictPolicy::Report).unwrap();
+        let (target_wal, _, _) = open_shard_wal(&target_cfg, &n2);
+        let states: Vec<&Replica> =
+            n2.owned_shards().into_iter().map(|s| n2.shard_state(s).unwrap()).collect();
+        target_wal.checkpoint(&states).unwrap();
         let moved = n2.shard_state_mut(ShardId(0)).unwrap();
-        target_dur.checkpoint(moved).unwrap();
-        target_dur.attach(moved);
+        target_wal.attach(0, moved);
         moved.update(ItemId(3), UpdateOp::set(&b"post-handoff"[..])).unwrap();
     }
-    let (_, recovered, report) =
-        NodeDurability::open(&shard_cfg, NodeId(2), 4, 4, ConflictPolicy::Report).unwrap();
-    assert!(report.snapshot_loaded);
+    let (_, recovered, report) = open_shard_wal(&target_cfg, &n2);
+    assert_eq!(report.snapshots_loaded, 2);
+    let recovered = &recovered[0];
     assert_eq!(recovered.read(ItemId(0)).unwrap().as_bytes(), b"pre-snapshot");
     assert_eq!(recovered.read(ItemId(1)).unwrap().as_bytes(), b"also-pre+tail");
     assert_eq!(recovered.read(ItemId(3)).unwrap().as_bytes(), b"post-handoff");

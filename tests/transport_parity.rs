@@ -1,14 +1,10 @@
 //! Cost parity across runtimes: the same protocol schedule, driven through
-//! the in-process engine, the threaded channel runtime, and the TCP socket
-//! runtime (the reactor), must charge byte-for-byte identical [`Costs`] at every node —
-//! the engine is the single place costs are accounted, so no runtime can
-//! drift.
+//! the in-process engine and the TCP socket runtime (the reactor), must
+//! charge byte-for-byte identical [`Costs`] at every node — the engine is
+//! the single place costs are accounted, so no runtime can drift.
 
 use epidb::common::Costs;
-use epidb::net::{
-    AsyncTcpCluster, AsyncTcpConfig, ClusterConfig, ShardedConfig, ShardedTcpCluster,
-    ShardedThreadedCluster, TcpConfig, ThreadedCluster,
-};
+use epidb::net::{AsyncTcpCluster, AsyncTcpConfig, ShardedConfig, ShardedTcpCluster, TcpConfig};
 use epidb::prelude::*;
 use epidb::sim::{EpidbCluster, ShardedSimCluster};
 use std::time::Duration;
@@ -101,35 +97,6 @@ impl Runtime for InProcess {
     }
 }
 
-struct Threaded(ThreadedCluster);
-
-impl Runtime for Threaded {
-    fn update(&mut self, node: u16, item: u32, op: UpdateOp) {
-        self.0.update(NodeId(node), ItemId(item), op).unwrap();
-    }
-    fn pull(&mut self, recipient: u16, source: u16) {
-        self.0.pull_now(NodeId(recipient), NodeId(source)).unwrap();
-    }
-    fn pull_delta(&mut self, recipient: u16, source: u16) {
-        self.0.pull_delta_now(NodeId(recipient), NodeId(source)).unwrap();
-    }
-    fn pull_recon(&mut self, recipient: u16, source: u16) {
-        self.0.pull_recon_now(NodeId(recipient), NodeId(source)).unwrap();
-    }
-    fn set_log_retention(&mut self, node: u16, keep: usize) {
-        self.0.set_log_retention(NodeId(node), keep).unwrap();
-    }
-    fn oob(&mut self, recipient: u16, source: u16, item: u32) {
-        self.0.oob_fetch(NodeId(recipient), NodeId(source), ItemId(item)).unwrap();
-    }
-    fn node_costs(&self, node: u16) -> Costs {
-        self.0.with_replica(NodeId(node), |r| r.costs())
-    }
-    fn value(&self, node: u16, item: u32) -> Vec<u8> {
-        self.0.read(NodeId(node), ItemId(item)).unwrap()
-    }
-}
-
 struct AsyncTcp(AsyncTcpCluster);
 
 impl Runtime for AsyncTcp {
@@ -161,18 +128,6 @@ impl Runtime for AsyncTcp {
 
 /// Gossip disabled (one-minute interval) so the explicit schedule is the
 /// only protocol traffic.
-fn quiet_threaded() -> ThreadedCluster {
-    ThreadedCluster::spawn(
-        N_NODES,
-        N_ITEMS,
-        ClusterConfig {
-            gossip_interval: Duration::from_secs(60),
-            delta_budget: DELTA_BUDGET,
-            ..ClusterConfig::default()
-        },
-    )
-}
-
 fn quiet_async() -> AsyncTcpCluster {
     AsyncTcpCluster::spawn(
         N_NODES,
@@ -195,14 +150,9 @@ fn identical_schedule_charges_identical_costs_everywhere() {
     in_process.enable_delta(DELTA_BUDGET);
     let local = run_schedule(&mut InProcess(in_process));
 
-    let threaded = run_schedule(&mut Threaded(quiet_threaded()));
     let async_tcp = run_schedule(&mut AsyncTcp(quiet_async()));
 
     for node in 0..N_NODES {
-        assert_eq!(
-            local[node], threaded[node],
-            "node {node}: in-process vs threaded costs diverge"
-        );
         assert_eq!(
             local[node], async_tcp[node],
             "node {node}: in-process vs async-TCP costs diverge"
@@ -218,14 +168,9 @@ fn recon_schedule_charges_identical_costs_everywhere() {
     in_process.enable_delta(DELTA_BUDGET);
     let local = run_recon_schedule(&mut InProcess(in_process));
 
-    let threaded = run_recon_schedule(&mut Threaded(quiet_threaded()));
     let async_tcp = run_recon_schedule(&mut AsyncTcp(quiet_async()));
 
     for node in 0..N_NODES {
-        assert_eq!(
-            local[node], threaded[node],
-            "node {node}: recon in-process vs threaded costs diverge"
-        );
         assert_eq!(
             local[node], async_tcp[node],
             "node {node}: recon in-process vs async-TCP costs diverge"
@@ -239,8 +184,8 @@ fn recon_schedule_charges_identical_costs_everywhere() {
 
 // ---------------------------------------------------------------------------
 // Sharded parity: the same per-shard schedule on a 2-groups × 2-nodes
-// cluster, across the in-process sharded simulator and both sharded live
-// runtimes.
+// cluster, across the in-process sharded simulator and the sharded socket
+// runtime.
 // ---------------------------------------------------------------------------
 
 const SHARDED_NODES: usize = 4;
@@ -316,35 +261,6 @@ impl ShardedRuntime for ShardedInProcess {
     }
 }
 
-struct ShardedThreaded(ShardedThreadedCluster);
-
-impl ShardedRuntime for ShardedThreaded {
-    fn update(&mut self, node: u16, item: u32, op: UpdateOp) {
-        self.0.update(NodeId(node), ItemId(item), op).unwrap();
-    }
-    fn pull_shard(&mut self, recipient: u16, source: u16, shard: u16) {
-        self.0.pull_shard_now(NodeId(recipient), NodeId(source), ShardId(shard)).unwrap();
-    }
-    fn pull_delta_shard(&mut self, recipient: u16, source: u16, shard: u16) {
-        self.0.pull_delta_shard_now(NodeId(recipient), NodeId(source), ShardId(shard)).unwrap();
-    }
-    fn pull_recon_shard(&mut self, recipient: u16, source: u16, shard: u16) {
-        self.0.pull_recon_shard_now(NodeId(recipient), NodeId(source), ShardId(shard)).unwrap();
-    }
-    fn set_log_retention(&mut self, node: u16, keep: usize) {
-        self.0.set_log_retention(NodeId(node), keep).unwrap();
-    }
-    fn oob(&mut self, recipient: u16, source: u16, item: u32) {
-        self.0.oob_fetch(NodeId(recipient), NodeId(source), ItemId(item)).unwrap();
-    }
-    fn node_costs(&self, node: u16) -> Costs {
-        self.0.node_costs(NodeId(node))
-    }
-    fn value(&self, node: u16, item: u32) -> Vec<u8> {
-        self.0.read(NodeId(node), ItemId(item)).unwrap()
-    }
-}
-
 struct ShardedTcp(ShardedTcpCluster);
 
 impl ShardedRuntime for ShardedTcp {
@@ -388,20 +304,11 @@ fn sharded_schedule_charges_identical_costs_everywhere() {
     in_process.enable_delta(DELTA_BUDGET);
     let local = run_sharded_schedule(&mut ShardedInProcess(in_process));
 
-    let threaded = run_sharded_schedule(&mut ShardedThreaded(ShardedThreadedCluster::spawn(
-        sharded_map(),
-        SHARDED_NODES,
-        quiet_sharded(),
-    )));
     let tcp = run_sharded_schedule(&mut ShardedTcp(
         ShardedTcpCluster::spawn(sharded_map(), SHARDED_NODES, quiet_sharded()).unwrap(),
     ));
 
     for node in 0..SHARDED_NODES {
-        assert_eq!(
-            local[node], threaded[node],
-            "node {node}: sharded in-process vs threaded costs diverge"
-        );
         assert_eq!(local[node], tcp[node], "node {node}: sharded in-process vs TCP costs diverge");
     }
     assert!(local.iter().any(|c| c.bytes_sent > 0 && c.messages_sent > 0));
