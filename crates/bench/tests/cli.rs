@@ -9,14 +9,6 @@ fn rejects(bin: &str, args: &[&str]) {
 }
 
 #[test]
-fn perf_report_rejects_unknown_flags_and_missing_values() {
-    let bin = env!("CARGO_BIN_EXE_perf_report");
-    rejects(bin, &["--smoke", "--assert-cold-strat"]);
-    rejects(bin, &["--smoke", "--out"]);
-    rejects(bin, &["--baseline", "x"]);
-}
-
-#[test]
 fn experiments_rejects_unknown_flags_and_ids() {
     let bin = env!("CARGO_BIN_EXE_experiments");
     rejects(bin, &["--quikc"]);

@@ -93,18 +93,6 @@ impl FaultPlan {
     pub fn lossy(p: f64) -> FaultPlan {
         FaultPlan { request_loss: p, response_loss: p, ..FaultPlan::default() }
     }
-
-    /// True if every fault probability is zero and no partitions are
-    /// scheduled (latency alone does not make a plan faulty).
-    pub fn is_fault_free(&self) -> bool {
-        self.request_loss == 0.0
-            && self.response_loss == 0.0
-            && self.duplication == 0.0
-            && self.reorder == 0.0
-            && self.corruption == 0.0
-            && self.reset == 0.0
-            && self.partitions.is_empty()
-    }
 }
 
 /// Ground-truth injection counts, kept by the injector itself so harnesses

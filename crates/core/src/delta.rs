@@ -150,11 +150,6 @@ impl DeltaPayload {
     pub fn payload_bytes(&self) -> u64 {
         self.items.iter().map(DeltaItem::payload_bytes).sum()
     }
-
-    /// How many items travel as operation chains.
-    pub fn ops_items(&self) -> usize {
-        self.items.iter().filter(|i| matches!(i, DeltaItem::Ops { .. })).count()
-    }
 }
 
 /// The recipient's evaluation of an offer, carried into the apply step.

@@ -154,14 +154,6 @@ pub struct McShardedSnapshot {
     policy: ConflictPolicy,
 }
 
-impl McShardedSnapshot {
-    /// Per-shard durable images — the crash image of a sharded node (each
-    /// owned shard recovers independently from its own WAL/snapshot).
-    pub fn durable_images(&self) -> impl Iterator<Item = (ShardId, &Bytes)> {
-        self.shards.iter().map(|(&s, snap)| (s, snap.durable_bytes()))
-    }
-}
-
 fn policy_tag(policy: ConflictPolicy) -> u8 {
     match policy {
         ConflictPolicy::Report => 0,

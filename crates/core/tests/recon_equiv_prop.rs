@@ -8,7 +8,8 @@
 //! model-checker fingerprints (store, log, DBVV, coverage floor), not
 //! merely equal reads. This is the safety half of the cold-start ladder;
 //! the cost half (the descent ships O(diff · log N), the whole pull
-//! ships O(N)) is pinned by `tools/perf_report`'s cold-start gate.
+//! ships O(N)) is pinned by the cold-start gate in
+//! `crates/bench/tests/count_gates.rs`.
 //!
 //! Each schedule runs at N = 16 (one bucket: the digest tree caches no
 //! node), 37 and 200 (cached nodes above buckets of 16), so the descent

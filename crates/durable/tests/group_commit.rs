@@ -9,7 +9,7 @@
 //! mutations and never crashed. And the leader–follower commit must keep
 //! acked-implies-durable when one thread's batch carries another's ack.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use bytes::Bytes;
 use epidb_common::{ItemId, NodeId};
@@ -177,6 +177,48 @@ fn one_wait_writes_everything_queued_in_one_batch() {
     assert_eq!(wal.stats(), GroupCommitStats { records: 3, batches: 1, fsyncs: 0 });
     wal.wait_durable();
     assert_eq!(wal.stats().batches, 1, "nothing pending: no write");
+}
+
+#[test]
+fn a_crowd_of_waiters_shares_one_batch_and_one_fsync_per_round() {
+    // Each round, K threads each enqueue one update to their own item on
+    // one stream, then all wait. The first waiter leads a batch that
+    // takes the whole queue; the others follow it and find nothing left
+    // to write. So every round is exactly one batch and one fsync,
+    // whatever order the threads run in.
+    const K: usize = 8;
+    const ROUNDS: u64 = 16;
+    let tmp = TempDir::new("group-crowd");
+    let mut cfg = quiet_cfg(tmp.path().to_path_buf());
+    cfg.fsync = true;
+    let (wal, mut replicas, _) =
+        GroupWal::open(&cfg, tmp.path(), &specs(), ConflictPolicy::Report, 0).unwrap();
+    wal.attach(0, &mut replicas[0]);
+    let replica = Mutex::new(replicas.swap_remove(0));
+    let barrier = Barrier::new(K);
+    std::thread::scope(|scope| {
+        for t in 0..K {
+            let (wal, replica, barrier) = (&wal, &replica, &barrier);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    replica
+                        .lock()
+                        .unwrap()
+                        .update(ItemId(t as u32), UpdateOp::set(vec![round as u8; 16]))
+                        .unwrap();
+                    barrier.wait();
+                    wal.wait_durable();
+                    barrier.wait();
+                }
+            });
+        }
+    });
+    assert_eq!(
+        wal.stats(),
+        GroupCommitStats { records: K as u64 * ROUNDS, batches: ROUNDS, fsyncs: ROUNDS },
+        "a round's waiters must share the batch of whichever of them leads"
+    );
+    wal.close();
 }
 
 #[test]

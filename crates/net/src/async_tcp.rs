@@ -418,8 +418,10 @@ impl Reactor {
 fn worker_loop(reactor: Arc<Reactor>) {
     let mut events: Vec<Event> = Vec::new();
     // Per-worker read scratch: sockets drain through this before the
-    // bytes land in the owning connection's buffer.
-    let mut scratch = vec![0u8; 64 << 10];
+    // bytes land in the owning connection's buffer. Allocated on the
+    // worker's first connection event, so a worker that never serves one
+    // holds none.
+    let mut scratch = Vec::new();
     let n_listeners = reactor.listeners.len() as u64;
     while reactor.running.load(Ordering::SeqCst) {
         if reactor.poller.wait(&mut events, Some(WAIT_SLICE)).is_err() {
@@ -435,6 +437,9 @@ fn worker_loop(reactor: Arc<Reactor>) {
             if ev.key <= n_listeners {
                 reactor.accept_ready(ev.key);
             } else {
+                if scratch.is_empty() {
+                    scratch = vec![0u8; 64 << 10];
+                }
                 reactor.conn_ready(ev.key, &mut scratch);
             }
         }
@@ -863,21 +868,8 @@ impl AsyncTcpCluster {
         Ok(())
     }
 
-    /// One whole-item pull at `recipient` over a caller-supplied
-    /// transport with a retry policy.
-    pub fn pull_now_via<T: Transport>(
-        &self,
-        recipient: NodeId,
-        transport: &mut T,
-        policy: &RetryPolicy,
-    ) -> Result<PullOutcome> {
-        let node = self.checked(recipient)?;
-        let out = Engine::pull_with(&mut MutexHost(&node.replica), transport, policy);
-        node.after_mutation();
-        out
-    }
-
-    /// As [`pull_now_via`](Self::pull_now_via), in delta mode.
+    /// One delta pull at `recipient` over a caller-supplied transport with
+    /// a retry policy (and the engine's delta-to-whole degradation ladder).
     pub fn pull_delta_now_via<T: Transport>(
         &self,
         recipient: NodeId,
@@ -890,22 +882,9 @@ impl AsyncTcpCluster {
         out
     }
 
-    /// One whole-item pull through a caller-owned [`ChaosLink`] — the
-    /// chaos-soak entry point.
-    pub fn pull_now_chaos(
-        &self,
-        recipient: NodeId,
-        source: NodeId,
-        link: &mut ChaosLink,
-        policy: &RetryPolicy,
-    ) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let mut transport = ChaosTransport::new(self.transport_to(source), link);
-        self.pull_now_via(recipient, &mut transport, policy)
-    }
-
-    /// As [`pull_now_chaos`](Self::pull_now_chaos), in delta mode.
+    /// One delta pull through a caller-owned [`ChaosLink`] — the
+    /// chaos-soak entry point; as
+    /// [`pull_delta_now_via`](Self::pull_delta_now_via) over the link.
     pub fn pull_delta_now_chaos(
         &self,
         recipient: NodeId,
@@ -1260,8 +1239,7 @@ mod tests {
     fn many_parked_connections_on_two_workers() {
         // A few hundred concurrently-open connections served by 2 worker
         // threads: every connection completes an exchange, is parked, and
-        // completes a second one — the full-scale version (1000+) is the
-        // `c10k_connections` perf scenario.
+        // completes a second one.
         let cluster = quiet(2, 8);
         cluster.update(NodeId(0), ItemId(1), UpdateOp::set(&b"fanout"[..])).unwrap();
         let client = Replica::new(NodeId(1), 2, 8);
@@ -1363,51 +1341,67 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// Two nodes; node 0's updates journal with per-batch fsync on and no
+    /// checkpoints, so the WAL counters count updates alone. Gossip idles.
+    fn fsync_cluster(dir: &std::path::Path, n_items: usize) -> AsyncTcpCluster {
+        let mut durability = DurabilityConfig::new(dir);
+        durability.fsync = true;
+        durability.checkpoint_every = u64::MAX;
+        let base = TcpConfig {
+            gossip_interval: Duration::from_secs(3600),
+            durability: Some(durability),
+            ..TcpConfig::default()
+        };
+        AsyncTcpCluster::spawn(2, n_items, AsyncTcpConfig { base, worker_threads: 2 }).unwrap()
+    }
+
+    /// `writers` threads each make `ops` acked updates to their own item on
+    /// node 0, and return node 0's WAL counters.
+    fn acked_writes(cluster: &AsyncTcpCluster, writers: usize, ops: usize) -> GroupCommitStats {
+        std::thread::scope(|scope| {
+            for w in 0..writers {
+                scope.spawn(move || {
+                    for k in 0..ops {
+                        let op = UpdateOp::set(vec![k as u8; 24]);
+                        cluster.update(NodeId(0), ItemId::from_index(w), op).unwrap();
+                    }
+                });
+            }
+        });
+        cluster.group_commit_stats(NodeId(0)).unwrap()
+    }
+
     #[test]
     fn group_commit_acks_after_fsync_and_batches_writers() {
         let tmp = epidb_durable::testdir::TempDir::new("async-group-commit");
-        let mut durability = DurabilityConfig::new(tmp.path().clone());
-        durability.fsync = true;
-        durability.checkpoint_every = u64::MAX; // isolate the WAL counters
-        let cluster = Arc::new(
-            AsyncTcpCluster::spawn(
-                2,
-                64,
-                AsyncTcpConfig {
-                    base: TcpConfig {
-                        gossip_interval: Duration::from_secs(60),
-                        durability: Some(durability),
-                        ..TcpConfig::default()
-                    },
-                    worker_threads: 2,
-                },
-            )
-            .unwrap(),
-        );
-        let writers: Vec<_> = (0..4)
-            .map(|w| {
-                let cluster = cluster.clone();
-                std::thread::spawn(move || {
-                    for i in 0..16u32 {
-                        let item = ItemId(w * 16 + i);
-                        cluster.update(NodeId(0), item, UpdateOp::set(vec![w as u8; 8])).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        let stats = cluster.group_commit_stats(NodeId(0)).unwrap();
+        let cluster = fsync_cluster(tmp.path(), 4);
+        let stats = acked_writes(&cluster, 4, 16);
         assert_eq!(stats.records, 64, "every update journaled exactly once");
         assert_eq!(stats.batches, stats.fsyncs, "one fsync per taken batch");
         assert!(stats.fsyncs <= stats.records, "batching never costs extra fsyncs");
-        match Arc::try_unwrap(cluster) {
-            Ok(cluster) => {
-                cluster.shutdown();
-            }
-            Err(_) => panic!("writer threads still hold the cluster"),
-        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    #[ignore = "timing-dependent; ci.sh runs it with --ignored"]
+    fn group_commit_crowd_shares_fsyncs() {
+        // 64 writers × 16 acked updates: followers coalesce into whichever
+        // writer leads, at most one fsync per ten mutations. How many land
+        // in one batch depends on thread scheduling; the exact law is
+        // `group_commit.rs` in the durable crate.
+        let tmp = epidb_durable::testdir::TempDir::new("async-group-commit-crowd");
+        let cluster = fsync_cluster(tmp.path(), 64);
+        let stats = acked_writes(&cluster, 64, 16);
+        cluster.shutdown();
+        assert_eq!(stats.records, 64 * 16, "every ack journaled exactly once");
+        let ratio = stats.fsyncs as f64 / stats.records as f64;
+        assert!(
+            ratio <= 0.1,
+            "group-commit regression: {} fsyncs for {} mutations (ratio {ratio:.3} > 0.1) — \
+             concurrent writers stopped coalescing into shared fsync batches",
+            stats.fsyncs,
+            stats.records,
+        );
     }
 
     #[test]

@@ -67,10 +67,6 @@ pub struct TcpConfig {
     pub gossip_interval: Duration,
     /// Seed for peer selection and per-link chaos.
     pub seed: u64,
-    /// Probability that either leg of a gossip exchange is dropped
-    /// (shorthand for a [`FaultPlan::lossy`] plan; ignored when
-    /// `fault_plan` is set).
-    pub loss_probability: f64,
     /// Op-cache budget per replica; when non-zero, gossip runs in delta
     /// mode.
     pub delta_budget: usize,
@@ -78,8 +74,8 @@ pub struct TcpConfig {
     pub paranoid: bool,
     /// Socket timeouts and connect retry schedule.
     pub socket: TcpSocketOptions,
-    /// Full fault mix for gossip links; overrides `loss_probability`
-    /// when set.
+    /// Fault mix for gossip links (`None`: fault-free), e.g.
+    /// [`FaultPlan::lossy`] for message loss.
     pub fault_plan: Option<FaultPlan>,
     /// Retry policy the gossip loop applies within each anti-entropy
     /// round (between rounds, the next tick is the retry).
@@ -106,7 +102,6 @@ impl Default for TcpConfig {
         TcpConfig {
             gossip_interval: Duration::from_millis(5),
             seed: 0x7C9,
-            loss_probability: 0.0,
             delta_budget: 0,
             paranoid: false,
             socket: TcpSocketOptions::default(),
@@ -120,17 +115,11 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// The fault plan gossip links run: `fault_plan` if set, else the
-    /// `loss_probability` shorthand.
-    pub fn effective_plan(&self) -> FaultPlan {
-        self.fault_plan.clone().unwrap_or(FaultPlan::lossy(self.loss_probability))
-    }
-
     pub(crate) fn gossip(&self) -> GossipConfig {
         GossipConfig {
             interval: self.gossip_interval,
             seed: self.seed,
-            plan: self.effective_plan(),
+            plan: self.fault_plan.clone().unwrap_or_default(),
             retry: self.retry.clone(),
             delta: self.delta_budget > 0,
             max_frame_items: self.max_frame_items,

@@ -91,23 +91,10 @@ impl EpidbCluster {
         self.replicas[node.index()].set_log_retention(keep);
     }
 
-    /// As [`pull_pair`](Self::pull_pair), with the exchange subjected to
-    /// a caller-owned [`ChaosLink`] and the round retried per `policy` —
-    /// the chaos-soak entry point for the in-process runtime.
-    pub fn pull_pair_chaos(
-        &mut self,
-        recipient: NodeId,
-        source: NodeId,
-        link: &mut ChaosLink,
-        policy: &RetryPolicy,
-    ) -> Result<PullOutcome> {
-        let (r, s) = self.pair_mut(recipient, source);
-        let mut transport = ChaosTransport::new(LocalTransport::new(s), link);
-        Engine::pull_with(r, &mut transport, policy)
-    }
-
-    /// As [`pull_delta_pair`](Self::pull_delta_pair), under chaos with
-    /// retries (and the engine's delta-to-whole degradation ladder).
+    /// As [`pull_delta_pair`](Self::pull_delta_pair), with the exchange
+    /// subjected to a caller-owned [`ChaosLink`] and the round retried per
+    /// `policy` (and the engine's delta-to-whole degradation ladder) — the
+    /// chaos-soak entry point for the in-process runtime.
     pub fn pull_delta_pair_chaos(
         &mut self,
         recipient: NodeId,
@@ -168,12 +155,6 @@ impl EpidbCluster {
     /// out-of-bound copying, §6).
     pub fn aux_log_bytes(&self) -> usize {
         self.replicas.iter().map(|r| r.aux_log().payload_bytes()).sum()
-    }
-
-    /// Total log-vector records retained across the cluster (bounded by
-    /// `n² · N`, and per node by `n · N`, §4.2).
-    pub fn log_records_total(&self) -> usize {
-        self.replicas.iter().map(|r| r.log().total_len()).sum()
     }
 
     /// True when, additionally to value convergence, no auxiliary state

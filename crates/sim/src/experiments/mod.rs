@@ -39,7 +39,6 @@ use epidb_common::{ItemId, NodeId};
 use epidb_store::UpdateOp;
 
 use crate::cluster::EpidbCluster;
-use crate::table::Table;
 
 /// Build the pull-based protocol set for one configuration, paper's
 /// protocol first.
@@ -70,23 +69,4 @@ pub(crate) fn apply_distinct_updates(
             proto.update(node, ItemId::from_index(i), UpdateOp::set(payload)).expect("update");
         }
     }
-}
-
-/// Run every experiment and return the tables in presentation order.
-pub fn all_tables(quick: bool) -> Vec<Table> {
-    vec![
-        t1::run(quick),
-        t2::run(quick),
-        t3::run(quick),
-        t4::run(quick),
-        t5::run(quick),
-        t6::run(quick),
-        f2::run(quick),
-        f3::run_rounds(quick),
-        f3::run_staleness(quick),
-        f4::run(quick),
-        f5::run(quick),
-        f6::run(quick),
-        t8::run(quick),
-    ]
 }

@@ -125,7 +125,7 @@ fn tcp_cluster_converges_under_loss_and_crash() {
         AsyncTcpConfig {
             base: TcpConfig {
                 gossip_interval: Duration::from_millis(2),
-                loss_probability: 0.25,
+                fault_plan: Some(FaultPlan::lossy(0.25)),
                 paranoid: true,
                 ..TcpConfig::default()
             },
@@ -179,7 +179,7 @@ fn tcp_delta_gossip_converges_under_loss() {
         AsyncTcpConfig {
             base: TcpConfig {
                 gossip_interval: Duration::from_millis(2),
-                loss_probability: 0.2,
+                fault_plan: Some(FaultPlan::lossy(0.2)),
                 delta_budget: 1 << 20,
                 paranoid: true,
                 ..TcpConfig::default()
