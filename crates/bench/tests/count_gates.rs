@@ -19,8 +19,8 @@ use bytes::Bytes;
 use epidb_common::{Costs, ItemId, NodeId, ShardId};
 use epidb_core::codec::{decode_response_shared, encode_response, encode_response_to, Writer};
 use epidb_core::{
-    oob_copy, pull, pull_delta, ConflictPolicy, Engine, LocalShardedTransport, ProtocolResponse,
-    PullOutcome, Replica, ShardMap, ShardTransport, ShardedNode,
+    oob_copy, pull, pull_delta, ConflictPolicy, Engine, LocalShardedTransport, PropagationResponse,
+    ProtocolResponse, PullOutcome, Replica, ShardMap, ShardTransport, ShardedNode,
 };
 use epidb_durable::testdir::TempDir;
 use epidb_durable::{DurabilityConfig, GroupWal, StreamSpec};
@@ -591,13 +591,22 @@ fn gate_conn_reuse() -> String {
 
 // --- heap -------------------------------------------------------------------
 
-/// Three legs at `tcp_small`'s shape (n = 3, 65,536 items), each on live /
-/// peak heap bytes:
+/// Five legs at `tcp_small`'s shape (n = 3, 65,536 items; the journal leg
+/// a quarter of that), each on live / peak heap bytes:
 /// * an empty `ItemStore` holds at most 56 B per item plus 64 KiB: its
 ///   value column and one IVV arena exactly n wide, no per-item vector;
 /// * a `GroupWal` checkpoint of a replica of 64 B values raises the peak at
 ///   most 256 KiB above live: the snapshot streams to disk in pieces and
 ///   is never held whole, nor copied into a frame;
+/// * decoding and accepting a 16,384-item propagation into a replica that
+///   journals to a `GroupWal` raises the peak at most by the decoded
+///   payload plus one record and a quarter: the journal encodes from the
+///   payload it borrows, into one exactly sized buffer
+///   ([`heap_journal_leg`]);
+/// * a replica restored by `from_snapshot_shared` holds at most 168 B per
+///   item once the frame is dropped: small values are packed into the
+///   replica's own buffer and no longer pin the snapshot
+///   ([`heap_restore_leg`]);
 /// * `AsyncTcpCluster::shutdown` raises the peak at most 64 KiB: the final
 ///   replicas move out of their nodes, they are not cloned.
 fn gate_heap() -> String {
@@ -636,6 +645,9 @@ fn gate_heap() -> String {
          live (> 256 KiB) — the snapshot is being materialised instead of streamed",
     );
 
+    let (journal, journal_bound) = heap_journal_leg();
+    let (restored, restored_bound) = heap_restore_leg(NODES, ITEMS);
+
     let config = AsyncTcpConfig {
         base: TcpConfig { gossip_interval: Duration::from_secs(3600), ..TcpConfig::default() },
         worker_threads: 2,
@@ -657,11 +669,87 @@ fn gate_heap() -> String {
          the final replicas are being copied instead of moved out",
     );
     format!(
-        "empty store {:.1} B/item, checkpoint +{} KiB over live, shutdown +{} KiB",
+        "empty store {:.1} B/item, checkpoint +{} KiB over live, journal +{journal} B (bound \
+         {journal_bound}), restored {restored:.1} B/item (bound {restored_bound}), shutdown +{} \
+         KiB",
         held as f64 / ITEMS as f64,
         checkpoint >> 10,
         shutdown >> 10,
     )
+}
+
+/// The journal leg of [`gate_heap`]: a propagation of `ITEMS` 64 B values,
+/// decoded from its frame and accepted by a replica journaling to a
+/// `GroupWal`. Returns the peak rise over live and its bound: the decoded
+/// payload's item and tail vectors (its values alias the frame) plus one
+/// record of the frame's size, with a quarter of a record to spare. A
+/// copy of the payload made to journal it, or a record buffer grown by
+/// doubling, each add more than that.
+fn heap_journal_leg() -> (u64, u64) {
+    const NODES: usize = 3;
+    const ITEMS: usize = 16_384;
+    let tmp = TempDir::new("count-gate-heap-journal");
+    let mut cfg = DurabilityConfig::new(tmp.path());
+    cfg.checkpoint_every = 0;
+    let spec = [StreamSpec { id: NodeId(1), n_nodes: NODES, n_items: ITEMS }];
+    let (wal, mut replicas, _) =
+        GroupWal::open(&cfg, tmp.path().join("node"), &spec, ConflictPolicy::Report, 0)
+            .expect("open group WAL");
+    wal.attach(0, &mut replicas[0]);
+    let (mut src, _) = build_pair(NODES, ITEMS, ITEMS, 64);
+    let resp = ProtocolResponse::Pull(src.prepare_propagation(replicas[0].dbvv()));
+    let frame = Bytes::from(encode_response(&resp));
+    let ProtocolResponse::Pull(PropagationResponse::Payload(sent)) = &resp else {
+        panic!("a fresh recipient is sent a payload");
+    };
+    let decoded = size_of_val(sent.items.as_slice())
+        + sent.tails.iter().map(|t| size_of_val(t.as_slice())).sum::<usize>();
+    let record = frame.len();
+    let bound = (decoded + record + record / 4) as u64;
+    drop(resp);
+
+    let live = heap_window();
+    let Ok(ProtocolResponse::Pull(PropagationResponse::Payload(payload))) =
+        decode_response_shared(&frame)
+    else {
+        panic!("the payload frame decodes");
+    };
+    replicas[0].accept_propagation(NodeId(0), payload).expect("accept propagation");
+    let raised = heap_raised(live);
+    wal.wait_durable();
+    assert!(
+        raised <= bound,
+        "heap regression: decoding and journaling a {ITEMS}-item propagation raised the peak \
+         {raised} B above live (> {bound} B: the decoded payload, {decoded} B, plus one \
+         {record} B record and a quarter) — the payload is copied to be journaled, or its \
+         record is not encoded at its exact size",
+    );
+    (raised, bound)
+}
+
+/// The restore leg of [`gate_heap`]: a replica restored by
+/// `from_snapshot_shared` from a snapshot of `items` 64 B values, with the
+/// frame's last handle dropped. Returns the bytes it holds per item and
+/// the bound: an empty store's 56, the value's 64 and 48 for its log
+/// record and `P` entries. A restore that keeps the frame pinned holds
+/// the frame's 106 B per item besides.
+fn heap_restore_leg(nodes: usize, items: usize) -> (f64, f64) {
+    const BOUND: f64 = 56.0 + 64.0 + 48.0;
+    let (src, _) = build_pair(nodes, items, items, 64);
+    let live = heap_live();
+    let restored = {
+        let frame = Bytes::from(src.to_snapshot());
+        Replica::from_snapshot_shared(&frame).expect("restore")
+    };
+    let per_item = heap_live().saturating_sub(live) as f64 / items as f64;
+    drop(restored);
+    assert!(
+        per_item <= BOUND,
+        "heap regression: a replica restored from a snapshot of {items} x 64 B holds \
+         {per_item:.1} B per item once the frame is dropped (> {BOUND}) — restored values \
+         still pin the snapshot buffer",
+    );
+    (per_item, BOUND)
 }
 
 /// A gate's name, and the gate: it panics on a broken law, else returns

@@ -394,7 +394,11 @@ impl Writer {
         self.ctl.len() > keep
     }
 
-    /// Reserve room for at least `additional` more control bytes.
+    /// Reserve room for at least `additional` more control bytes. A writer
+    /// short by more than its size grows to exactly that — a fresh writer
+    /// that reserves its message's size allocates it once, with no slack;
+    /// a reused one grows by doubling, so a connection's growing frames
+    /// reallocate O(log size) times.
     pub fn reserve(&mut self, additional: usize) {
         if self.pos + additional > self.ctl.len() {
             self.grow(additional);
@@ -598,21 +602,33 @@ impl Writer {
 /// frame ([`Reader::shared`]); in the latter mode, [`Reader::value`]
 /// yields sub-views of the frame instead of copies, so decoding a
 /// received message never duplicates payload bytes.
+#[derive(Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     backing: Option<&'a Bytes>,
+    /// Copy values of at most [`INLINE_VALUE_MAX`] bytes out of a shared
+    /// frame instead of aliasing it ([`Reader::copying_small`]).
+    copy_small: bool,
 }
 
 impl<'a> Reader<'a> {
     /// Wrap a byte slice.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0, backing: None }
+        Reader { buf, pos: 0, backing: None, copy_small: false }
     }
 
     /// Wrap a shared frame; values decode as zero-copy sub-views of it.
     pub fn shared(frame: &'a Bytes) -> Reader<'a> {
-        Reader { buf: frame, pos: 0, backing: Some(frame) }
+        Reader { buf: frame, pos: 0, backing: Some(frame), copy_small: false }
+    }
+
+    /// This reader, except that values of at most [`INLINE_VALUE_MAX`]
+    /// bytes are copied even out of a shared frame. For state decoded to be
+    /// kept: it then aliases the frame only through its large values, so a
+    /// few small ones cannot pin a large frame.
+    pub fn copying_small(self) -> Reader<'a> {
+        Reader { copy_small: true, ..self }
     }
 
     /// Bytes remaining.
@@ -663,6 +679,12 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len")))
     }
 
+    /// Skip `n` bytes.
+    #[inline]
+    pub fn skip(&mut self, n: usize) -> Result<()> {
+        self.take(n).map(drop)
+    }
+
     /// Read a length-prefixed byte string.
     #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
@@ -671,15 +693,17 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a length-prefixed value payload. Zero-copy (a sub-view of the
-    /// frame) when the reader was built with [`Reader::shared`]; a copy
-    /// otherwise.
+    /// frame) when the reader was built with [`Reader::shared`], unless
+    /// [`copying_small`](Reader::copying_small) applies; a copy otherwise.
     pub fn value(&mut self) -> Result<Bytes> {
         let len = self.u32()? as usize;
         let start = self.pos;
         let slice = self.take(len)?;
         Ok(match self.backing {
-            Some(frame) => frame.slice(start..start + len),
-            None => Bytes::copy_from_slice(slice),
+            Some(frame) if !self.copy_small || len > INLINE_VALUE_MAX => {
+                frame.slice(start..start + len)
+            }
+            _ => Bytes::copy_from_slice(slice),
         })
     }
 }
@@ -814,9 +838,13 @@ pub fn get_shipped_item(r: &mut Reader<'_>) -> Result<ShippedItem> {
     Ok(ShippedItem { item, ivv, value })
 }
 
-/// Encode a whole propagation payload. Each tail is written through one
-/// claimed window (12 bytes per record, no per-field length checks).
+/// Encode a whole propagation payload — the body of a pull response and of
+/// a journaled propagation alike. Its exact control length is reserved
+/// first, so a many-item payload is encoded into one allocation of its
+/// own size. Each tail is written through one claimed window (12 bytes per
+/// record, no per-field length checks).
 pub fn put_payload(w: &mut Writer, p: &PropagationPayload) {
+    w.reserve(payload_control_len(p));
     w.u16(p.tails.len() as u16);
     for tail in &p.tails {
         w.u32(tail.len() as u32);
@@ -826,6 +854,22 @@ pub fn put_payload(w: &mut Writer, p: &PropagationPayload) {
     for item in &p.items {
         put_shipped_item(w, item);
     }
+}
+
+/// Control bytes [`put_payload`] writes: per tail 4 + 12·len, per item
+/// 4 + 2 + 8n + 4 plus the value when it is inlined (large values are
+/// shared segments, not control bytes).
+fn payload_control_len(p: &PropagationPayload) -> usize {
+    let tails: usize = p.tails.iter().map(|t| 4 + 12 * t.len()).sum();
+    let items: usize = p
+        .items
+        .iter()
+        .map(|s| {
+            let inline = if s.value.len() <= INLINE_VALUE_MAX { s.value.len() } else { 0 };
+            4 + 2 + 8 * s.ivv.len() + 4 + inline
+        })
+        .sum();
+    2 + tails + 4 + items
 }
 
 /// Encode a run of log records with a single length check.

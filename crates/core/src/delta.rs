@@ -165,8 +165,11 @@ pub struct OfferEvaluation {
 impl OfferEvaluation {
     /// Reconstruct an evaluation from its journaled parts (recovery
     /// replay). Conflicts are ephemeral and start at zero.
-    pub(crate) fn from_parts(tails: Vec<Vec<LogRecord>>, refused: Vec<ItemId>) -> OfferEvaluation {
-        OfferEvaluation { tails, refused: refused.into_iter().collect(), conflicts: 0 }
+    pub(crate) fn from_parts(
+        tails: Vec<Vec<LogRecord>>,
+        refused: BTreeSet<ItemId>,
+    ) -> OfferEvaluation {
+        OfferEvaluation { tails, refused, conflicts: 0 }
     }
 }
 
@@ -320,15 +323,11 @@ impl Replica {
         payload: DeltaPayload,
         eval: OfferEvaluation,
     ) -> Result<AcceptOutcome> {
-        self.journal_mutation(|| {
-            let mut refused: Vec<ItemId> = eval.refused.iter().copied().collect();
-            refused.sort();
-            crate::journal::Mutation::Delta {
-                from: source,
-                payload: payload.clone(),
-                tails: eval.tails.clone(),
-                refused,
-            }
+        self.journal_mutation(crate::journal::MutationRef::Delta {
+            from: source,
+            payload: &payload,
+            tails: &eval.tails,
+            refused: &eval.refused,
         });
         let mut outcome = AcceptOutcome { conflicts: eval.conflicts, ..AcceptOutcome::default() };
         let mut refused = eval.refused;

@@ -1,31 +1,35 @@
 //! Mutation journaling: the hook layer a durability subsystem plugs into.
 //!
-//! A [`Replica`] mutates durable state through exactly four entry points:
+//! A [`Replica`] mutates durable state through exactly five entry points:
 //! a local user [`update`](Replica::update), an accepted whole-item
 //! propagation ([`accept_propagation`](Replica::accept_propagation)), an
-//! applied delta exchange ([`apply_delta`](Replica::apply_delta)), and an
-//! adopted out-of-bound reply ([`accept_oob`](Replica::accept_oob)).
+//! applied delta exchange ([`apply_delta`](Replica::apply_delta)), an
+//! adopted out-of-bound reply ([`accept_oob`](Replica::accept_oob)), and
+//! the items of a reconciliation step
+//! ([`apply_recon_items`](Replica::apply_recon_items)).
 //! Everything else — intra-node replay, LWW resolution, tail appending —
 //! happens *inside* those calls and is deterministic given their inputs.
 //!
-//! Each entry point therefore journals one [`Mutation`] (the owned form of
-//! its inputs) to an attached [`MutationSink`] *before* touching state:
+//! Each entry point therefore journals one [`MutationRef`] (its inputs,
+//! borrowed) to an attached [`MutationSink`] *before* touching state:
 //! write-ahead order, so a crash between the journal write and the
 //! in-memory application replays the mutation on recovery. Replaying a
 //! journal is just calling the same entry points again
-//! ([`Replica::replay_mutation`]); a replayed mutation that fails, fails
+//! ([`Replica::replay_mutation`], with the owned [`Mutation`] that
+//! [`get_mutation`] decodes); a replayed mutation that fails, fails
 //! exactly as the original did (deterministic partial application), so
 //! errors during replay are reported but not fatal.
 //!
-//! Cloning a `Mutation` is cheap where it matters: item values inside
-//! payloads are refcounted [`bytes::Bytes`], so journaling never copies
-//! payload bytes.
+//! Journaling borrows: the sink encodes straight from the entry point's
+//! arguments, so no entry point clones its payload — a many-item
+//! propagation is held once, as received, while its record is encoded.
 //!
 //! What is *not* journaled, deliberately: cost counters, conflict reports,
 //! traces, paranoid audits (all ephemeral); `serve_*` calls (they mutate
 //! no durable state); and configuration (`enable_delta`, `set_paranoid`),
 //! which the owning runtime re-applies after recovery.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -42,8 +46,10 @@ use crate::delta::{DeltaPayload, OfferEvaluation};
 use crate::messages::{OobReply, PropagationPayload, ReconItem};
 use crate::replica::Replica;
 
-/// One durable mutation of a replica: the owned inputs of one of the four
+/// One durable mutation of a replica: the owned inputs of one of the five
 /// state-changing entry points, sufficient to re-apply it during recovery.
+/// What [`get_mutation`] decodes; the live entry points journal the
+/// borrowed [`MutationRef`] instead.
 #[derive(Clone, Debug)]
 pub enum Mutation {
     /// A local user update (§5.3).
@@ -69,8 +75,8 @@ pub enum Mutation {
         payload: DeltaPayload,
         /// The tail vector from the offer.
         tails: Vec<Vec<LogRecord>>,
-        /// Items refused at offer-evaluation time (sorted).
-        refused: Vec<ItemId>,
+        /// Items refused at offer-evaluation time.
+        refused: BTreeSet<ItemId>,
     },
     /// An accepted out-of-bound reply (§5.2).
     Oob {
@@ -97,21 +103,110 @@ const MUT_DELTA: u8 = 2;
 const MUT_OOB: u8 = 3;
 const MUT_RECON: u8 = 4;
 
-/// Encode a mutation into `w` (the body of one WAL record; framing and
-/// integrity are the journal owner's concern).
-pub fn put_mutation(w: &mut Writer, m: &Mutation) {
-    match m {
-        Mutation::Update { item, op } => {
+/// A [`Mutation`] by reference: the inputs of one state-changing entry
+/// point as the entry point holds them. Sinks encode from it, so
+/// journaling a mutation copies none of its parts.
+#[derive(Clone, Copy, Debug)]
+pub enum MutationRef<'a> {
+    /// See [`Mutation::Update`].
+    Update {
+        /// The updated item.
+        item: ItemId,
+        /// The operation applied.
+        op: &'a UpdateOp,
+    },
+    /// See [`Mutation::Propagation`].
+    Propagation {
+        /// The source server.
+        from: NodeId,
+        /// The payload as received.
+        payload: &'a PropagationPayload,
+    },
+    /// See [`Mutation::Delta`].
+    Delta {
+        /// The source server.
+        from: NodeId,
+        /// The data message as received.
+        payload: &'a DeltaPayload,
+        /// The tail vector from the offer.
+        tails: &'a [Vec<LogRecord>],
+        /// Items refused at offer-evaluation time.
+        refused: &'a BTreeSet<ItemId>,
+    },
+    /// See [`Mutation::Oob`].
+    Oob {
+        /// The serving server.
+        from: NodeId,
+        /// The reply as received.
+        reply: &'a OobReply,
+    },
+    /// See [`Mutation::Recon`].
+    Recon {
+        /// The source server.
+        from: NodeId,
+        /// The items shipped in the step being journaled.
+        items: &'a [ReconItem],
+        /// The source's per-origin coverage floor.
+        floor: &'a [u64],
+    },
+}
+
+impl<'a> From<&'a Mutation> for MutationRef<'a> {
+    fn from(m: &'a Mutation) -> MutationRef<'a> {
+        match m {
+            Mutation::Update { item, op } => MutationRef::Update { item: *item, op },
+            Mutation::Propagation { from, payload } => {
+                MutationRef::Propagation { from: *from, payload }
+            }
+            Mutation::Delta { from, payload, tails, refused } => {
+                MutationRef::Delta { from: *from, payload, tails, refused }
+            }
+            Mutation::Oob { from, reply } => MutationRef::Oob { from: *from, reply },
+            Mutation::Recon { from, items, floor } => {
+                MutationRef::Recon { from: *from, items, floor }
+            }
+        }
+    }
+}
+
+impl MutationRef<'_> {
+    /// The owned mutation (clones every part) — for sinks that keep what
+    /// they are handed, such as test doubles.
+    pub fn to_mutation(self) -> Mutation {
+        match self {
+            MutationRef::Update { item, op } => Mutation::Update { item, op: op.clone() },
+            MutationRef::Propagation { from, payload } => {
+                Mutation::Propagation { from, payload: payload.clone() }
+            }
+            MutationRef::Delta { from, payload, tails, refused } => Mutation::Delta {
+                from,
+                payload: payload.clone(),
+                tails: tails.to_vec(),
+                refused: refused.clone(),
+            },
+            MutationRef::Oob { from, reply } => Mutation::Oob { from, reply: reply.clone() },
+            MutationRef::Recon { from, items, floor } => {
+                Mutation::Recon { from, items: items.to_vec(), floor: floor.to_vec() }
+            }
+        }
+    }
+}
+
+/// Encode a mutation, owned or borrowed, into `w` (the body of one WAL
+/// record; framing and integrity are the journal owner's concern).
+pub fn put_mutation<'a>(w: &mut Writer, m: impl Into<MutationRef<'a>>) {
+    match m.into() {
+        MutationRef::Update { item, op } => {
             w.u8(MUT_UPDATE);
             w.u32(item.0);
             put_op(w, op);
         }
-        Mutation::Propagation { from, payload } => {
+        MutationRef::Propagation { from, payload } => {
             w.u8(MUT_PROPAGATION);
             w.u16(from.0);
             put_payload(w, payload);
         }
-        Mutation::Delta { from, payload, tails, refused } => {
+        MutationRef::Delta { from, payload, tails, refused } => {
             w.u8(MUT_DELTA);
             w.u16(from.0);
             put_delta_payload(w, payload);
@@ -127,12 +222,12 @@ pub fn put_mutation(w: &mut Writer, m: &Mutation) {
                 w.u32(x.0);
             }
         }
-        Mutation::Oob { from, reply } => {
+        MutationRef::Oob { from, reply } => {
             w.u8(MUT_OOB);
             w.u16(from.0);
             put_oob_reply(w, reply);
         }
-        Mutation::Recon { from, items, floor } => {
+        MutationRef::Recon { from, items, floor } => {
             w.u8(MUT_RECON);
             w.u16(from.0);
             w.u32(items.len() as u32);
@@ -165,9 +260,9 @@ pub fn get_mutation(r: &mut Reader<'_>) -> Result<Mutation> {
                 tails.push(tail);
             }
             let n_refused = r.u32()? as usize;
-            let mut refused = Vec::with_capacity(n_refused.min(4096));
+            let mut refused = BTreeSet::new();
             for _ in 0..n_refused {
-                refused.push(ItemId(r.u32()?));
+                refused.insert(ItemId(r.u32()?));
             }
             Ok(Mutation::Delta { from, payload, tails, refused })
         }
@@ -194,7 +289,7 @@ pub fn get_mutation(r: &mut Reader<'_>) -> Result<Mutation> {
 /// (buffered append vs. fsync per record).
 pub trait MutationSink: Send + Sync {
     /// Persist one mutation.
-    fn record(&self, m: &Mutation);
+    fn record(&self, m: MutationRef<'_>);
 }
 
 /// A cloneable, debuggable handle to a shared [`MutationSink`].
@@ -213,7 +308,7 @@ impl SinkHandle {
     }
 
     /// Forward one mutation.
-    pub fn record(&self, m: &Mutation) {
+    pub fn record(&self, m: MutationRef<'_>) {
         self.0.record(m);
     }
 }
@@ -237,13 +332,11 @@ impl Replica {
         self.sink.is_some()
     }
 
-    /// Internal: journal one mutation if a sink is attached. The closure
-    /// keeps the owned-`Mutation` construction (clones) off the no-sink
-    /// path.
+    /// Internal: journal one mutation if a sink is attached.
     #[inline]
-    pub(crate) fn journal_mutation(&self, make: impl FnOnce() -> Mutation) {
+    pub(crate) fn journal_mutation(&self, m: MutationRef<'_>) {
         if let Some(sink) = &self.sink {
-            sink.record(&make());
+            sink.record(m);
         }
     }
 
@@ -293,8 +386,8 @@ mod tests {
     struct Collector(Mutex<Vec<Mutation>>);
 
     impl MutationSink for Collector {
-        fn record(&self, m: &Mutation) {
-            self.0.lock().unwrap().push(m.clone());
+        fn record(&self, m: MutationRef<'_>) {
+            self.0.lock().unwrap().push(m.to_mutation());
         }
     }
 
@@ -403,6 +496,105 @@ mod tests {
             fresh.replay_mutation(decoded).unwrap();
         }
         assert_same_durable_state(&b, &fresh);
+    }
+
+    /// One mutation of each of the five kinds, with values on both sides of
+    /// the inline threshold, empty tails next to full ones, and a refusal.
+    fn one_of_each_kind() -> Vec<Mutation> {
+        use crate::delta::DeltaItem;
+        use crate::messages::ShippedItem;
+        use crate::opcache::CachedOp;
+        use bytes::Bytes;
+        use epidb_vv::VersionVector;
+
+        let vv = |e: &[u64]| VersionVector::from_slice(e);
+        let value = |len: usize, b: u8| Bytes::from(vec![b; len]);
+        let rec = |item: u32, m: u64| LogRecord { item: ItemId(item), m };
+        let shipped = |item: u32, len: usize| ShippedItem {
+            item: ItemId(item),
+            ivv: vv(&[item as u64, 2, 0]),
+            value: value(len, item as u8),
+        };
+        let payload = PropagationPayload {
+            tails: vec![vec![rec(0, 1), rec(1, 3)], Vec::new(), vec![rec(2, 7)]],
+            items: vec![shipped(0, 0), shipped(1, 64), shipped(2, 128), shipped(3, 129)],
+        };
+        let delta = DeltaPayload {
+            items: vec![
+                DeltaItem::Ops {
+                    item: ItemId(4),
+                    ops: vec![
+                        CachedOp { pre_vv: vv(&[1, 0, 0]), op: UpdateOp::append(value(5, 9)) },
+                        CachedOp {
+                            pre_vv: vv(&[2, 0, 0]),
+                            op: UpdateOp::write_range(3, value(300, 8)),
+                        },
+                    ],
+                    final_ivv: vv(&[3, 0, 0]),
+                },
+                DeltaItem::Whole(shipped(5, 200)),
+            ],
+        };
+        let recon_item = |item: u32, len: usize| ReconItem {
+            item: ItemId(item),
+            ivv: vv(&[0, item as u64, 1]),
+            value: value(len, 0x40 + item as u8),
+            records: vec![(NodeId(1), item as u64), (NodeId(2), 1)],
+        };
+        vec![
+            Mutation::Update { item: ItemId(6), op: UpdateOp::set(value(40, 1)) },
+            Mutation::Update { item: ItemId(6), op: UpdateOp::set(value(4096, 2)) },
+            Mutation::Propagation { from: NodeId(2), payload },
+            Mutation::Delta {
+                from: NodeId(1),
+                payload: delta,
+                tails: vec![vec![rec(4, 3)], vec![rec(5, 9), rec(7, 10)], Vec::new()],
+                refused: [ItemId(7), ItemId(2)].into_iter().collect(),
+            },
+            Mutation::Oob {
+                from: NodeId(0),
+                reply: OobReply {
+                    item: ItemId(7),
+                    ivv: vv(&[5, 0, 1]),
+                    value: value(17, 3),
+                    from_aux: true,
+                },
+            },
+            Mutation::Recon {
+                from: NodeId(1),
+                items: vec![recon_item(8, 10), recon_item(9, 1000)],
+                floor: vec![4, 0, 2],
+            },
+        ]
+    }
+
+    /// The journal's bytes are a file format: every mutation kind encodes
+    /// to exactly the bytes it always has (length and CRC32 pinned), and
+    /// decodes back to the same encoding.
+    #[test]
+    fn mutation_bytes_are_pinned() {
+        let want: [(usize, u32); 6] = [
+            (50, 2596664266),
+            (4106, 3247614892),
+            (514, 2618985188),
+            (714, 256274573),
+            (55, 1620421581),
+            (1155, 2134984389),
+        ];
+        let mut got = Vec::new();
+        for m in one_of_each_kind() {
+            let mut w = Writer::new();
+            put_mutation(&mut w, &m);
+            let buf = w.into_bytes();
+            let mut r = Reader::new(&buf);
+            let decoded = get_mutation(&mut r).unwrap();
+            r.finish().unwrap();
+            let mut again = Writer::new();
+            put_mutation(&mut again, &decoded);
+            assert!(again.into_bytes() == buf, "decode and re-encode differ");
+            got.push((buf.len(), crate::codec::crc32(&buf)));
+        }
+        assert_eq!(got, want);
     }
 
     /// A cloned replica shares the sink (documented hazard — this pins the

@@ -79,7 +79,7 @@ pub use engine::{
     Engine, GossipBudget, LocalTransport, ProtocolRequest, ProtocolResponse, ReplicaHost,
     ShardTransport, Transport,
 };
-pub use journal::{Mutation, MutationSink, SinkHandle};
+pub use journal::{Mutation, MutationRef, MutationSink, SinkHandle};
 pub use mc_state::{FnvHasher, McShardedSnapshot, McSnapshot};
 pub use messages::{
     FullPullReply, OobReply, PropagationPayload, PropagationResponse, ReconItem, ReconReply,

@@ -57,7 +57,7 @@ impl Replica {
     /// * equal or dominated → no action (the local copy is already as new).
     /// * concurrent → inconsistency is declared; no action.
     pub fn accept_oob(&mut self, from: NodeId, reply: OobReply) -> Result<OobOutcome> {
-        self.journal_mutation(|| crate::journal::Mutation::Oob { from, reply: reply.clone() });
+        self.journal_mutation(crate::journal::MutationRef::Oob { from, reply: &reply });
         self.check_item(reply.item)?;
         let x = reply.item;
         let mut cmps = 0;

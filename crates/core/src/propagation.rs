@@ -173,9 +173,9 @@ impl Replica {
         source: NodeId,
         payload: PropagationPayload,
     ) -> Result<AcceptOutcome> {
-        self.journal_mutation(|| crate::journal::Mutation::Propagation {
+        self.journal_mutation(crate::journal::MutationRef::Propagation {
             from: source,
-            payload: payload.clone(),
+            payload: &payload,
         });
         let mut outcome = AcceptOutcome::default();
         let mut refused: HashSet<ItemId> = HashSet::new();

@@ -47,7 +47,7 @@ use epidb_log::LogRecord;
 use epidb_store::digest;
 
 use crate::engine::{unexpected, ProtocolRequest, ProtocolResponse};
-use crate::journal::Mutation;
+use crate::journal::MutationRef;
 use crate::messages::{FullPullReply, ReconItem, ReconReply, ShippedItem};
 use crate::policy::ConflictPolicy;
 use crate::propagation::{AcceptOutcome, PullOutcome};
@@ -163,11 +163,7 @@ impl Replica {
         // no durable state and replay as no-ops anyway.
         let effect = !items.is_empty() || floor.iter().enumerate().any(|(k, &m)| m > self.floor[k]);
         if effect {
-            self.journal_mutation(|| Mutation::Recon {
-                from,
-                items: items.clone(),
-                floor: floor.to_vec(),
-            });
+            self.journal_mutation(MutationRef::Recon { from, items: &items, floor });
         }
 
         let mut outcome = AcceptOutcome::default();

@@ -283,7 +283,7 @@ impl Replica {
     /// `v_ii(x)`, bump `V_ii`, and append the log record `(x, V_ii)` to
     /// `L_ii`.
     pub fn update(&mut self, x: ItemId, op: UpdateOp) -> Result<()> {
-        self.journal_mutation(|| crate::journal::Mutation::Update { item: x, op: op.clone() });
+        self.journal_mutation(crate::journal::MutationRef::Update { item: x, op: &op });
         if let Some(aux) = self.aux_items.get_mut(&x) {
             let pre_vv = aux.ivv.clone();
             op.apply(&mut aux.value);

@@ -23,6 +23,7 @@ use epidb_store::ItemValue;
 
 use crate::codec::{
     get_dbvv, get_op, get_vv, put_dbvv, put_op, put_vv, Reader, Writer, CODEC_VERSION,
+    INLINE_VALUE_MAX,
 };
 use crate::policy::ConflictPolicy;
 use crate::replica::{AuxItem, Replica};
@@ -104,12 +105,10 @@ impl Replica {
         });
         put_dbvv(w, &self.dbvv);
 
-        // Regular copies. Values go through `Writer::value` (wire-identical
-        // to `Writer::bytes`): large shared values become refcounted
-        // segments instead of copies.
+        // Regular copies.
         for x in ItemId::all(self.n_items()) {
             let item = self.store.get(x).expect("dense items");
-            w.value(&item.value.to_bytes());
+            put_item_value(w, item.value);
             put_vv(w, item.ivv);
             flush(w)?;
         }
@@ -129,7 +128,7 @@ impl Replica {
         w.u32(self.aux_items.len() as u32);
         for (x, item) in &self.aux_items {
             w.u32(x.0);
-            w.value(&item.value.to_bytes());
+            put_item_value(w, &item.value);
             put_vv(w, &item.ivv);
             flush(w)?;
         }
@@ -161,19 +160,21 @@ impl Replica {
     }
 
     /// Recover a replica from a refcounted snapshot frame. Identical to
-    /// [`Replica::from_snapshot`] except that *every* value — regular,
-    /// auxiliary, and in auxiliary-log operations, whatever its size —
-    /// aliases the frame (a sub-view, a refcount bump) instead of being
-    /// copied, so recovering a large replica allocates no per-item value
-    /// buffers.
+    /// [`Replica::from_snapshot`] except that every value above
+    /// [`INLINE_VALUE_MAX`] bytes — regular, auxiliary, or in an
+    /// auxiliary-log operation — aliases the frame (a sub-view, a refcount
+    /// bump) instead of being copied, so recovering large values allocates
+    /// no per-value buffers.
     ///
-    /// The price is pinning: the whole frame stays allocated until the
-    /// last value aliasing it is gone, i.e. until every recovered item has
-    /// been overwritten (a value rewritten in place copies on write, and
-    /// the copy no longer aliases). A recovered replica therefore holds
-    /// its snapshot buffer next to any values written since.
+    /// Small values never alias the frame. Regular ones are packed into
+    /// one buffer sized by them alone, each restored value a slice of it
+    /// (as in [`from_snapshot`](Self::from_snapshot)); small auxiliary ones
+    /// are copied. The frame's IVVs and log records are decoded into the
+    /// replica's own structures, so once the caller drops its handle the
+    /// frame stays allocated only while a restored large value still
+    /// aliases it — a replica of small values pins none of its snapshot.
     pub fn from_snapshot_shared(frame: &Bytes) -> Result<Replica> {
-        Replica::decode_snapshot(Reader::shared(frame)).map_err(corrupt)
+        Replica::decode_snapshot(Reader::shared(frame).copying_small()).map_err(corrupt)
     }
 
     fn decode_snapshot(mut r: Reader<'_>) -> Result<Replica> {
@@ -203,8 +204,9 @@ impl Replica {
             return Err(Error::DimensionMismatch { left: n_nodes, right: replica.dbvv.len() });
         }
 
+        let mut small = SmallValues::gather(&r, n_items)?;
         for x in ItemId::all(n_items) {
-            let value = ItemValue::from(r.value()?);
+            let value = ItemValue::from(small.next(&mut r)?);
             let ivv = get_vv(&mut r)?;
             if ivv.len() != n_nodes {
                 return Err(Error::DimensionMismatch { left: n_nodes, right: ivv.len() });
@@ -258,6 +260,64 @@ impl Replica {
             .map_err(|e| Error::CorruptSnapshot(format!("corrupt state: {e}")))?;
         Ok(replica)
     }
+}
+
+/// Encode an item value (wire-identical to [`Writer::value`]): a small
+/// value is copied inline straight from the store, and only a large one is
+/// taken as a [`Bytes`] handle, to ride as a shared segment.
+fn put_item_value(w: &mut Writer, v: &ItemValue) {
+    if v.len() <= INLINE_VALUE_MAX {
+        w.bytes(v.as_bytes());
+    } else {
+        w.value(&v.to_bytes());
+    }
+}
+
+/// The regular values of at most [`INLINE_VALUE_MAX`] bytes in a
+/// snapshot, packed in item order into one buffer sized by them alone.
+/// Restored small values are slices of it: one allocation for all of them,
+/// and none of them pins the snapshot buffer.
+struct SmallValues {
+    arena: Bytes,
+    at: usize,
+}
+
+impl SmallValues {
+    /// Gather the small values of the `n_items` regular copies `r` is
+    /// positioned at: one pass sizes the buffer, a second fills it. `r`
+    /// itself does not move.
+    fn gather(r: &Reader<'_>, n_items: usize) -> Result<SmallValues> {
+        let mut len = 0;
+        for_each_small_value(r.clone(), n_items, |v| len += v.len())?;
+        let mut arena = Vec::with_capacity(len);
+        for_each_small_value(r.clone(), n_items, |v| arena.extend_from_slice(v))?;
+        Ok(SmallValues { arena: Bytes::from(arena), at: 0 })
+    }
+
+    /// Read the next regular value: a small one is the next slice of the
+    /// arena, a large one is read as [`Reader::value`] reads it.
+    fn next(&mut self, r: &mut Reader<'_>) -> Result<Bytes> {
+        if r.clone().u32()? as usize > INLINE_VALUE_MAX {
+            return r.value();
+        }
+        let len = r.bytes()?.len();
+        let v = self.arena.slice(self.at..self.at + len);
+        self.at += len;
+        Ok(v)
+    }
+}
+
+/// Call `f` on each small value among the next `n_items` regular copies.
+fn for_each_small_value(mut r: Reader<'_>, n_items: usize, mut f: impl FnMut(&[u8])) -> Result<()> {
+    for _ in 0..n_items {
+        let v = r.bytes()?;
+        if v.len() <= INLINE_VALUE_MAX {
+            f(v);
+        }
+        let n = r.u16()? as usize;
+        r.skip(8 * n)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -371,20 +431,39 @@ mod tests {
         // A value comfortably past the inline threshold, so the snapshot
         // encodes it as a shared segment and the shared restore can alias it.
         original.update(ItemId(3), UpdateOp::set(vec![0xAB; 4096])).unwrap();
+        original.update(ItemId(4), UpdateOp::set(vec![0xCD; 64])).unwrap();
         let frame = Bytes::from(original.to_snapshot());
         let restored = Replica::from_snapshot_shared(&frame).unwrap();
         assert_replicas_equal(&original, &restored);
         restored.check_invariants().unwrap();
 
+        let in_frame = |x: ItemId| {
+            let value = restored.read_regular(x).unwrap();
+            let v = value.as_bytes().as_ptr() as usize;
+            let lo = frame.as_ptr() as usize;
+            v >= lo && v + value.len() <= lo + frame.len()
+        };
         // The restored large value must be a sub-view of the frame, not a
         // copy: its backing pointer lies inside the frame's range.
-        let value = restored.read_regular(ItemId(3)).unwrap();
-        let v = value.as_bytes().as_ptr() as usize;
-        let lo = frame.as_ptr() as usize;
-        assert!(
-            v >= lo && v + value.len() <= lo + frame.len(),
-            "restored value was copied instead of aliased"
-        );
+        assert!(in_frame(ItemId(3)), "restored 4 KiB value was copied instead of aliased");
+        // A small one is a slice of the replica's own small-value buffer, so
+        // it does not keep the frame alive.
+        assert!(!in_frame(ItemId(4)), "restored 64 B value aliases the frame");
+
+        // Both restores rebuild the same replica.
+        let copied = Replica::from_snapshot(&frame).unwrap();
+        assert_eq!(copied.fingerprint(), restored.fingerprint());
+    }
+
+    /// A restored replica of small values holds none of its snapshot: the
+    /// frame's last handle is the caller's.
+    #[test]
+    fn shared_restore_of_small_values_releases_the_frame() {
+        let original = populated_replica();
+        let frame = Bytes::from(original.to_snapshot());
+        let restored = Replica::from_snapshot_shared(&frame).unwrap();
+        assert_replicas_equal(&original, &restored);
+        assert!(frame.try_into_vec().is_ok(), "a restored value still aliases the frame");
     }
 
     #[test]
@@ -457,6 +536,15 @@ mod tests {
             }
         });
         assert_eq!((out, calls), (Err("disk full"), 2));
+    }
+
+    /// Snapshot bytes are a file format: a replica with every section
+    /// populated and values on both sides of the inline threshold encodes
+    /// to exactly the bytes it always has (length and CRC32 pinned).
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let buf = rich_replica(390).to_snapshot();
+        assert_eq!((buf.len(), crate::codec::crc32(&buf)), (73020, 1231032723));
     }
 
     #[test]

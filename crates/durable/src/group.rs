@@ -44,7 +44,7 @@ use bytes::Bytes;
 use epidb_common::{Error, NodeId, Result};
 use epidb_core::codec::{Reader, Writer};
 use epidb_core::journal::{get_mutation, put_mutation};
-use epidb_core::{ConflictPolicy, Mutation, MutationSink, Replica, SinkHandle};
+use epidb_core::{ConflictPolicy, Mutation, MutationRef, MutationSink, Replica, SinkHandle};
 
 use crate::files::{
     fsync_dir, io_err, list_generations, load_snapshot, open_wal, scan_wals, wal_path,
@@ -209,7 +209,7 @@ struct GroupSink {
 
 /// The body of one group WAL record: tag, stream index, mutation. Values
 /// above `INLINE_VALUE_MAX` stay shared segments of the writer.
-fn encode_record(stream: u32, m: &Mutation) -> Writer {
+fn encode_record(stream: u32, m: MutationRef<'_>) -> Writer {
     let mut w = Writer::new();
     w.u8(GROUP_RECORD_TAG);
     w.u32(stream);
@@ -218,7 +218,7 @@ fn encode_record(stream: u32, m: &Mutation) -> Writer {
 }
 
 impl MutationSink for GroupSink {
-    fn record(&self, m: &Mutation) {
+    fn record(&self, m: MutationRef<'_>) {
         let w = encode_record(self.stream, m);
         // Length and checksum outside the lock; under it, the frame goes
         // straight into the commit queue: control bytes copied once, large
@@ -1031,10 +1031,10 @@ mod tests {
         let payload = PropagationPayload { tails, items };
         records.push(Mutation::Propagation { from: NodeId(2), payload });
         for m in &records {
-            sink.record(m);
-            want.extend_from_slice(&write_frame(&encode_record(1, m).into_bytes()));
+            sink.record(m.into());
+            want.extend_from_slice(&write_frame(&encode_record(1, m.into()).into_bytes()));
         }
-        assert!(encode_record(1, &records[5]).outgrew(PENDING_KEEP), "moves, not copies");
+        assert!(encode_record(1, (&records[5]).into()).outgrew(PENDING_KEEP), "moves, not copies");
         wal.close();
         let got = fs::read(wal_path(&cfg.dir.join("group"), 0)).unwrap();
         assert_eq!(got, want);
@@ -1058,7 +1058,9 @@ mod tests {
         // written batch hands back a small control buffer, and the value's
         // only reference is the caller's again.
         let value = Bytes::from(vec![2u8; 200 << 10]);
-        sink.record(&Mutation::Update { item: ItemId(1), op: UpdateOp::Set(value.clone()) });
+        sink.record(
+            (&Mutation::Update { item: ItemId(1), op: UpdateOp::Set(value.clone()) }).into(),
+        );
         wal.wait_durable();
         assert!(wal.pending_outgrew(0), "the control buffer is handed back");
         assert!(!wal.pending_outgrew(PENDING_KEEP));
@@ -1077,7 +1079,7 @@ mod tests {
         let tails = vec![Vec::new(); N_NODES];
         let m =
             Mutation::Propagation { from: NodeId(1), payload: PropagationPayload { tails, items } };
-        sink.record(&m);
+        sink.record((&m).into());
         wal.wait_durable();
         assert!(!wal.pending_outgrew(PENDING_KEEP), "a 270 KiB record is not retained");
     }

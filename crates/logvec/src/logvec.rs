@@ -242,10 +242,11 @@ impl LogVector {
     /// Verify the structural invariants (test helper):
     /// each component is strictly ascending in `m`, holds at most one record
     /// per item, and agrees with the `P` pointer array in both directions.
+    /// The `P` check also rules out a second record for an item: `P_j(x)`
+    /// can point at only one of them.
     pub fn check_invariants(&self) -> Result<(), String> {
         for j in 0..self.n_nodes {
             let node = NodeId::from_index(j);
-            let mut seen = std::collections::HashSet::new();
             let mut last_m = 0u64;
             let mut count = 0usize;
             let mut cur = self.components[j].head;
@@ -260,9 +261,6 @@ impl LogVector {
                         "component {node}: m not ascending ({} after {last_m})",
                         s.m
                     ));
-                }
-                if !seen.insert(s.item) {
-                    return Err(format!("component {node}: duplicate record for {}", s.item));
                 }
                 if self.p[j][s.item.index()] != cur {
                     return Err(format!(
@@ -555,5 +553,23 @@ mod tests {
         log.add_record(NodeId(0), rec(0, 2));
         assert_eq!(collect(&log, 0), vec![(0, 4), (1, 6)]);
         log.check_invariants().unwrap();
+    }
+
+    /// A second record for an item, linked in through the arena with every
+    /// other invariant intact (ascending, links, tail, length), is caught.
+    #[test]
+    fn duplicate_record_fails_the_check() {
+        let mut log = LogVector::new(1, 2);
+        log.add_record(NodeId(0), rec(0, 1));
+        log.add_record(NodeId(0), rec(1, 2));
+        let tail = log.components[0].tail;
+        let dup = log.slots.len() as u32;
+        log.slots.push(Slot { item: ItemId(0), m: 3, prev: tail, next: NIL });
+        log.slots[tail as usize].next = dup;
+        log.components[0].tail = dup;
+        log.components[0].len += 1;
+        assert_eq!(collect(&log, 0), vec![(0, 1), (1, 2), (0, 3)]);
+        let err = log.check_invariants().unwrap_err();
+        assert!(err.contains("P(x0) does not point at its record"), "{err}");
     }
 }
