@@ -49,4 +49,8 @@ echo "== sharded chaos soak smoke (2 groups x 2 nodes, in-process and TCP) =="
 cargo run --release -q -p epidb-bench --bin chaos_soak -- \
   --smoke --seed 42 --sharded
 
+echo "== sharded crash-restart soak smoke (2 groups x 2 nodes, durable TCP) =="
+cargo run --release -q -p epidb-bench --bin chaos_soak -- \
+  --smoke --seed 42 --sharded --restart-from-disk
+
 echo "CI green."

@@ -46,6 +46,14 @@
 //! that the same seed produces byte-identical *per-node* [`Costs`] both
 //! across passes and across both runtimes.
 //!
+//! With both flags, `--sharded --restart-from-disk`, the seeded
+//! kill/restart schedule runs on that sharded deployment over the durable
+//! socket runtime: every node journals its owned shard into its
+//! group-commit WAL, a crash drops the node's shard replicas and a revival
+//! recovers them from disk, and a node is crashed only while the rest of
+//! its group is up. The soak then asserts per-shard convergence to ground
+//! truth, replica invariants, and byte-identical per-node [`Costs`] across
+//! two same-seed passes.
 //! Usage:
 //!
 //! ```text
@@ -368,8 +376,8 @@ fn run_soak(
 
 // --- the restart-from-disk soak ---------------------------------------------
 
-struct RestartResult {
-    costs: Costs,
+struct RestartResult<C = Costs> {
+    costs: C,
     crashes: u64,
     revivals: u64,
     heal_sweeps: usize,
@@ -933,6 +941,173 @@ fn assert_parity<C: PartialEq + std::fmt::Debug>(reference: &mut Option<C>, cost
     }
 }
 
+// --- the sharded restart soak -----------------------------------------------
+
+/// The `--sharded --restart-from-disk` soak: the restart schedule of
+/// [`run_restart_soak`] on the durable sharded socket cluster. Per round:
+/// maybe revive a crashed node, maybe crash a node whose group is
+/// otherwise up, single-writer updates at each item's (alive) writer,
+/// per-shard delta pulls between alive co-owners, and now and then an
+/// out-of-bound fetch within a group and one across groups. Then every
+/// node is revived from its own disk and the shards heal. Deterministic
+/// in `(seed, params)`; returns each node's costs.
+fn run_sharded_restart_soak(
+    cluster: &ShardedTcpCluster,
+    map: &ShardMap,
+    seed: u64,
+    params: SoakParams,
+) -> RestartResult<Vec<Costs>> {
+    let SoakParams { n_items, rounds, updates_per_round, .. } = params;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C_5AAD);
+    let mut alive = [true; SHARDED_NODES];
+    let mut expected: Vec<Vec<u8>> = vec![Vec::new(); n_items];
+    let (mut crashes, mut revivals) = (0u64, 0u64);
+    let node = NodeId::from_index;
+    // Groups are {0, 1} and {2, 3}: a node's co-owner is `n ^ 1`.
+    let writer_of = |item: usize| -> NodeId {
+        let id = ItemId(item as u32);
+        let owners = map.owners(map.shard_of(id).expect("item in universe"));
+        owners[map.local_item(id).index() % owners.len()]
+    };
+
+    for _round in 0..rounds {
+        let crashed: Vec<usize> = (0..SHARDED_NODES).filter(|&i| !alive[i]).collect();
+        if !crashed.is_empty() && rng.gen_bool(0.4) {
+            let n = crashed[rng.gen_range(0..crashed.len())];
+            cluster.revive(node(n));
+            alive[n] = true;
+            revivals += 1;
+        }
+        // Crash a node only while its co-owner is up, so every shard keeps
+        // an owner. The first crash is unconditional.
+        let crashable: Vec<usize> =
+            (0..SHARDED_NODES).filter(|&i| alive[i] && alive[i ^ 1]).collect();
+        if !crashable.is_empty() && (crashes == 0 || rng.gen_bool(0.35)) {
+            let n = crashable[rng.gen_range(0..crashable.len())];
+            cluster.crash(node(n));
+            alive[n] = false;
+            crashes += 1;
+        }
+
+        for _ in 0..updates_per_round {
+            let item = rng.gen_range(0..n_items);
+            let len = if rng.gen_bool(0.25) { 200 } else { rng.gen_range(1..48usize) };
+            let value = vec![rng.gen_range(0..=255u64) as u8; len];
+            if alive[writer_of(item).index()] {
+                cluster
+                    .update(writer_of(item), ItemId(item as u32), UpdateOp::set(value.clone()))
+                    .expect("update at an alive writer");
+                expected[item] = value;
+            }
+        }
+
+        for shard in ShardId::all(map.n_shards()) {
+            for &r in map.owners(shard) {
+                let s = node(r.index() ^ 1);
+                if alive[r.index()] && alive[s.index()] {
+                    cluster
+                        .pull_delta_shard_now(r, s, shard)
+                        .expect("pull between alive co-owners must succeed");
+                }
+            }
+        }
+
+        if rng.gen_bool(0.4) {
+            let item = rng.gen_range(0..n_items);
+            let (source, stranger) = (writer_of(item), rng.gen_range(0..SHARDED_NODES));
+            let recipient =
+                if rng.gen_bool(0.5) { node(source.index() ^ 1) } else { node(stranger) };
+            if recipient != source && alive[recipient.index()] && alive[source.index()] {
+                cluster.oob_fetch(recipient, source, ItemId(item as u32)).expect("oob");
+            }
+        }
+    }
+
+    for (n, up) in alive.iter_mut().enumerate() {
+        if !*up {
+            cluster.revive(node(n));
+            *up = true;
+            revivals += 1;
+        }
+    }
+    let converged = || {
+        sharded_converged(map, |n, s| {
+            cluster.with_node(n, |node| {
+                node.shard_state(s).map(|r| (r.dbvv().clone(), r.aux_item_count()))
+            })
+        })
+    };
+    let mut heal_sweeps = 0;
+    while heal_sweeps < MAX_HEAL_SWEEPS {
+        heal_sweeps += 1;
+        for shard in ShardId::all(map.n_shards()) {
+            for &r in map.owners(shard) {
+                cluster
+                    .pull_delta_shard_now(r, node(r.index() ^ 1), shard)
+                    .expect("post-recovery pull must succeed");
+            }
+        }
+        if converged() {
+            break;
+        }
+    }
+
+    assert!(converged(), "sharded restart soak did not converge after {MAX_HEAL_SWEEPS} sweeps");
+    for (item, want) in expected.iter().enumerate() {
+        let id = ItemId(item as u32);
+        for &owner in map.owners(map.shard_of(id).expect("item in universe")) {
+            let got = cluster.read(owner, id).expect("read at a shard owner");
+            assert_eq!(&got, want, "owner {owner} disagrees on item {item} after recovery");
+        }
+    }
+    for i in 0..SHARDED_NODES {
+        cluster
+            .with_node(node(i), check_sharded_node)
+            .unwrap_or_else(|e| panic!("invariant violated at node {i}: {e}"));
+    }
+    let costs = (0..SHARDED_NODES).map(|i| cluster.node_costs(node(i))).collect();
+    RestartResult { costs, crashes, revivals, heal_sweeps }
+}
+
+/// The `--sharded --restart-from-disk` mode: two same-seed passes of the
+/// sharded restart soak, each on fresh directories, asserting identical
+/// per-node costs.
+fn run_sharded_restart_mode(seed: u64, params: SoakParams) {
+    let map = sharded_map(params.n_items.div_ceil(2));
+    let params = SoakParams { n_nodes: SHARDED_NODES, n_items: map.n_items(), ..params };
+    let leg = "tcp+sharded+disk";
+    let mut first: Option<Vec<Costs>> = None;
+    for pass in 0..2 {
+        let tmp = epidb_durable::testdir::TempDir::new(&format!("soak-sharded-{pass}"));
+        let mut durability = DurabilityConfig::new(tmp.path().clone());
+        // Checkpoints on the way: recovery is snapshots plus a WAL tail.
+        durability.checkpoint_every = 32;
+        let config = TcpConfig { durability: Some(durability), ..tcp_config() };
+        let cluster = ShardedTcpCluster::spawn(map.clone(), SHARDED_NODES, config).expect("spawn");
+        let result = run_sharded_restart_soak(&cluster, &map, seed, params);
+        cluster.shutdown();
+        if pass == 0 {
+            println!(
+                "[{leg}] crashes={} revivals={} heal_sweeps={}",
+                result.crashes, result.revivals, result.heal_sweeps
+            );
+            for (i, c) in result.costs.iter().enumerate() {
+                println!("[{leg}] node {i} costs: {c}");
+            }
+        }
+        match &first {
+            None => first = Some(result.costs),
+            Some(c0) => {
+                assert_eq!(c0, &result.costs, "[{leg}] same seed produced different costs");
+                println!("[{leg}] replay: identical per-node costs");
+            }
+        }
+    }
+    println!(
+        "OK: durable sharded runtime converged to ground truth across crash-restart schedules"
+    );
+}
+
 // --- runtime construction ---------------------------------------------------
 
 const RUNTIMES: [&str; 2] = ["inproc", "tcp"];
@@ -1010,6 +1185,20 @@ fn main() {
         params.rounds = r;
     }
 
+    if restart_from_disk && sharded {
+        println!(
+            "chaos_soak --sharded --restart-from-disk: seed={seed} (replay with --seed {seed})"
+        );
+        println!(
+            "params: 2 groups x 2 nodes, shards=2 items/shard={} rounds={} updates/round={}{}",
+            params.n_items.div_ceil(2),
+            params.rounds,
+            params.updates_per_round,
+            if smoke { " (smoke)" } else { "" }
+        );
+        run_sharded_restart_mode(seed, params);
+        return;
+    }
     if restart_from_disk {
         println!("chaos_soak --restart-from-disk: seed={seed} (replay with --seed {seed})");
         println!(

@@ -193,7 +193,7 @@ impl ShardedNode {
     pub fn mc_restore(snap: &McShardedSnapshot) -> Result<ShardedNode> {
         let mut shards = BTreeMap::new();
         for (&s, shard_snap) in &snap.shards {
-            shards.insert(s, Replica::mc_restore(shard_snap)?);
+            shards.insert(s, Box::new(Replica::mc_restore(shard_snap)?));
         }
         Ok(ShardedNode {
             id: snap.id,
@@ -220,7 +220,7 @@ impl ShardedNode {
             if delta_budget > 0 {
                 twin.enable_delta(delta_budget);
             }
-            shards.insert(s, twin);
+            shards.insert(s, Box::new(twin));
         }
         Ok(ShardedNode {
             id: self.id,

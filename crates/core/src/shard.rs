@@ -170,7 +170,9 @@ pub struct ShardedNode {
     pub(crate) id: NodeId,
     pub(crate) n_nodes: usize,
     pub(crate) map: ShardMap,
-    pub(crate) shards: BTreeMap<ShardId, Replica>,
+    /// Boxed: a map node holds eleven slots whatever it uses, so a
+    /// one-shard node pays eleven pointers, not eleven replica headers.
+    pub(crate) shards: BTreeMap<ShardId, Box<Replica>>,
     /// Shards currently frozen for handoff: present here ⇒ reads, writes,
     /// and routed requests refuse with the retryable [`Error::ShardMoving`].
     pub(crate) moving: BTreeSet<ShardId>,
@@ -191,7 +193,9 @@ impl ShardedNode {
         let shards = map
             .owned_by(id)
             .into_iter()
-            .map(|s| (s, Replica::with_policy(id, n_nodes, map.items_per_shard(), policy)))
+            .map(|s| {
+                (s, Box::new(Replica::with_policy(id, n_nodes, map.items_per_shard(), policy)))
+            })
             .collect();
         ShardedNode {
             id,
@@ -269,12 +273,12 @@ impl ShardedNode {
     /// For operators and harnesses (audits, durability attachment, gossip
     /// loops that have already routed) — not for request paths.
     pub fn shard_state(&self, shard: ShardId) -> Option<&Replica> {
-        self.shards.get(&shard)
+        self.shards.get(&shard).map(|r| &**r)
     }
 
     /// Raw mutable access; see [`ShardedNode::shard_state`].
     pub fn shard_state_mut(&mut self, shard: ShardId) -> Option<&mut Replica> {
-        self.shards.get_mut(&shard)
+        self.shards.get_mut(&shard).map(|r| &mut **r)
     }
 
     /// Apply a user update to a (globally addressed) item, routing to the
@@ -295,7 +299,7 @@ impl ShardedNode {
     /// Cumulative costs at this node: the sum over owned shards plus the
     /// node-level meta-costs — and nothing for the shards it doesn't own.
     pub fn costs(&self) -> Costs {
-        self.shards.values().map(Replica::costs).fold(self.meta_costs, |a, b| a + b)
+        self.shards.values().map(|r| r.costs()).fold(self.meta_costs, |a, b| a + b)
     }
 
     /// Charge one request frame dropped by the integrity check to the
@@ -335,7 +339,7 @@ impl ShardedNode {
 
     /// Total paranoid audits run across owned shards.
     pub fn audits_run(&self) -> u64 {
-        self.shards.values().map(Replica::audits_run).sum()
+        self.shards.values().map(|r| r.audits_run()).sum()
     }
 
     /// Conflicts declared across owned shards.
@@ -379,7 +383,7 @@ impl ShardedNode {
     pub fn shard_snapshot(&self, shard: ShardId) -> Result<Vec<u8>> {
         self.shards
             .get(&shard)
-            .map(Replica::to_snapshot)
+            .map(|r| r.to_snapshot())
             .ok_or_else(|| Error::NotServedHere { shard, owners: self.map.owners(shard).to_vec() })
     }
 
@@ -400,7 +404,7 @@ impl ShardedNode {
             replica.replay_mutation(m.clone())?;
         }
         replica.check_invariants().map_err(Error::CorruptSnapshot)?;
-        self.shards.insert(shard, replica);
+        self.shards.insert(shard, Box::new(replica));
         self.moving.insert(shard);
         Ok(())
     }
@@ -413,7 +417,7 @@ impl ShardedNode {
     pub fn bootstrap_shard(&mut self, shard: ShardId) {
         let replica =
             Replica::with_policy(self.id, self.n_nodes, self.map.items_per_shard(), self.policy);
-        self.shards.insert(shard, replica);
+        self.shards.insert(shard, Box::new(replica));
         self.moving.insert(shard);
     }
 
@@ -423,7 +427,7 @@ impl ShardedNode {
     /// cutover machinery; the replica must already be homed to this node.
     pub fn adopt_shard(&mut self, shard: ShardId, replica: Replica) {
         assert_eq!(replica.id(), self.id, "adopted shard replica must be homed here");
-        self.shards.insert(shard, replica);
+        self.shards.insert(shard, Box::new(replica));
     }
 
     /// Drop this node's copy of `shard` (the source side of a completed
@@ -519,7 +523,7 @@ impl Engine {
         let local = node.map.local_item(item);
         if node.route_check(shard).is_ok() {
             let mut shard_transport = ShardTransport::new(transport, shard);
-            let replica = node.shards.get_mut(&shard).expect("routed");
+            let replica = &mut **node.shards.get_mut(&shard).expect("routed");
             return Ok(ShardedOob::Applied(Engine::oob(replica, &mut shard_transport, local)?));
         }
         if node.map.owns(node.id, shard) {

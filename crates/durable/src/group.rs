@@ -503,15 +503,26 @@ impl GroupWal {
     /// [`GroupWal::checkpoint`].
     pub fn maybe_checkpoint(&self, replicas: &[&Replica]) -> Result<bool> {
         let st = self.shared.state.lock().unwrap();
-        let by_records =
-            self.shared.checkpoint_every > 0 && st.wal_records >= self.shared.checkpoint_every;
-        let by_bytes =
-            self.shared.checkpoint_bytes > 0 && st.wal_bytes >= self.shared.checkpoint_bytes;
-        if !by_records && !by_bytes {
+        if !self.due(&st) {
             return Ok(false);
         }
         self.checkpoint_locked(st, replicas)?;
         Ok(true)
+    }
+
+    /// Whether [`maybe_checkpoint`](Self::maybe_checkpoint) would
+    /// checkpoint now: a caller that must gather its replicas first asks
+    /// this, under the same locks, before it does.
+    pub fn checkpoint_due(&self) -> bool {
+        self.due(&self.shared.state.lock().unwrap())
+    }
+
+    fn due(&self, st: &GroupState) -> bool {
+        let by_records =
+            self.shared.checkpoint_every > 0 && st.wal_records >= self.shared.checkpoint_every;
+        let by_bytes =
+            self.shared.checkpoint_bytes > 0 && st.wal_bytes >= self.shared.checkpoint_bytes;
+        by_records || by_bytes
     }
 
     /// Checkpoint unconditionally: drain the commit queue, snapshot every

@@ -1,61 +1,47 @@
-//! The socket server: an epoll readiness loop serving every TCP node —
-//! unsharded ([`AsyncTcpCluster`]) and sharded
-//! ([`ShardedTcpCluster`](crate::ShardedTcpCluster)) — from a small fixed
-//! worker pool, with group-commit durability shared by every replica on
-//! the node.
+//! The socket server: an epoll readiness loop serving every TCP node
+//! from a small fixed worker pool, and [`AsyncTcpCluster`], the unsharded
+//! view of the one socket cluster ([`SocketCluster`]).
 //!
 //! Serving threads do not scale with connections: `worker_threads`
 //! workers share one [`Poller`], idle connections are parked in the
 //! kernel, a readiness event resumes exactly one worker on exactly one
 //! connection (oneshot registration), and frame reads/writes proceed
 //! incrementally through per-connection buffers until they would block.
-//! Complete request frames dispatch through a [`FrameService`] into the
-//! transport-agnostic [`Engine`] — unsharded via [`Engine::handle`],
-//! sharded via [`Engine::handle_sharded`] — so no protocol code knows
-//! which bytes carried it, and every frame yields identical
-//! [`Costs`](epidb_common::Costs) on every runtime.
+//! Complete request frames dispatch through a [`FrameService`] — in the
+//! product, one node kind ([`node`](crate::node)) over the
+//! transport-agnostic [`Engine`] — so no protocol code knows which bytes
+//! carried it, and every frame yields identical
+//! [`Costs`](epidb_common::Costs) on every runtime. A `serve` that panics
+//! closes its connection and is counted
+//! ([`AsyncServer::serve_panics`]); the worker lives on.
 //!
-//! Initiators stay blocking clients: a [`TcpTransport`] per round over
+//! Initiators stay blocking clients: a [`TcpTransport`](crate::TcpTransport) per round over
 //! the connection parked for the peer, so between rounds each link is one
 //! idle socket in the peer's reactor. A crash closes the crashed node's
 //! accepted connections ([`AsyncServer::close_connections`]); the
 //! initiators find out at their next exchange and reconnect.
-//!
-//! Durability is the group-commit [`GroupWal`]: every mutation journals
-//! into one per-node WAL stream through a commit queue, and an update is
-//! acknowledged only after [`GroupWal::wait_durable`]. The acking thread
-//! itself writes and fsyncs the queue unless a batch is already in
-//! flight, in which case it waits for that batch and the first waiter
-//! still uncovered writes the next — so a lone writer pays no thread
-//! hand-off, and under concurrent writers the fsyncs-per-mutation ratio
-//! collapses far below one while acked-implies-durable still holds.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use epidb_common::{Error, ItemId, NodeId, Result};
-use epidb_core::codec::{
-    check_frame_len, decode_request_checked, encode_response_to, Writer, CHECKED_HEADER, MAX_FRAME,
-};
+use epidb_common::{Error, ItemId, NodeId, Result, ShardId};
+use epidb_core::codec::{check_frame_len, Writer, CHECKED_HEADER, MAX_FRAME};
 use epidb_core::{
-    ChaosLink, ChaosTransport, ConflictPolicy, Engine, OobOutcome, ProtocolResponse, PullOutcome,
-    Replica, RetryPolicy, Transport,
+    ChaosLink, ChaosTransport, Engine, OobOutcome, PullOutcome, Replica, RetryPolicy, ShardMap,
+    Transport,
 };
-use epidb_durable::{DurabilityConfig, GroupCommitStats, GroupWal, StreamSpec};
-use epidb_store::UpdateOp;
-use epidb_vv::VvOrd;
 use parking_lot::Mutex;
 use polling::{Event, Interest, Notify, Poller};
 
-use crate::gossip::{gossip_loop, Gossiped};
-use crate::tcp::{connector, TcpConfig, TcpTransport};
-use crate::transport::MutexHost;
+use crate::node::{SocketCluster, Unsharded};
+use crate::tcp::TcpConfig;
 
 /// Serves one request-frame body and encodes the response. This is the
 /// seam between the reactor (bytes, readiness, buffers) and the protocol
@@ -72,18 +58,6 @@ pub trait FrameService: Send + Sync + 'static {
     /// encoding), encoding the response into `out`. Return `false` to
     /// drop the connection without replying.
     fn serve(&self, body: &[u8], out: &mut Writer) -> bool;
-}
-
-/// Fold a serving-side error into its wire form: typed routing refusals
-/// (`NotServedHere`, `ShardMoving`) ride in-band as
-/// [`ProtocolResponse::Refused`] so the initiator recovers the original
-/// error (and its retryability); everything else degrades to the stringly
-/// [`ProtocolResponse::Error`].
-pub(crate) fn refusal_or_error(e: Error) -> ProtocolResponse {
-    match e {
-        e @ (Error::NotServedHere { .. } | Error::ShardMoving(_)) => ProtocolResponse::Refused(e),
-        e => ProtocolResponse::Error(e.to_string()),
-    }
 }
 
 /// What an idle served connection keeps of each of its buffers, at most.
@@ -142,6 +116,8 @@ struct Conn {
     /// protocol is strictly request/response per connection, so this is
     /// also the natural backpressure).
     writing: bool,
+    /// Serving a request of this connection panicked.
+    panicked: bool,
 }
 
 /// What to do with a connection after driving it.
@@ -165,6 +141,7 @@ impl Conn {
             written: 0,
             held: None,
             writing: false,
+            panicked: false,
         }
     }
 
@@ -234,7 +211,15 @@ impl Conn {
             if self.read_buf.len() < total {
                 return Ok(());
             }
-            let served = self.service.serve(&self.read_buf[4..total], &mut self.writer);
+            // A backstop, not a validation: a request that panics its
+            // service closes this connection instead of the worker thread.
+            let served = catch_unwind(AssertUnwindSafe(|| {
+                self.service.serve(&self.read_buf[4..total], &mut self.writer)
+            }))
+            .unwrap_or_else(|_| {
+                self.panicked = true;
+                false
+            });
             self.read_buf.drain(..total);
             if !served {
                 return Err(());
@@ -333,6 +318,8 @@ struct Reactor {
     conns: Mutex<HashMap<u64, Conn>>,
     next_key: AtomicU64,
     running: Arc<AtomicBool>,
+    /// Connections closed because serving one of their requests panicked.
+    serve_panics: AtomicU64,
 }
 
 impl Reactor {
@@ -408,6 +395,9 @@ impl Reactor {
                 }
             }
             Drive::Close => {
+                if conn.panicked {
+                    self.serve_panics.fetch_add(1, Ordering::Relaxed);
+                }
                 let _ = self.poller.delete(conn.stream.as_raw_fd());
                 // Dropping the Conn closes the socket.
             }
@@ -459,9 +449,8 @@ fn effective_workers(configured: usize) -> usize {
 
 /// A nonblocking frame server: one listener per [`FrameService`], all
 /// served by a fixed worker pool over a shared [`Poller`]. This is the
-/// reactor alone — [`AsyncTcpCluster`] composes it with replicas, gossip,
-/// and durability, [`ShardedTcpCluster`](crate::ShardedTcpCluster) with
-/// [`ShardedFrameService`](crate::ShardedFrameService)s.
+/// reactor alone — [`SocketCluster`] composes it with nodes, gossip, and
+/// durability.
 pub struct AsyncServer {
     reactor: Arc<Reactor>,
     workers: Vec<JoinHandle<()>>,
@@ -505,6 +494,7 @@ impl AsyncServer {
             conns: Mutex::new(HashMap::new()),
             next_key: AtomicU64::new(first_conn_key),
             running: running.clone(),
+            serve_panics: AtomicU64::new(0),
         });
         let workers = (0..effective_workers(worker_threads))
             .map(|i| {
@@ -531,6 +521,12 @@ impl AsyncServer {
     /// Connections currently parked or being driven.
     pub fn open_connections(&self) -> usize {
         self.reactor.conns.lock().len()
+    }
+
+    /// Connections closed because a request of theirs panicked its
+    /// service (the worker that served it carries on).
+    pub fn serve_panics(&self) -> u64 {
+        self.reactor.serve_panics.load(Ordering::Relaxed)
     }
 
     /// Close every connection accepted so far for the `service`-th
@@ -570,8 +566,7 @@ impl Drop for AsyncServer {
 }
 
 /// Tuning for [`AsyncTcpCluster`]: the shared [`TcpConfig`] knobs plus
-/// the worker-pool size. With `base.durability` set, each node journals
-/// through its group-commit [`GroupWal`].
+/// the worker-pool size.
 #[derive(Clone, Debug, Default)]
 pub struct AsyncTcpConfig {
     /// Protocol, gossip, fault, socket, and durability knobs.
@@ -581,235 +576,26 @@ pub struct AsyncTcpConfig {
     pub worker_threads: usize,
 }
 
-/// One replica served by the reactor, with group-commit durability.
-pub struct AsyncNode {
-    replica: Mutex<Replica>,
-    alive: AtomicBool,
-    /// The node's group-commit WAL; `None` without durability, and while
-    /// a durable node is crashed (the handle is dropped with the replica
-    /// and reopened on revival).
-    durable: Mutex<Option<Arc<GroupWal>>>,
-}
+/// One database replicated at every node: a [`SocketCluster`] of one-shard
+/// nodes that exchange bare frames, so each node is one replica.
+pub type AsyncTcpCluster = SocketCluster<Unsharded>;
 
-impl AsyncNode {
-    /// Group-commit ack gate plus checkpoint policy, after any call that
-    /// may have journaled, failed ones included. Blocks until everything
-    /// this node has journaled is written (and fsynced) — by this thread
-    /// as batch leader, or by the leader of the batch in flight — then
-    /// runs the byte/record checkpoint triggers. Takes the replica lock;
-    /// call only from contexts not holding it.
-    fn after_mutation(&self) {
-        let durable = self.durable.lock().clone();
-        if let Some(wal) = durable {
-            wal.wait_durable();
-            let replica = self.replica.lock();
-            wal.maybe_checkpoint(&[&replica]).expect("durable: checkpoint failed");
-        }
-    }
-}
-
-impl FrameService for AsyncNode {
-    fn alive(&self) -> bool {
-        self.alive.load(Ordering::SeqCst)
-    }
-
-    fn serve(&self, body: &[u8], out: &mut Writer) -> bool {
-        if !self.alive() {
-            return false;
-        }
-        let resp = match decode_request_checked(body) {
-            Ok(req) => {
-                Engine::handle(&mut self.replica.lock(), req).unwrap_or_else(refusal_or_error)
-            }
-            Err(e) => {
-                if matches!(e, Error::CorruptFrame(_)) {
-                    self.replica.lock().note_corrupt_frame();
-                }
-                ProtocolResponse::Error(format!("bad request: {e}"))
-            }
-        };
-        // Ack gate: if serving journaled anything, the response may not
-        // leave before the covering fsync. (Pure serves are read-only at
-        // the responder, so this is normally a no-wait.)
-        let durable = self.durable.lock().clone();
-        if let Some(wal) = durable {
-            wal.wait_durable();
-        }
-        encode_response_to(&resp, out);
-        true
-    }
-}
-
-/// Recover (or freshly create) one node's replica backed by the shared
-/// group-commit WAL, sink attached.
-fn open_group_node(
-    cfg: &DurabilityConfig,
-    id: NodeId,
-    n_nodes: usize,
-    n_items: usize,
-    delta_budget: usize,
-    paranoid: bool,
-) -> (Arc<GroupWal>, Replica) {
-    // Policy and delta budget are journaled into the WAL header — the
-    // arguments are fresh-start defaults and recovery is config-free.
-    let (wal, mut replicas, _report) = GroupWal::open(
-        cfg,
-        cfg.node_dir(id),
-        &[StreamSpec { id, n_nodes, n_items }],
-        ConflictPolicy::Report,
-        delta_budget,
-    )
-    .expect("durable: group recovery failed");
-    let mut replica = replicas.pop().expect("exactly one stream");
-    replica.set_paranoid(paranoid);
-    wal.attach(0, &mut replica);
-    (wal, replica)
-}
-
-/// A cluster of replicas served by the nonblocking reactor and gossiping
-/// over localhost TCP, exchanging the same protocol requests and responses
-/// as the in-process simulator.
-pub struct AsyncTcpCluster {
-    nodes: Vec<Arc<AsyncNode>>,
-    server: Option<AsyncServer>,
-    addrs: Vec<SocketAddr>,
-    running: Arc<AtomicBool>,
-    gossips: Vec<JoinHandle<()>>,
-    config: AsyncTcpConfig,
-    n_items: usize,
-}
-
-impl AsyncTcpCluster {
+impl SocketCluster<Unsharded> {
     /// Bind `n_nodes` reactor-served listeners on localhost and start
-    /// gossiping.
+    /// gossiping. With `config.base.durability` set, each node journals
+    /// through its group-commit WAL.
     pub fn spawn(
         n_nodes: usize,
         n_items: usize,
         config: AsyncTcpConfig,
     ) -> Result<AsyncTcpCluster> {
-        assert!(n_nodes >= 2);
-        let base = &config.base;
-        let nodes: Vec<Arc<AsyncNode>> = (0..n_nodes)
-            .map(|i| {
-                let id = NodeId::from_index(i);
-                let (durable, mut replica) = match &base.durability {
-                    Some(cfg) => {
-                        let (wal, replica) = open_group_node(
-                            cfg,
-                            id,
-                            n_nodes,
-                            n_items,
-                            base.delta_budget,
-                            base.paranoid,
-                        );
-                        (Some(wal), replica)
-                    }
-                    None => {
-                        let mut replica = Replica::new(id, n_nodes, n_items);
-                        if base.delta_budget > 0 {
-                            replica.enable_delta(base.delta_budget);
-                        }
-                        replica.set_paranoid(base.paranoid);
-                        (None, replica)
-                    }
-                };
-                replica.set_delta_frame_budget(base.delta_frame_bytes);
-                Arc::new(AsyncNode {
-                    replica: Mutex::new(replica),
-                    alive: AtomicBool::new(true),
-                    durable: Mutex::new(durable),
-                })
-            })
-            .collect();
-
-        let services: Vec<Arc<dyn FrameService>> =
-            nodes.iter().map(|n| n.clone() as Arc<dyn FrameService>).collect();
-        let server = AsyncServer::bind(services, config.worker_threads)?;
-        let addrs = server.addrs().to_vec();
-
-        let running = Arc::new(AtomicBool::new(true));
-        let gossips = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let me = NodeId::from_index(i);
-                let node = node.clone();
-                let peer_addrs = addrs.clone();
-                let run = running.clone();
-                let cfg = base.clone();
-                // The C10K work is all on the serving side: initiators
-                // stay blocking clients.
-                std::thread::spawn(move || {
-                    let gossiped = Gossiped::Replica {
-                        replica: &node.replica,
-                        after_pull: &|| node.after_mutation(),
-                    };
-                    let connect = connector(peer_addrs, cfg.socket);
-                    gossip_loop(me, n_nodes, cfg.gossip(), &run, &node.alive, gossiped, connect)
-                })
-            })
-            .collect();
-        Ok(AsyncTcpCluster {
-            nodes,
-            server: Some(server),
-            addrs,
-            running,
-            gossips,
-            config,
-            n_items,
-        })
+        let map = ShardMap::new(n_items, vec![NodeId::all(n_nodes).collect()]);
+        SocketCluster::launch(map, n_nodes, config.base, config.worker_threads, true)
     }
 
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Reactor worker threads serving *all* connections of *all* nodes.
-    pub fn worker_threads(&self) -> usize {
-        self.server.as_ref().map_or(0, AsyncServer::worker_threads)
-    }
-
-    /// Connections currently held open by the reactor.
-    pub fn open_connections(&self) -> usize {
-        self.server.as_ref().map_or(0, AsyncServer::open_connections)
-    }
-
-    /// The socket address a node's replica server listens on.
-    pub fn addr(&self, node: NodeId) -> SocketAddr {
-        self.addrs[node.index()]
-    }
-
-    /// Apply a user update at `node`. With durability, returns only after
-    /// the update's group-commit batch is fsynced (acked ⇒ durable).
-    pub fn update(&self, node: NodeId, item: ItemId, op: UpdateOp) -> Result<()> {
-        let n = self.checked(node)?;
-        let out = n.replica.lock().update(item, op);
-        n.after_mutation();
-        out
-    }
-
-    /// Read the user-visible value at `node`; crashed durable nodes have
-    /// no in-memory replica and report [`Error::NodeDown`].
-    pub fn read(&self, node: NodeId, item: ItemId) -> Result<Vec<u8>> {
-        let n = self.nodes.get(node.index()).ok_or(Error::UnknownNode(node))?;
-        if self.config.base.durability.is_some() && !n.alive.load(Ordering::SeqCst) {
-            return Err(Error::NodeDown(node));
-        }
-        Ok(n.replica.lock().read(item)?.as_bytes().to_vec())
-    }
-
-    fn checked(&self, node: NodeId) -> Result<&Arc<AsyncNode>> {
-        let n = self.nodes.get(node.index()).ok_or(Error::UnknownNode(node))?;
-        if !n.alive.load(Ordering::SeqCst) {
-            return Err(Error::NodeDown(node));
-        }
-        Ok(n)
-    }
-
-    /// A new [`TcpTransport`] to `peer`'s reactor-served listener.
-    pub fn transport_to(&self, peer: NodeId) -> TcpTransport {
-        TcpTransport::with_options(peer, self.addr(peer), self.config.base.socket)
+    /// Run a closure over a node's locked replica.
+    pub fn with_replica<T>(&self, node: NodeId, f: impl FnOnce(&Replica) -> T) -> T {
+        self.with_node(node, |n| f(n.shard_state(ShardId(0)).expect("one shard")))
     }
 
     /// Out-of-bound fetch, driven through the engine like every exchange.
@@ -817,55 +603,23 @@ impl AsyncTcpCluster {
         if recipient == source {
             return Ok(OobOutcome::AlreadyCurrent);
         }
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut transport = self.transport_to(source);
-        let out = Engine::oob(&mut MutexHost(&node.replica), &mut transport, item);
-        node.after_mutation();
-        out
+        self.round_now(recipient, source, ShardId(0), |h, mut t| Engine::oob(h, &mut t, item))
     }
 
     /// Run one whole-item pull right now, bypassing the gossip schedule.
     pub fn pull_now(&self, recipient: NodeId, source: NodeId) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut transport = self.transport_to(source);
-        let out = Engine::pull(&mut MutexHost(&node.replica), &mut transport);
-        node.after_mutation();
-        out
+        self.round_now(recipient, source, ShardId(0), |h, mut t| Engine::pull(h, &mut t))
     }
 
     /// As [`pull_now`](Self::pull_now), in delta mode.
     pub fn pull_delta_now(&self, recipient: NodeId, source: NodeId) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut transport = self.transport_to(source);
-        let out = Engine::pull_delta(&mut MutexHost(&node.replica), &mut transport);
-        node.after_mutation();
-        out
+        self.round_now(recipient, source, ShardId(0), |h, mut t| Engine::pull_delta(h, &mut t))
     }
 
     /// As [`pull_now`](Self::pull_now), via digest-tree set
     /// reconciliation — the cold-start rung below whole-pull.
     pub fn pull_recon_now(&self, recipient: NodeId, source: NodeId) -> Result<PullOutcome> {
-        assert_ne!(recipient, source, "a node cannot pull from itself");
-        self.checked(source)?;
-        let node = self.checked(recipient)?;
-        let mut transport = self.transport_to(source);
-        let out = Engine::pull_recon(&mut MutexHost(&node.replica), &mut transport);
-        node.after_mutation();
-        out
-    }
-
-    /// Bound log-vector retention at `node` to `keep` records per
-    /// (origin, item) component.
-    pub fn set_log_retention(&self, node: NodeId, keep: usize) -> Result<()> {
-        let node = self.checked(node)?;
-        node.replica.lock().set_log_retention(keep);
-        node.after_mutation();
-        Ok(())
+        self.round_now(recipient, source, ShardId(0), |h, mut t| Engine::pull_recon(h, &mut t))
     }
 
     /// One delta pull at `recipient` over a caller-supplied transport with
@@ -877,9 +631,7 @@ impl AsyncTcpCluster {
         policy: &RetryPolicy,
     ) -> Result<PullOutcome> {
         let node = self.checked(recipient)?;
-        let out = Engine::pull_delta_with(&mut MutexHost(&node.replica), transport, policy);
-        node.after_mutation();
-        out
+        node.round(ShardId(0), transport, |h, mut t| Engine::pull_delta_with(h, &mut t, policy))
     }
 
     /// One delta pull through a caller-owned [`ChaosLink`] — the
@@ -898,141 +650,19 @@ impl AsyncTcpCluster {
         self.pull_delta_now_via(recipient, &mut transport, policy)
     }
 
-    /// Crash a node: the connections it had accepted are closed, new ones
-    /// drop without replying, and it stops gossiping. With durability, the
-    /// in-memory replica and the WAL handle are really dropped (closing the
-    /// group WAL writes whatever is still queued); only the on-disk state
-    /// survives.
-    pub fn crash(&self, node: NodeId) {
-        let n = &self.nodes[node.index()];
-        n.alive.store(false, Ordering::SeqCst);
-        if let Some(server) = &self.server {
-            server.close_connections(node.index());
-        }
-        if self.config.base.durability.is_some() {
-            let mut replica = n.replica.lock();
-            drop(replica.take()); // the live replica goes before its stand-in is built
-            *replica = Replica::new(node, self.n_nodes(), self.n_items);
-            drop(replica);
-            *n.durable.lock() = None;
-        }
-    }
-
-    /// Revive a crashed node; with durability, group recovery rebuilds
-    /// the replica from its snapshots + shared WAL, then anti-entropy
-    /// brings it the rest of the way.
-    pub fn revive(&self, node: NodeId) {
-        let n = &self.nodes[node.index()];
-        if let Some(cfg) = &self.config.base.durability {
-            let (wal, mut replica) = open_group_node(
-                cfg,
-                node,
-                self.n_nodes(),
-                self.n_items,
-                self.config.base.delta_budget,
-                self.config.base.paranoid,
-            );
-            replica.set_delta_frame_budget(self.config.base.delta_frame_bytes);
-            *n.replica.lock() = replica;
-            *n.durable.lock() = Some(wal);
-        }
-        n.alive.store(true, Ordering::SeqCst);
-    }
-
-    /// The group-commit counters of a node's WAL (`None` without
-    /// durability or while crashed): records journaled, batches taken,
-    /// fsyncs issued. The runtime's claim is `fsyncs ≪ records` under
-    /// concurrent writers.
-    pub fn group_commit_stats(&self, node: NodeId) -> Option<GroupCommitStats> {
-        self.nodes[node.index()].durable.lock().as_ref().map(|w| w.stats())
-    }
-
-    /// Run a closure over a locked replica.
-    pub fn with_replica<T>(&self, node: NodeId, f: impl FnOnce(&Replica) -> T) -> T {
-        f(&self.nodes[node.index()].replica.lock())
-    }
-
-    /// Wait until all alive replicas hold equal DBVVs and no auxiliary
-    /// state remains, or the deadline passes.
-    pub fn quiesce(&self, timeout: Duration) -> bool {
-        self.try_quiesce(timeout).is_ok()
-    }
-
-    /// As [`quiesce`](Self::quiesce), surfacing a timeout as the typed
-    /// [`Error::DeadlineExceeded`].
-    pub fn try_quiesce(&self, timeout: Duration) -> Result<()> {
-        quiesce_policy(self.config.base.gossip_interval)
-            .poll_until("quiescence", timeout, || self.is_quiescent())
-    }
-
-    fn is_quiescent(&self) -> bool {
-        let alive: Vec<&Arc<AsyncNode>> =
-            self.nodes.iter().filter(|n| n.alive.load(Ordering::SeqCst)).collect();
-        if alive.len() < 2 {
-            return true;
-        }
-        let first = alive[0].replica.lock();
-        let reference = first.dbvv().clone();
-        let head_ok = first.aux_item_count() == 0;
-        drop(first);
-        head_ok
-            && alive[1..].iter().all(|n| {
-                let r = n.replica.lock();
-                r.aux_item_count() == 0 && r.dbvv().compare(&reference) == VvOrd::Equal
-            })
-    }
-
     /// Stop gossip and the reactor; return the final replicas, moved out
     /// of their nodes (every thread that served or gossiped for them is
     /// joined by then), journal sinks detached: they are for inspection,
     /// not for appending to the cluster's WALs.
     pub fn shutdown(mut self) -> Vec<Replica> {
         self.stop();
-        self.nodes
-            .iter()
-            .map(|n| {
-                let mut r = n.replica.lock().take();
+        (self.nodes.iter())
+            .map(|node| {
+                let mut r = node.with(|n| n.shard_state_mut(ShardId(0)).expect("one shard").take());
                 r.set_mutation_sink(None);
                 r
             })
             .collect()
-    }
-
-    fn stop(&mut self) {
-        self.running.store(false, Ordering::SeqCst);
-        for h in self.gossips.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(server) = self.server.take() {
-            server.shutdown();
-        }
-        // Dropping the last WAL handles writes what is queued and closes
-        // the files.
-        for n in &self.nodes {
-            *n.durable.lock() = None;
-        }
-    }
-}
-
-/// The probe-pacing policy of both socket clusters' `quiesce`: probes
-/// start near the gossip interval and decay exponentially (with the
-/// standard deterministic jitter) toward a 50 ms cap — converging clusters
-/// are checked often early, idle ones rarely.
-pub(crate) fn quiesce_policy(gossip_interval: Duration) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: u32::MAX,
-        base_backoff: gossip_interval.min(Duration::from_millis(1)).max(Duration::from_micros(100)),
-        max_backoff: Duration::from_millis(50),
-        round_deadline: None,
-        jitter_seed: 0,
-    }
-}
-
-impl Drop for AsyncTcpCluster {
-    fn drop(&mut self) {
-        if self.running.load(Ordering::SeqCst) {
-            self.stop();
-        }
     }
 }
 
@@ -1040,10 +670,15 @@ impl Drop for AsyncTcpCluster {
 mod tests {
     use super::*;
     use epidb_core::codec::{decode_response_checked, encode_request_checked};
-    use epidb_core::{PropagationResponse, ProtocolRequest, ShardMap, ShardTransport, ShardedNode};
+    use epidb_core::{
+        ConflictPolicy, PropagationResponse, ProtocolRequest, ProtocolResponse, ShardTransport,
+        ShardedNode,
+    };
+    use epidb_durable::{DurabilityConfig, GroupCommitStats};
+    use epidb_store::UpdateOp;
 
-    use crate::tcp::read_frame_into;
-    use crate::ShardedFrameService;
+    use crate::node::Node;
+    use crate::tcp::{read_frame_into, TcpTransport};
 
     fn quiet(n_nodes: usize, n_items: usize) -> AsyncTcpCluster {
         let config = AsyncTcpConfig {
@@ -1188,7 +823,10 @@ mod tests {
         cluster.crash(NodeId(2));
         cluster.update(NodeId(0), ItemId(0), UpdateOp::set(&b"while-down"[..])).unwrap();
         assert!(cluster.quiesce(Duration::from_secs(30)));
-        assert_eq!(cluster.read(NodeId(2), ItemId(0)).unwrap(), b"");
+        // A crashed node answers no reads; its replica, kept in memory,
+        // stays stale.
+        assert!(matches!(cluster.read(NodeId(2), ItemId(0)), Err(Error::NodeDown(NodeId(2)))));
+        cluster.with_replica(NodeId(2), |r| assert_eq!(r.read(ItemId(0)).unwrap().as_bytes(), b""));
         cluster.revive(NodeId(2));
         assert!(cluster.quiesce(Duration::from_secs(30)));
         assert_eq!(cluster.read(NodeId(2), ItemId(0)).unwrap(), b"while-down");
@@ -1404,6 +1042,126 @@ mod tests {
         );
     }
 
+    /// Every file under `dir`, by path relative to it: its length and CRC32.
+    fn file_prints(dir: &std::path::Path) -> Vec<(String, usize, u32)> {
+        let mut prints = Vec::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(at) = pending.pop() {
+            for entry in std::fs::read_dir(&at).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    pending.push(path);
+                    continue;
+                }
+                let bytes = std::fs::read(&path).unwrap();
+                let name = path.strip_prefix(dir).unwrap().to_string_lossy().into_owned();
+                prints.push((name, bytes.len(), epidb_core::codec::crc32(&bytes)));
+            }
+        }
+        prints.sort();
+        prints
+    }
+
+    #[test]
+    fn durable_files_are_pinned() {
+        // A fixed schedule on a durable unsharded cluster: acked writes of
+        // inline and segment-sized values, whole, delta and recon pulls,
+        // an out-of-bound fetch, checkpoints on the way, a crash and a
+        // recovery. What it leaves on disk is pinned byte for byte.
+        let tmp = epidb_durable::testdir::TempDir::new("async-pinned-files");
+        let mut durability = DurabilityConfig::new(tmp.path().clone());
+        durability.checkpoint_every = 24;
+        let base = TcpConfig {
+            gossip_interval: Duration::from_secs(3600),
+            durability: Some(durability),
+            delta_budget: 1 << 16,
+            ..TcpConfig::default()
+        };
+        let cluster =
+            AsyncTcpCluster::spawn(3, 32, AsyncTcpConfig { base, worker_threads: 2 }).unwrap();
+        let node = |k: u32| NodeId((k % 3) as u16);
+        for k in 0..60u32 {
+            let len = if k % 5 == 0 { 200 } else { 8 + k as usize };
+            cluster.update(node(k), ItemId(k % 32), UpdateOp::set(vec![k as u8; len])).unwrap();
+            if k % 7 == 6 {
+                cluster.pull_now(node(k + 1), node(k)).unwrap();
+                cluster.pull_delta_now(node(k + 2), node(k + 1)).unwrap();
+            }
+        }
+        cluster.oob_fetch(NodeId(2), NodeId(0), ItemId(30)).unwrap();
+        cluster.pull_recon_now(NodeId(1), NodeId(2)).unwrap();
+        cluster.crash(NodeId(2));
+        cluster.update(NodeId(0), ItemId(3), UpdateOp::set(&b"while-down"[..])).unwrap();
+        cluster.revive(NodeId(2));
+        cluster.pull_now(NodeId(2), NodeId(0)).unwrap();
+        cluster.shutdown();
+        let pinned: [(&str, usize, u32); 6] = [
+            ("node-0/snap-1-0.epdb", 4316, 2320017736),
+            ("node-0/wal-1.log", 140, 1761535974),
+            ("node-1/snap-1-0.epdb", 4087, 3587089529),
+            ("node-1/wal-1.log", 1069, 3384069336),
+            ("node-2/snap-1-0.epdb", 4228, 2095383277),
+            ("node-2/wal-1.log", 861, 1046330077),
+        ];
+        let pinned: Vec<(String, usize, u32)> =
+            pinned.iter().map(|&(name, len, crc)| (name.to_string(), len, crc)).collect();
+        assert_eq!(file_prints(tmp.path()), pinned, "a durable node's files changed");
+    }
+
+    #[test]
+    fn out_of_range_items_keep_their_errors() {
+        let cluster = quiet(2, 8);
+        let set = || UpdateOp::set(&b"x"[..]);
+        let unknown = |e: Error| matches!(e, Error::UnknownItem(ItemId(8)));
+        assert!(unknown(cluster.update(NodeId(0), ItemId(8), set()).unwrap_err()));
+        assert!(unknown(cluster.read(NodeId(0), ItemId(8)).unwrap_err()));
+        // The fetch goes out as ever, and the source refuses it.
+        let refused = cluster.oob_fetch(NodeId(1), NodeId(0), ItemId(8)).unwrap_err();
+        assert!(matches!(&refused, Error::Network(m) if m.contains("unknown item")), "{refused}");
+        assert_eq!(
+            cluster.oob_fetch(NodeId(0), NodeId(0), ItemId(8)),
+            Ok(OobOutcome::AlreadyCurrent)
+        );
+        assert!(matches!(cluster.update(NodeId(5), ItemId(1), set()), Err(Error::UnknownNode(_))));
+        assert!(matches!(cluster.read(NodeId(5), ItemId(1)), Err(Error::UnknownNode(_))));
+        cluster.crash(NodeId(1));
+        let down = cluster.oob_fetch(NodeId(1), NodeId(0), ItemId(8));
+        assert!(matches!(down, Err(Error::NodeDown(NodeId(1)))));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_request_that_panics_its_service_closes_only_its_connection() {
+        // A CRC-valid pull whose DBVV is 2 wide, at a 3-node replica, still
+        // panics the engine. The reactor closes that connection, counts it,
+        // and serves the next one on the same workers.
+        let node = ShardedNode::new(
+            NodeId(0),
+            3,
+            ShardMap::new(8, vec![vec![NodeId(0)]]),
+            ConflictPolicy::Report,
+        );
+        let server =
+            AsyncServer::bind(vec![Arc::new(Node::new(node, true)) as Arc<dyn FrameService>], 1)
+                .unwrap();
+        let narrow = Replica::new(NodeId(1), 2, 8).dbvv().clone();
+        let mut stream = TcpStream::connect(server.addrs()[0]).unwrap();
+        stream
+            .write_all(&request_frame(&ProtocolRequest::Pull { from: NodeId(1), dbvv: narrow }))
+            .unwrap();
+        assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "no response, then EOF");
+        settle("the panic is counted", || server.serve_panics() == 1);
+        let dbvv = Replica::new(NodeId(1), 3, 8).dbvv().clone();
+        let mut stream = TcpStream::connect(server.addrs()[0]).unwrap();
+        stream.write_all(&request_frame(&ProtocolRequest::Pull { from: NodeId(1), dbvv })).unwrap();
+        assert!(matches!(
+            read_response(&mut stream),
+            ProtocolResponse::Pull(PropagationResponse::YouAreCurrent)
+        ));
+        assert_eq!(server.serve_panics(), 1);
+        server.shutdown();
+    }
+
     #[test]
     fn sharded_dispatch_through_the_reactor() {
         // The reactor serves a sharded node via `Engine::handle_sharded`;
@@ -1418,8 +1176,8 @@ mod tests {
             .unwrap()
             .update(ItemId(1), UpdateOp::set(&b"sharded-bytes"[..]))
             .unwrap();
-        let service = Arc::new(ShardedFrameService::new(server_node));
-        let server = AsyncServer::bind(vec![service.clone() as Arc<dyn FrameService>], 2).unwrap();
+        let service = Arc::new(Node::new(server_node, false));
+        let server = AsyncServer::bind(vec![service as Arc<dyn FrameService>], 2).unwrap();
 
         let mut client_node = ShardedNode::new(NodeId(1), 2, map, ConflictPolicy::Report);
         let mut tcp = TcpTransport::new(NodeId(0), server.addrs()[0]);

@@ -6,10 +6,17 @@
 //! deterministic single-process simulation; this crate complements it with
 //! one *live* fabric: framed localhost sockets, every node served by one
 //! epoll reactor ([`AsyncServer`]) from a small worker pool, and initiator
-//! rounds driven by one gossip thread per node. [`AsyncTcpCluster`] runs
-//! one replica per node, [`ShardedTcpCluster`] the owned shards of a shard
-//! map. Both are thin adapters over the transport-agnostic engine in
-//! `epidb-core`: every pull, delta, and out-of-bound exchange is a
+//! rounds driven by one gossip thread per node.
+//!
+//! There is one node kind ([`node`]): a `ShardedNode`, an alive flag and,
+//! with durability, one group-commit WAL with a stream per owned shard,
+//! so every node — sharded or not — journals, acks and recovers the same
+//! way. An unsharded node is a one-shard node that exchanges bare frames.
+//! There is one cluster, [`SocketCluster`], with two views:
+//! [`AsyncTcpCluster`] runs one replica per node, [`ShardedTcpCluster`]
+//! the owned shards of a shard map. Both are thin adapters over the
+//! transport-agnostic engine in `epidb-core`: every pull, delta, and
+//! out-of-bound exchange is a
 //! [`ProtocolRequest`](epidb_core::ProtocolRequest) executed by
 //! [`Engine::handle`](epidb_core::Engine::handle) at the responder, so cost
 //! accounting, tracing, and paranoid audits behave identically over
@@ -20,7 +27,7 @@
 //! and its [`FaultPlan`](epidb_core::FaultPlan): message loss, duplication,
 //! reordering, corruption, latency, partitions, mid-exchange resets — plus
 //! node crashes/recoveries at the cluster level. With durability on, a
-//! crash drops the node's replica and a revival recovers it from the
+//! crash drops the node's replicas and a revival recovers them from the
 //! node's group-commit WAL.
 //!
 //! Socket initiators do not connect per round: [`TcpTransport`] parks one
@@ -46,13 +53,15 @@
 
 pub mod async_tcp;
 mod gossip;
+pub mod node;
 pub mod pool;
 pub mod sharded;
 pub mod tcp;
 pub mod transport;
 
 pub use async_tcp::{AsyncServer, AsyncTcpCluster, AsyncTcpConfig, FrameService};
+pub use node::{Sharded, SocketCluster, Unsharded};
 pub use pool::PoolStats;
-pub use sharded::{ShardedConfig, ShardedFrameService, ShardedTcpCluster};
+pub use sharded::{ShardedConfig, ShardedTcpCluster};
 pub use tcp::{TcpConfig, TcpSocketOptions, TcpTransport};
 pub use transport::MutexHost;

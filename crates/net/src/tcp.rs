@@ -25,7 +25,6 @@ use epidb_core::codec::{
 use epidb_core::{FaultPlan, ProtocolRequest, ProtocolResponse, RetryPolicy, Transport};
 use epidb_durable::DurabilityConfig;
 
-use crate::gossip::GossipConfig;
 use crate::pool;
 
 /// Socket-level tuning for [`TcpTransport`]: every timeout the transport
@@ -59,16 +58,19 @@ impl Default for TcpSocketOptions {
     }
 }
 
-/// Tuning and fault-injection knobs for the TCP cluster
-/// ([`AsyncTcpCluster`](crate::AsyncTcpCluster)).
+/// Tuning and fault-injection knobs of every socket cluster
+/// ([`SocketCluster`](crate::SocketCluster): both
+/// [`AsyncTcpCluster`](crate::AsyncTcpCluster) and
+/// [`ShardedTcpCluster`](crate::ShardedTcpCluster)).
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// How often each node initiates a pull from a random peer.
+    /// How often each node pulls each of its shards from a random
+    /// co-owner.
     pub gossip_interval: Duration,
     /// Seed for peer selection and per-link chaos.
     pub seed: u64,
-    /// Op-cache budget per replica; when non-zero, gossip runs in delta
-    /// mode.
+    /// Op-cache budget per (shard) replica; when non-zero, gossip runs in
+    /// delta mode.
     pub delta_budget: usize,
     /// Run every replica in paranoid mode (per-step invariant audits).
     pub paranoid: bool,
@@ -80,10 +82,11 @@ pub struct TcpConfig {
     /// Retry policy the gossip loop applies within each anti-entropy
     /// round (between rounds, the next tick is the retry).
     pub retry: RetryPolicy,
-    /// On-disk durability (group-commit WAL + snapshot checkpoints) per
-    /// node. When set, [`crash`](crate::AsyncTcpCluster::crash) really
-    /// drops the in-memory replica and
-    /// [`revive`](crate::AsyncTcpCluster::revive) recovers it from disk.
+    /// On-disk durability (group-commit WAL + snapshot checkpoints, a
+    /// stream per owned shard) per node. When set,
+    /// [`crash`](crate::SocketCluster::crash) really drops the node's
+    /// replicas and [`revive`](crate::SocketCluster::revive) recovers
+    /// them from disk.
     pub durability: Option<DurabilityConfig>,
     /// Maximum wanted items per `DeltaFetch` frame in delta gossip
     /// rounds (`usize::MAX` = no coalescing: the exchange shape — and
@@ -112,28 +115,6 @@ impl Default for TcpConfig {
             delta_frame_bytes: u64::MAX,
         }
     }
-}
-
-impl TcpConfig {
-    pub(crate) fn gossip(&self) -> GossipConfig {
-        GossipConfig {
-            interval: self.gossip_interval,
-            seed: self.seed,
-            plan: self.fault_plan.clone().unwrap_or_default(),
-            retry: self.retry.clone(),
-            delta: self.delta_budget > 0,
-            max_frame_items: self.max_frame_items,
-        }
-    }
-}
-
-/// How a socket runtime's gossip thread reaches a peer: a transport per
-/// round, over the connection parked for that peer (see [`TcpTransport`]).
-pub(crate) fn connector(
-    addrs: Vec<SocketAddr>,
-    socket: TcpSocketOptions,
-) -> impl Fn(NodeId) -> TcpTransport {
-    move |peer| TcpTransport::with_options(peer, addrs[peer.index()], socket)
 }
 
 /// Write every byte of `bufs` with as few syscalls as the kernel allows:

@@ -1,13 +1,6 @@
-//! Transport plumbing of the socket runtime: the mutex-guarded
-//! [`ReplicaHost`].
-//!
-//! Fault injection lives in `epidb-core` now — [`ChaosTransport`]
-//! (composable over any [`Transport`](epidb_core::Transport), driven by a
-//! seed-deterministic [`FaultPlan`]) replaced the loss-and-latency-only
-//! `FaultInjector` that used to live here.
-//!
-//! [`ChaosTransport`]: epidb_core::ChaosTransport
-//! [`FaultPlan`]: epidb_core::FaultPlan
+//! The mutex-guarded [`ReplicaHost`], for drivers of a lone replica
+//! behind a lock. (The socket node projects its shards with a host of its
+//! own.)
 
 use epidb_core::{Replica, ReplicaHost};
 use parking_lot::Mutex;
