@@ -1,7 +1,8 @@
 //! The count gates: the paper's cost laws and the zero-copy and heap laws,
 //! checked as exact allocation, byte and operation counts. Each `gate_*`
 //! function below states its law: `zero_copy`, `small_path`,
-//! `sharded_gossip`, `group_commit`, `cold_start`, `conn_reuse`, `heap`.
+//! `sharded_gossip`, `group_commit`, `ack_path`, `cold_start`, `conn_reuse`,
+//! `heap`.
 //!
 //! A plain `main` (`harness = false`) runs the gates one after another in
 //! one process, so no other test thread allocates inside a counting window.
@@ -406,6 +407,54 @@ fn gate_group_commit() -> String {
     format!("{} records, {} batches, {} fsyncs", stats.records, stats.batches, stats.fsyncs)
 }
 
+// --- ack path ---------------------------------------------------------------
+
+/// A lone durable writer's acked 64 B update allocates only what the
+/// protocol does: the record is encoded in place into the commit queue,
+/// whose two buffers alternate between appenders and the leader, and the
+/// batch is written from slices gathered on the stack, so that is nothing
+/// at all. A per-record encode buffer adds two allocations (it grows
+/// 0 → 64 → 128 B), a per-batch slice vector one more.
+fn gate_ack_path() -> String {
+    const MAX_ALLOCS: f64 = 0.0;
+    let tmp = TempDir::new("count-gate-ack-path");
+    let mut durability = DurabilityConfig::new(tmp.path());
+    durability.checkpoint_every = u64::MAX;
+    let config = AsyncTcpConfig {
+        base: TcpConfig {
+            gossip_interval: Duration::from_secs(3600),
+            durability: Some(durability),
+            ..TcpConfig::default()
+        },
+        worker_threads: 2,
+    };
+    let cluster = AsyncTcpCluster::spawn(2, 16, config).expect("spawn durable async cluster");
+    // Every item written once first: the log vector's slots and the
+    // commit queue's buffers are then at their steady size.
+    for x in ItemId::all(16) {
+        cluster.update(NodeId(0), x, UpdateOp::set(vec![0; 64])).expect("update");
+    }
+    let mut k = 0u32;
+    let ack = per_op(
+        || {
+            k += 1;
+            (ItemId(k % 16), UpdateOp::set(vec![k as u8; 64]))
+        },
+        |(item, op)| cluster.update(NodeId(0), item, op).expect("update"),
+    );
+    let stats = cluster.group_commit_stats(NodeId(0)).expect("node 0 has a group WAL");
+    cluster.shutdown();
+    assert_eq!(stats.records, 16 + WARMUP + MEASURED, "every acked update is journaled once");
+    assert!(
+        ack.allocs <= MAX_ALLOCS,
+        "ack-path regression: a lone durable writer's acked 64 B update made {:.2} allocator \
+         calls (> {MAX_ALLOCS}) — the journal record is encoded into a buffer of its own, or \
+         the batch write gathers its slices on the heap",
+        ack.allocs,
+    );
+    format!("{:.2} allocs, {:.1} B per acked 64 B update", ack.allocs, ack.bytes)
+}
+
 // --- cold-start -------------------------------------------------------------
 
 /// A source whose log was compacted past the recipient's coverage, with
@@ -760,11 +809,12 @@ type Gate = (&'static str, fn() -> String);
 /// counts on the line above its result. The first broken law panics and
 /// ends the run, so the target fails.
 fn main() {
-    let gates: [Gate; 7] = [
+    let gates: [Gate; 8] = [
         ("zero_copy", gate_zero_copy),
         ("small_path", gate_small_path),
         ("sharded_gossip", gate_sharded_gossip),
         ("group_commit", gate_group_commit),
+        ("ack_path", gate_ack_path),
         ("cold_start", gate_cold_start),
         ("conn_reuse", gate_conn_reuse),
         ("heap", gate_heap),

@@ -446,11 +446,18 @@ impl Writer {
     /// The encoded message as in-order slices (control runs interleaved
     /// with shared value segments), for vectored writes.
     pub fn chunks(&self) -> impl Iterator<Item = &[u8]> {
-        let tail = &self.ctl[self.mark..self.pos];
-        self.chunks
+        self.chunks_from(0, 0)
+    }
+
+    /// [`chunks`](Writer::chunks) from control offset `from` on, where
+    /// `first` is the number of chunks recorded when `from` was written: a
+    /// control run recorded since may begin before `from`, and is clipped.
+    fn chunks_from(&self, from: usize, first: usize) -> impl Iterator<Item = &[u8]> {
+        let tail = &self.ctl[self.mark.max(from)..self.pos];
+        self.chunks[first..]
             .iter()
             .map(move |chunk| match chunk {
-                Chunk::Ctl(r) => &self.ctl[r.clone()],
+                Chunk::Ctl(r) => &self.ctl[r.start.max(from)..r.end],
                 Chunk::Val(b) => &b[..],
             })
             .chain(std::iter::once(tail).filter(|s| !s.is_empty()))
@@ -553,36 +560,23 @@ impl Writer {
         }
     }
 
-    /// Append everything `other` holds, in order: its control runs are
-    /// copied, its value segments shared (a refcount bump each). A queue of
-    /// encoded messages built this way holds large values by reference
-    /// until the queue is written out.
-    pub fn append(&mut self, other: &Writer) {
-        for chunk in &other.chunks {
-            match chunk {
-                Chunk::Ctl(r) => self.raw(&other.ctl[r.clone()]),
-                Chunk::Val(b) => self.segment(b),
-            }
-        }
-        self.raw(&other.ctl[other.mark..other.pos]);
-    }
-
-    /// [`append`](Writer::append) without the copy: `other`'s control
-    /// buffer moves in as one shared allocation, each of its control runs
-    /// a segment of it, so appending a large encoded message costs a
-    /// refcount per run instead of a copy of its bytes.
-    pub fn append_owned(&mut self, mut other: Writer) {
-        other.ctl.truncate(other.pos);
-        let ctl = Bytes::from(std::mem::take(&mut other.ctl));
-        for chunk in &other.chunks {
-            match chunk {
-                Chunk::Ctl(r) => self.segment(&ctl.slice(r.clone())),
-                Chunk::Val(b) => self.segment(b),
-            }
-        }
-        if other.mark < other.pos {
-            self.segment(&ctl.slice(other.mark..other.pos));
-        }
+    /// Write one frame in place: `N` header bytes, then the body `body`
+    /// encodes, then the header `header` makes of the body's length and
+    /// CRC32 written over the first `N` bytes. The checksum streams over
+    /// the body where it lies, large values included, so a queue of frames
+    /// is built with no per-frame buffer and no copy.
+    pub fn framed<const N: usize>(
+        &mut self,
+        body: impl FnOnce(&mut Writer),
+        header: impl FnOnce(usize, u32) -> [u8; N],
+    ) {
+        let at = self.claim(N);
+        let (len, first) = (self.len(), self.chunks.len());
+        body(self);
+        let mut crc = Crc32::new();
+        self.chunks_from(at + N, first).for_each(|chunk| crc.update(chunk));
+        let h = header(self.len() - len, crc.finish());
+        self.ctl[at..at + N].copy_from_slice(&h);
     }
 
     /// Record `v` as a shared segment after the control bytes so far.
@@ -2069,32 +2063,39 @@ mod tests {
     }
 
     #[test]
-    fn append_owned_moves_the_control_buffer_in() {
-        // Control runs around a shared value segment: moving the record in
-        // yields the bytes the copying `append` does.
-        let (resp, _) = large_oob(4096);
-        let mut record = Writer::new();
-        record.raw(&[7; 300]);
-        encode_response_to(&resp, &mut record);
-        let (mut copied, mut moved) = (Writer::new(), Writer::new());
-        copied.u32(1);
-        moved.u32(1);
-        copied.append(&record);
-        moved.append_owned(record);
-        copied.u8(2);
-        moved.u8(2);
-        assert_eq!(moved.len(), copied.len());
-        assert_eq!(moved.crc32(), copied.crc32());
-        assert_eq!(moved.into_bytes(), copied.into_bytes());
-
-        // The control bytes are a segment of the moved buffer, not a copy.
-        let mut big = Writer::new();
-        big.raw(&[1; 64 << 10]);
-        let ctl = big.ctl.as_ptr();
+    fn framed_checksums_the_body_in_place() {
+        // Frames around and after shared value segments, in a writer that
+        // already holds bytes: each is the header of its body's length and
+        // CRC, then the body, exactly as framing the assembled body gives.
+        let header = |len: usize, crc: u32| {
+            let mut h = [0u8; 8];
+            h[..4].copy_from_slice(&(len as u32).to_le_bytes());
+            h[4..].copy_from_slice(&crc.to_le_bytes());
+            h
+        };
+        let (large, small) = (Bytes::from(vec![5u8; 4096]), Bytes::from(vec![6u8; 100]));
         let mut queue = Writer::new();
-        queue.append_owned(big);
-        assert_eq!(queue.chunks().next().unwrap().as_ptr(), ctl);
-        assert!(!queue.outgrew(0), "nothing was copied into the queue's own buffer");
+        queue.raw(&[7; 300]);
+        let mut want = vec![7; 300];
+        for round in 0..3u8 {
+            let body = |w: &mut Writer| {
+                w.u8(round);
+                w.value(&large);
+                w.u32(round.into());
+                w.value(&small);
+            };
+            queue.framed(body, header);
+            queue.framed(|w| w.u32(round.into()), header);
+            let mut alone = Writer::new();
+            body(&mut alone);
+            for body in [alone.into_bytes(), u32::from(round).to_le_bytes().to_vec()] {
+                want.extend_from_slice(&header(body.len(), crc32(&body)));
+                want.extend_from_slice(&body);
+            }
+        }
+        assert!(queue.chunks().count() >= 6, "must actually exercise segmented output");
+        assert_eq!(queue.len(), want.len());
+        assert_eq!(queue.into_bytes(), want);
     }
 
     #[test]

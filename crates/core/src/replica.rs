@@ -282,9 +282,15 @@ impl Replica {
     /// Otherwise the update goes to the regular copy: apply, bump
     /// `v_ii(x)`, bump `V_ii`, and append the log record `(x, V_ii)` to
     /// `L_ii`.
+    ///
+    /// An item out of range is refused before anything is journaled.
     pub fn update(&mut self, x: ItemId, op: UpdateOp) -> Result<()> {
-        self.journal_mutation(crate::journal::MutationRef::Update { item: x, op: &op });
+        let journaled = crate::journal::MutationRef::Update { item: x, op: &op };
         if let Some(aux) = self.aux_items.get_mut(&x) {
+            // Only an item in range has an auxiliary copy.
+            if let Some(sink) = &self.sink {
+                sink.record(journaled);
+            }
             let pre_vv = aux.ivv.clone();
             op.apply(&mut aux.value);
             self.aux_log.push(x, pre_vv, op);
@@ -300,6 +306,7 @@ impl Replica {
             self.check_item(x)?;
             None
         };
+        self.journal_mutation(journaled);
         self.store.apply_local_update(self.id, x, &op)?;
         let m = self.dbvv.record_local_update(self.id);
         self.log.add_record(self.id, LogRecord { item: x, m });

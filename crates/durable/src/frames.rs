@@ -34,27 +34,45 @@ pub fn write_frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The frame header for the body `w` holds, checksummed chunk by chunk
-/// without assembling it. Followed by `w.chunks()`, it is byte for byte
-/// `write_frame(&w.into_bytes())`.
-pub(crate) fn writer_frame_header(w: &Writer) -> [u8; WAL_FRAME_HEADER] {
-    frame_header(w.len(), w.crc32())
+/// Append one frame to `w`: a header, then the body `body` encodes,
+/// checksummed where it lies and the header patched in after it. What `w`
+/// gains is byte for byte `write_frame` of the body on its own; values
+/// above `INLINE_VALUE_MAX` stay shared segments. Returns the frame's length.
+pub(crate) fn put_frame(w: &mut Writer, body: impl FnOnce(&mut Writer)) -> usize {
+    let before = w.len();
+    w.framed(body, frame_header);
+    w.len() - before
 }
 
+/// Slices handed to one `write_vectored` call: enough for a batch of
+/// small records in one call, small enough to live on the stack.
+const IOV_BATCH: usize = 64;
+
 /// Write everything `w` holds, in order, with vectored writes that resume
-/// after short ones.
+/// after short ones. The slices are gathered on the stack, `IOV_BATCH` at
+/// a time, so writing allocates nothing.
 pub(crate) fn write_chunks(out: &mut impl Write, w: &Writer) -> io::Result<()> {
-    let mut slices: Vec<IoSlice<'_>> = w.chunks().map(IoSlice::new).collect();
-    let mut rest = &mut slices[..];
-    while !rest.is_empty() {
-        match out.write_vectored(rest) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut rest, n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    let mut chunks = w.chunks();
+    let mut slices = [IoSlice::new(&[]); IOV_BATCH];
+    loop {
+        let mut n = 0;
+        for (slot, chunk) in slices.iter_mut().zip(chunks.by_ref()) {
+            *slot = IoSlice::new(chunk);
+            n += 1;
+        }
+        if n == 0 {
+            return Ok(());
+        }
+        let mut rest = &mut slices[..n];
+        while !rest.is_empty() {
+            match out.write_vectored(rest) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(written) => IoSlice::advance_slices(&mut rest, written),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
     }
-    Ok(())
 }
 
 /// Stream `replica`'s snapshot into `out` as one frame, without ever
@@ -161,6 +179,49 @@ mod tests {
         let scan = read_frames(&Bytes::from(file));
         assert_eq!(scan.bodies.len(), 1);
         assert_eq!(scan.valid_len, first_end);
+    }
+
+    /// A sink that takes at most `max` bytes per call and is interrupted
+    /// every third call.
+    struct Trickle {
+        out: Vec<u8>,
+        max: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.max);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn chunked_writes_resume_across_slice_batches() {
+        // Three slice batches' worth of control runs and shared values,
+        // written whole and through short, interrupted writes.
+        let mut w = Writer::new();
+        for i in 0..(IOV_BATCH * 2 + 7) {
+            w.u32(i as u32);
+            w.value(&Bytes::from(vec![i as u8; 129 + i % 5]));
+        }
+        assert!(w.chunks().count() > 2 * IOV_BATCH);
+        let mut whole = Vec::new();
+        write_chunks(&mut whole, &w).unwrap();
+        let mut trickle = Trickle { out: Vec::new(), max: 100, calls: 0 };
+        write_chunks(&mut trickle, &w).unwrap();
+        let want = w.into_bytes();
+        assert_eq!(whole, want);
+        assert_eq!(trickle.out, want);
     }
 
     #[test]

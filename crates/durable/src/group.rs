@@ -18,14 +18,15 @@
 //! mutation is durable — only the fsyncs are amortized.
 //!
 //! Records use the checked frame format (`len | crc32 | body`, torn-tail
-//! rule) and are framed straight into the commit queue:
-//! length and checksum are computed over the encoded record's chunks,
-//! then the header and control bytes are copied once into the queue's
-//! buffer, and values above `INLINE_VALUE_MAX` ride along as shared
-//! segments until the leader's vectored write. A record whose control
-//! buffer is over 16 KiB is not copied: the buffer itself moves into the
-//! queue. The leader hands the queue's buffer back for the next batch when
-//! it is at most 16 KiB. Bodies are
+//! rule) and are encoded straight into the commit queue, under its lock:
+//! a header slot, then the body, then the length and checksum (computed
+//! over the body where it lies) patched into the slot. Values above
+//! `INLINE_VALUE_MAX` ride along as shared segments until the leader's
+//! vectored write, whose slices are gathered on the stack. The queue has
+//! two buffers: the leader takes the filled one, leaves the other, and
+//! parks the written batch as the next spare, freeing it if it grew past
+//! 16 KiB. So a record costs no allocation and no copy, and a large
+//! propagation's buffer leaves with its batch. Bodies are
 //! demultiplexed by a leading [`GROUP_RECORD_TAG`] byte and a `stream`
 //! index, so one generation scan recovers every stream. Checkpoints
 //! snapshot *all* streams (`snap-<g>-<k>.epdb`) and roll the shared WAL
@@ -50,9 +51,7 @@ use crate::files::{
     fsync_dir, io_err, list_generations, load_snapshot, open_wal, scan_wals, wal_path,
     write_snapshot_file, DurabilityConfig,
 };
-use crate::frames::{
-    read_frames, write_chunks, write_frame, writer_frame_header, WAL_FRAME_HEADER,
-};
+use crate::frames::{put_frame, read_frames, write_chunks, write_frame};
 use crate::header::{encode_header, is_header, WalHeader};
 
 /// First byte of a group WAL record body (tag + stream index + mutation):
@@ -135,9 +134,12 @@ struct GroupState {
     wal: Option<Arc<File>>,
     /// Encoded frames enqueued but not yet taken by a leader: frame
     /// headers and control bytes inline, values above `INLINE_VALUE_MAX`
-    /// and the control buffers of records over `PENDING_KEEP` as shared
-    /// segments.
+    /// as shared segments.
     pending: Writer,
+    /// The queue's other buffer: a leader takes `pending` and leaves this
+    /// one in its place, then parks the written batch here, so appenders
+    /// and leaders alternate two buffers and allocate nothing.
+    spare: Writer,
     /// Records inside `pending`.
     pending_records: u64,
     /// Sequence number of the last enqueued record.
@@ -207,27 +209,16 @@ struct GroupSink {
     stream: u32,
 }
 
-/// The body of one group WAL record: tag, stream index, mutation. Values
-/// above `INLINE_VALUE_MAX` stay shared segments of the writer.
-fn encode_record(stream: u32, m: MutationRef<'_>) -> Writer {
-    let mut w = Writer::new();
+/// Encode the body of one group WAL record into `w`: tag, stream index,
+/// mutation. Values above `INLINE_VALUE_MAX` stay shared segments.
+fn put_record(w: &mut Writer, stream: u32, m: MutationRef<'_>) {
     w.u8(GROUP_RECORD_TAG);
     w.u32(stream);
-    put_mutation(&mut w, m);
-    w
+    put_mutation(w, m);
 }
 
 impl MutationSink for GroupSink {
     fn record(&self, m: MutationRef<'_>) {
-        let w = encode_record(self.stream, m);
-        // Length and checksum outside the lock; under it, the frame goes
-        // straight into the commit queue: control bytes copied once, large
-        // values by reference until a leader writes them. A record whose
-        // control bytes outgrow `PENDING_KEEP` (a many-item propagation)
-        // is not copied at all: its buffer moves into the queue. No thread
-        // is woken: whoever waits for the record writes it.
-        let header = writer_frame_header(&w);
-        let frame_len = WAL_FRAME_HEADER + w.len();
         let mut st = self.shared.state.lock().unwrap();
         // The sink API cannot report errors; losing a record would break
         // the write-ahead contract silently, so fail loudly, as a real
@@ -237,12 +228,11 @@ impl MutationSink for GroupSink {
             panic!("{e}");
         }
         assert!(st.wal.is_some(), "durable: group WAL is closed");
-        st.pending.raw(&header);
-        if w.outgrew(PENDING_KEEP) {
-            st.pending.append_owned(w);
-        } else {
-            st.pending.append(&w);
-        }
+        // The frame is encoded straight into the commit queue and its
+        // header patched in after the body: no buffer of its own, no copy,
+        // large values by reference until a leader writes them. No thread
+        // is woken: whoever waits for the record writes it.
+        let frame_len = put_frame(&mut st.pending, |w| put_record(w, self.stream, m));
         st.pending_records += 1;
         st.appended_seq += 1;
         st.wal_records += 1;
@@ -251,9 +241,9 @@ impl MutationSink for GroupSink {
 }
 
 /// A written batch's control buffer up to this size goes back to the
-/// commit queue for the next batch to fill; a larger one (a burst of
-/// small-valued records) is freed rather than pinned for the life of the
-/// WAL.
+/// commit queue as its spare; a larger one (a many-item propagation, or a
+/// burst of small-valued records) is freed rather than pinned for the life
+/// of the WAL.
 const PENDING_KEEP: usize = 16 << 10;
 
 type State<'a> = MutexGuard<'a, GroupState>;
@@ -283,7 +273,8 @@ impl Shared {
                 st.waiters -= 1;
                 continue;
             }
-            let mut batch = std::mem::take(&mut st.pending);
+            let spare = std::mem::take(&mut st.spare);
+            let mut batch = std::mem::replace(&mut st.pending, spare);
             let n_records = std::mem::replace(&mut st.pending_records, 0);
             let through_seq = st.appended_seq;
             let file = st.wal.clone().expect("durable: group WAL is closed");
@@ -302,9 +293,7 @@ impl Shared {
             self.records.fetch_add(n_records, Ordering::Relaxed);
             self.batches.fetch_add(1, Ordering::Relaxed);
             st.durable_seq = through_seq;
-            if st.pending.is_empty() {
-                st.pending = batch; // the next batch reuses the control buffer
-            }
+            st.spare = batch; // a later batch reuses the control buffer
             if st.waiters > 0 {
                 self.durable.notify_all();
             }
@@ -433,6 +422,7 @@ impl GroupWal {
             state: Mutex::new(GroupState {
                 wal: Some(Arc::new(wal)),
                 pending: Writer::new(),
+                spare: Writer::new(),
                 pending_records: 0,
                 appended_seq: 0,
                 durable_seq: 0,
@@ -474,8 +464,21 @@ impl GroupWal {
     ///
     /// If a batch failed to land (its `write` or `sync_data` errored).
     pub fn wait_durable(&self) {
-        if let Err(e) = self.shared.flush(self.shared.state.lock().unwrap()) {
-            panic!("{e}");
+        self.wait_durable_checkpoint_due();
+    }
+
+    /// [`wait_durable`](Self::wait_durable), then
+    /// [`checkpoint_due`](Self::checkpoint_due), in one hold of the WAL's
+    /// lock: the ack gate of a caller that gathers its replicas only when
+    /// a checkpoint will run.
+    ///
+    /// # Panics
+    ///
+    /// As [`wait_durable`](Self::wait_durable).
+    pub fn wait_durable_checkpoint_due(&self) -> bool {
+        match self.shared.flush(self.shared.state.lock().unwrap()) {
+            Ok(st) => self.due(&st),
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -1004,18 +1007,28 @@ mod tests {
     }
 
     impl GroupWal {
-        /// Whether the commit queue holds a control buffer above `keep` B.
-        fn pending_outgrew(&self, keep: usize) -> bool {
-            self.shared.state.lock().unwrap().pending.outgrew(keep)
+        /// Whether either of the commit queue's buffers holds a control
+        /// buffer above `keep` B.
+        fn queue_outgrew(&self, keep: usize) -> bool {
+            let st = self.shared.state.lock().unwrap();
+            st.pending.outgrew(keep) || st.spare.outgrew(keep)
         }
+    }
+
+    /// A group record's body encoded on its own, as a reference.
+    fn record_body(stream: u32, m: &Mutation) -> Vec<u8> {
+        let mut w = Writer::new();
+        put_record(&mut w, stream, m.into());
+        w.into_bytes()
     }
 
     #[test]
     fn queued_frames_are_write_frame_byte_for_byte() {
         // Empty and inline values, the inline edge (128 B) and shared
-        // segments (129 B, 8 KiB), then a record whose control buffer is
-        // over `PENDING_KEEP` and moves into the queue: the WAL must hold
-        // exactly what framing the assembled record would have produced.
+        // segments (129 B, 8 KiB), a propagation whose frame is over
+        // `PENDING_KEEP`, then a small record behind it, all encoded in
+        // place back to back in one queue: the WAL must hold exactly what
+        // framing each record on its own produces.
         let tmp = TempDir::new("group-format");
         let mut cfg = DurabilityConfig::new(tmp.path());
         cfg.checkpoint_every = 0;
@@ -1023,12 +1036,17 @@ mod tests {
         let sink = GroupSink { shared: wal.shared.clone(), stream: 1 };
         let mut want = wal.shared.state.lock().unwrap().header_frame.clone();
         let lens = [0usize, 64, 128, 129, 8192];
-        let mut records: Vec<Mutation> = lens
+        let values: Vec<Bytes> = lens
             .iter()
             .enumerate()
-            .map(|(i, &len)| Mutation::Update {
+            .map(|(i, &len)| Bytes::from(vec![0x30 + i as u8; len]))
+            .collect();
+        let mut records: Vec<Mutation> = values
+            .iter()
+            .enumerate()
+            .map(|(i, value)| Mutation::Update {
                 item: ItemId(i as u32 % 4),
-                op: UpdateOp::set(vec![0x30 + i as u8; len]),
+                op: UpdateOp::Set(value.clone()),
             })
             .collect();
         let items = (0..400)
@@ -1041,20 +1059,59 @@ mod tests {
         let tails = vec![Vec::new(); N_NODES];
         let payload = PropagationPayload { tails, items };
         records.push(Mutation::Propagation { from: NodeId(2), payload });
+        records.push(Mutation::Update { item: ItemId(2), op: UpdateOp::set(&b"after"[..]) });
         for m in &records {
             sink.record(m.into());
-            want.extend_from_slice(&write_frame(&encode_record(1, m.into()).into_bytes()));
+            want.extend_from_slice(&write_frame(&record_body(1, m)));
         }
-        assert!(encode_record(1, (&records[5]).into()).outgrew(PENDING_KEEP), "moves, not copies");
+        assert!(record_body(1, &records[5]).len() > PENDING_KEEP, "the propagation is large");
+        assert!(wal.queue_outgrew(PENDING_KEEP), "it is encoded into the queue, not beside it");
+        wal.wait_durable();
+        assert!(!wal.queue_outgrew(PENDING_KEEP), "the written batch is not retained");
+        drop(records);
+        for value in values {
+            assert!(value.try_into_vec().is_ok(), "the written batch holds no value");
+        }
         wal.close();
         let got = fs::read(wal_path(&cfg.dir.join("group"), 0)).unwrap();
         assert_eq!(got, want);
 
         let (_wal2, recovered, report) = open(&cfg);
-        assert_eq!(report.wal_records_replayed, records.len() as u64);
+        assert_eq!(report.wal_records_replayed, 7);
         assert_eq!(report.replay_errors, 0);
         assert_eq!(recovered[1].read(ItemId(3)).unwrap().as_bytes(), &[0x33; 129][..]);
         assert_eq!(recovered[1].read(ItemId(0)).unwrap().as_bytes(), &[0x34; 8192][..]);
+        assert_eq!(recovered[1].read(ItemId(2)).unwrap().as_bytes(), b"after");
+    }
+
+    #[test]
+    fn a_refused_update_journals_nothing() {
+        // An item out of range is refused before the sink sees it, with
+        // the op cache off (the bounds check) and on (the IVV lookup): the
+        // WAL gains no record, so recovery replays no error.
+        for delta_budget in [0, 1 << 16] {
+            let tmp = TempDir::new("group-refused");
+            let mut cfg = DurabilityConfig::new(tmp.path());
+            cfg.checkpoint_every = 0;
+            let spec = [StreamSpec { id: NodeId(1), n_nodes: N_NODES, n_items: 4 }];
+            let reopen = || {
+                let dir = cfg.dir.join("group");
+                GroupWal::open(&cfg, dir, &spec, ConflictPolicy::Report, delta_budget).unwrap()
+            };
+            let (wal, mut replicas, _) = reopen();
+            wal.attach(0, &mut replicas[0]);
+            replicas[0].update(ItemId(1), UpdateOp::set(&b"kept"[..])).unwrap();
+            wal.wait_durable();
+            let before = wal.wal_records();
+            let refused = replicas[0].update(ItemId(4), UpdateOp::set(vec![1]));
+            assert!(matches!(refused, Err(Error::UnknownItem(ItemId(4)))), "{refused:?}");
+            assert_eq!(wal.wal_records(), before, "delta budget {delta_budget}");
+            drop(wal);
+
+            let (_wal, recovered, report) = reopen();
+            assert_eq!((report.wal_records_replayed, report.replay_errors), (1, 0));
+            assert_same_state(&recovered[0], &replicas[0]);
+        }
     }
 
     #[test]
@@ -1073,8 +1130,8 @@ mod tests {
             (&Mutation::Update { item: ItemId(1), op: UpdateOp::Set(value.clone()) }).into(),
         );
         wal.wait_durable();
-        assert!(wal.pending_outgrew(0), "the control buffer is handed back");
-        assert!(!wal.pending_outgrew(PENDING_KEEP));
+        assert!(wal.queue_outgrew(0), "the control buffer is handed back");
+        assert!(!wal.queue_outgrew(PENDING_KEEP));
         assert!(value.try_into_vec().is_ok(), "the leader released the value");
 
         // ~270 KiB of inline values: the record's control buffer moves
@@ -1092,7 +1149,7 @@ mod tests {
             Mutation::Propagation { from: NodeId(1), payload: PropagationPayload { tails, items } };
         sink.record((&m).into());
         wal.wait_durable();
-        assert!(!wal.pending_outgrew(PENDING_KEEP), "a 270 KiB record is not retained");
+        assert!(!wal.queue_outgrew(PENDING_KEEP), "a 270 KiB record is not retained");
     }
 
     #[test]

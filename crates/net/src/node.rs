@@ -76,15 +76,15 @@ impl Node {
     /// Group-commit ack gate plus checkpoint policy, after any call that
     /// may have journaled, failed ones included. Blocks until everything
     /// this node has journaled is written (and fsynced) — by this thread
-    /// as batch leader, or by the leader of the batch in flight — then
-    /// runs the byte/record checkpoint triggers over the owned shards in
-    /// stream order. Takes the node lock; call only from contexts not
-    /// holding it.
+    /// as batch leader, or by the leader of the batch in flight — and
+    /// reads the byte/record checkpoint triggers in the same pass over the
+    /// WAL's state. Only when one fires does it take the node lock and
+    /// checkpoint the owned shards in stream order; call only from
+    /// contexts not holding the node lock.
     fn after_mutation(&self) {
         let Some(wal) = self.wal.lock().clone() else { return };
-        wal.wait_durable();
-        let node = self.node.lock();
-        if wal.checkpoint_due() {
+        if wal.wait_durable_checkpoint_due() {
+            let node = self.node.lock();
             let streams: Vec<&Replica> =
                 node.owned_shards().into_iter().filter_map(|s| node.shard_state(s)).collect();
             wal.maybe_checkpoint(&streams).expect("durable: checkpoint failed");
