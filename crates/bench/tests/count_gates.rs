@@ -410,11 +410,11 @@ fn gate_group_commit() -> String {
 // --- ack path ---------------------------------------------------------------
 
 /// A lone durable writer's acked 64 B update allocates only what the
-/// protocol does: the record is encoded in place into the commit queue,
-/// whose two buffers alternate between appenders and the leader, and the
-/// batch is written from slices gathered on the stack, so that is nothing
-/// at all. A per-record encode buffer adds two allocations (it grows
-/// 0 → 64 → 128 B), a per-batch slice vector one more.
+/// protocol does: the record is encoded in place into the commit queue's
+/// reused buffer, and the batch is written from slices gathered on the
+/// stack, so that is nothing at all. A per-record encode buffer adds two
+/// allocations (it grows 0 → 64 → 128 B), a per-batch slice vector one
+/// more.
 fn gate_ack_path() -> String {
     const MAX_ALLOCS: f64 = 0.0;
     let tmp = TempDir::new("count-gate-ack-path");
@@ -430,7 +430,7 @@ fn gate_ack_path() -> String {
     };
     let cluster = AsyncTcpCluster::spawn(2, 16, config).expect("spawn durable async cluster");
     // Every item written once first: the log vector's slots and the
-    // commit queue's buffers are then at their steady size.
+    // commit queue's buffer are then at their steady size.
     for x in ItemId::all(16) {
         cluster.update(NodeId(0), x, UpdateOp::set(vec![0; 64])).expect("update");
     }

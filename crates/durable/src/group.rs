@@ -22,11 +22,10 @@
 //! a header slot, then the body, then the length and checksum (computed
 //! over the body where it lies) patched into the slot. Values above
 //! `INLINE_VALUE_MAX` ride along as shared segments until the leader's
-//! vectored write, whose slices are gathered on the stack. The queue has
-//! two buffers: the leader takes the filled one, leaves the other, and
-//! parks the written batch as the next spare, freeing it if it grew past
-//! 16 KiB. So a record costs no allocation and no copy, and a large
-//! propagation's buffer leaves with its batch. Bodies are
+//! vectored write, whose slices are gathered on the stack. The leader
+//! hands the written buffer back for the next batch when it is at most
+//! 16 KiB and frees a larger one. So a record costs no allocation and no
+//! copy, and a large propagation's buffer leaves with its batch. Bodies are
 //! demultiplexed by a leading [`GROUP_RECORD_TAG`] byte and a `stream`
 //! index, so one generation scan recovers every stream. Checkpoints
 //! snapshot *all* streams (`snap-<g>-<k>.epdb`) and roll the shared WAL
@@ -136,10 +135,6 @@ struct GroupState {
     /// headers and control bytes inline, values above `INLINE_VALUE_MAX`
     /// as shared segments.
     pending: Writer,
-    /// The queue's other buffer: a leader takes `pending` and leaves this
-    /// one in its place, then parks the written batch here, so appenders
-    /// and leaders alternate two buffers and allocate nothing.
-    spare: Writer,
     /// Records inside `pending`.
     pending_records: u64,
     /// Sequence number of the last enqueued record.
@@ -241,9 +236,9 @@ impl MutationSink for GroupSink {
 }
 
 /// A written batch's control buffer up to this size goes back to the
-/// commit queue as its spare; a larger one (a many-item propagation, or a
-/// burst of small-valued records) is freed rather than pinned for the life
-/// of the WAL.
+/// commit queue for the next batch to fill; a larger one (a many-item
+/// propagation, or a burst of small-valued records) is freed rather than
+/// pinned for the life of the WAL.
 const PENDING_KEEP: usize = 16 << 10;
 
 type State<'a> = MutexGuard<'a, GroupState>;
@@ -273,8 +268,7 @@ impl Shared {
                 st.waiters -= 1;
                 continue;
             }
-            let spare = std::mem::take(&mut st.spare);
-            let mut batch = std::mem::replace(&mut st.pending, spare);
+            let mut batch = std::mem::take(&mut st.pending);
             let n_records = std::mem::replace(&mut st.pending_records, 0);
             let through_seq = st.appended_seq;
             let file = st.wal.clone().expect("durable: group WAL is closed");
@@ -293,7 +287,9 @@ impl Shared {
             self.records.fetch_add(n_records, Ordering::Relaxed);
             self.batches.fetch_add(1, Ordering::Relaxed);
             st.durable_seq = through_seq;
-            st.spare = batch; // a later batch reuses the control buffer
+            if st.pending.is_empty() {
+                st.pending = batch; // the next batch reuses the control buffer
+            }
             if st.waiters > 0 {
                 self.durable.notify_all();
             }
@@ -422,7 +418,6 @@ impl GroupWal {
             state: Mutex::new(GroupState {
                 wal: Some(Arc::new(wal)),
                 pending: Writer::new(),
-                spare: Writer::new(),
                 pending_records: 0,
                 appended_seq: 0,
                 durable_seq: 0,
@@ -1007,11 +1002,9 @@ mod tests {
     }
 
     impl GroupWal {
-        /// Whether either of the commit queue's buffers holds a control
-        /// buffer above `keep` B.
-        fn queue_outgrew(&self, keep: usize) -> bool {
-            let st = self.shared.state.lock().unwrap();
-            st.pending.outgrew(keep) || st.spare.outgrew(keep)
+        /// Whether the commit queue holds a control buffer above `keep` B.
+        fn pending_outgrew(&self, keep: usize) -> bool {
+            self.shared.state.lock().unwrap().pending.outgrew(keep)
         }
     }
 
@@ -1065,9 +1058,9 @@ mod tests {
             want.extend_from_slice(&write_frame(&record_body(1, m)));
         }
         assert!(record_body(1, &records[5]).len() > PENDING_KEEP, "the propagation is large");
-        assert!(wal.queue_outgrew(PENDING_KEEP), "it is encoded into the queue, not beside it");
+        assert!(wal.pending_outgrew(PENDING_KEEP), "it is encoded into the queue, not beside it");
         wal.wait_durable();
-        assert!(!wal.queue_outgrew(PENDING_KEEP), "the written batch is not retained");
+        assert!(!wal.pending_outgrew(PENDING_KEEP), "the written batch is not retained");
         drop(records);
         for value in values {
             assert!(value.try_into_vec().is_ok(), "the written batch holds no value");
@@ -1130,8 +1123,8 @@ mod tests {
             (&Mutation::Update { item: ItemId(1), op: UpdateOp::Set(value.clone()) }).into(),
         );
         wal.wait_durable();
-        assert!(wal.queue_outgrew(0), "the control buffer is handed back");
-        assert!(!wal.queue_outgrew(PENDING_KEEP));
+        assert!(wal.pending_outgrew(0), "the control buffer is handed back");
+        assert!(!wal.pending_outgrew(PENDING_KEEP));
         assert!(value.try_into_vec().is_ok(), "the leader released the value");
 
         // ~270 KiB of inline values: the record's control buffer moves
@@ -1149,7 +1142,7 @@ mod tests {
             Mutation::Propagation { from: NodeId(1), payload: PropagationPayload { tails, items } };
         sink.record((&m).into());
         wal.wait_durable();
-        assert!(!wal.queue_outgrew(PENDING_KEEP), "a 270 KiB record is not retained");
+        assert!(!wal.pending_outgrew(PENDING_KEEP), "a 270 KiB record is not retained");
     }
 
     #[test]
