@@ -1,8 +1,8 @@
 //! The count gates: the paper's cost laws and the zero-copy and heap laws,
 //! checked as exact allocation, byte and operation counts. Each `gate_*`
 //! function below states its law: `zero_copy`, `small_path`,
-//! `sharded_gossip`, `group_commit`, `ack_path`, `cold_start`, `conn_reuse`,
-//! `heap`.
+//! `sharded_gossip`, `group_commit`, `ack_path`, `accept_path`, `cold_start`,
+//! `conn_reuse`, `heap`.
 //!
 //! A plain `main` (`harness = false`) runs the gates one after another in
 //! one process, so no other test thread allocates inside a counting window.
@@ -455,6 +455,52 @@ fn gate_ack_path() -> String {
     format!("{:.2} allocs, {:.1} B per acked 64 B update", ack.allocs, ack.bytes)
 }
 
+// --- accept path ------------------------------------------------------------
+
+/// Accepting a 16-item propagation of 64 B values at a 65,536-item
+/// replica allocates only its outcome's list of copied items (which grows
+/// 4 → 8 → 16): the shipped values are adopted as they arrived, the tail
+/// records reuse freed log slots, and validating and warming the payload
+/// reads only. A scratch buffer allocated per call adds one call; a value
+/// copied per item adds sixteen.
+fn gate_accept_path() -> String {
+    const ITEMS: usize = 65_536;
+    const BATCH: usize = 16;
+    const MAX_ALLOCS: f64 = 3.0;
+    // 64 items spread over the universe, each written and accepted once
+    // first, so every counted record replaces a retained one.
+    let hot: Vec<ItemId> = (0..64).map(|i| ItemId::from_index(i * (ITEMS / 64) + i % 7)).collect();
+    let mut src = Replica::new(NodeId(0), 3, ITEMS);
+    let dst = std::cell::RefCell::new(Replica::new(NodeId(1), 3, ITEMS));
+    let mut k = 0usize;
+    let mut payload = || {
+        for &x in hot.iter().cycle().skip(k * BATCH).take(BATCH) {
+            src.update(x, UpdateOp::set(vec![k as u8; 64])).expect("update");
+        }
+        k += 1;
+        match src.prepare_propagation(dst.borrow().dbvv()) {
+            PropagationResponse::Payload(p) => p,
+            other => panic!("expected a payload, got {other:?}"),
+        }
+    };
+    for _ in 0..hot.len() / BATCH {
+        let p = payload();
+        dst.borrow_mut().accept_propagation(NodeId(0), p).expect("accept");
+    }
+    let accept = per_op(payload, |p| {
+        let out = dst.borrow_mut().accept_propagation(NodeId(0), p).expect("accept");
+        assert_eq!(out.copied.len(), BATCH);
+        out
+    });
+    assert!(
+        accept.allocs <= MAX_ALLOCS,
+        "accept-path regression: accepting a {BATCH}-item payload at a {ITEMS}-item replica \
+         made {:.2} allocator calls (> {MAX_ALLOCS}) — accept allocates per call or per item",
+        accept.allocs,
+    );
+    format!("{:.2} allocs, {:.1} B per accepted {BATCH}-item payload", accept.allocs, accept.bytes)
+}
+
 // --- cold-start -------------------------------------------------------------
 
 /// A source whose log was compacted past the recipient's coverage, with
@@ -809,12 +855,13 @@ type Gate = (&'static str, fn() -> String);
 /// counts on the line above its result. The first broken law panics and
 /// ends the run, so the target fails.
 fn main() {
-    let gates: [Gate; 8] = [
+    let gates: [Gate; 9] = [
         ("zero_copy", gate_zero_copy),
         ("small_path", gate_small_path),
         ("sharded_gossip", gate_sharded_gossip),
         ("group_commit", gate_group_commit),
         ("ack_path", gate_ack_path),
+        ("accept_path", gate_accept_path),
         ("cold_start", gate_cold_start),
         ("conn_reuse", gate_conn_reuse),
         ("heap", gate_heap),

@@ -50,12 +50,15 @@ pub fn check_frame_len(body_len: usize) -> Result<u32> {
 
 // --- frame integrity (CRC32) ------------------------------------------------
 //
-// One checksum, three kernels, identical bits. Every kernel advances the
+// One checksum, four kernels, identical bits. Every kernel advances the
 // same raw (pre-inversion) register of the reflected IEEE polynomial
 // 0xEDB88320, so which one ran is invisible on the wire and on disk:
 //
 // - the byte table: one lookup per byte. The reference the others are
-//   tested against, and the kernel for tails under 16 B;
+//   tested against;
+// - slicing-by-8: one 8-byte block per step, then one 4-byte step, then
+//   the byte table for the last 3 B at most. The kernel for slices under
+//   16 B and for what the two below leave;
 // - slicing-by-16: sixteen tables, one 16-byte block per step (portable);
 // - carry-less-multiply folding (x86_64 with PCLMULQDQ, detected at run
 //   time): four 128-bit lanes folded 64 B per step, then Barrett reduction.
@@ -99,23 +102,50 @@ fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
     c
 }
 
-/// The slicing-by-16 kernel: sixteen independent lookups per 16-byte
-/// block, the tail (< 16 B) byte by byte.
-fn crc32_slicing16(mut c: u32, data: &[u8]) -> u32 {
+/// The little-endian word at the start of `b` (at least 4 bytes).
+#[inline(always)]
+fn le_word(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+/// The register contribution of the four bytes of `w` followed by `k`
+/// zero bytes: one slicing step's lookups for one word.
+#[inline(always)]
+fn slice_lane(w: u32, k: usize) -> u32 {
     let t = &CRC32_TABLES;
+    t[k + 3][(w & 0xFF) as usize]
+        ^ t[k + 2][((w >> 8) & 0xFF) as usize]
+        ^ t[k + 1][((w >> 16) & 0xFF) as usize]
+        ^ t[k][(w >> 24) as usize]
+}
+
+/// The slicing-by-8 kernel: eight independent lookups per 8-byte block,
+/// then one slicing-by-4 step when 4 B or more are left, then the byte
+/// table for the rest (at most 3 B).
+fn crc32_slicing8(mut c: u32, data: &[u8]) -> u32 {
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        c = slice_lane(le_word(b) ^ c, 4) ^ slice_lane(le_word(&b[4..]), 0);
+    }
+    let mut rest = blocks.remainder();
+    if rest.len() >= 4 {
+        c = slice_lane(le_word(rest) ^ c, 0);
+        rest = &rest[4..];
+    }
+    crc32_bytewise(c, rest)
+}
+
+/// The slicing-by-16 kernel: sixteen independent lookups per 16-byte
+/// block, the tail (< 16 B) through slicing-by-8.
+fn crc32_slicing16(mut c: u32, data: &[u8]) -> u32 {
     let mut blocks = data.chunks_exact(16);
     for b in &mut blocks {
-        let word = |i: usize| u32::from_le_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
-        let (w0, w1, w2, w3) = (word(0) ^ c, word(4), word(8), word(12));
-        let lane = |w: u32, k: usize| {
-            t[k + 3][(w & 0xFF) as usize]
-                ^ t[k + 2][((w >> 8) & 0xFF) as usize]
-                ^ t[k + 1][((w >> 16) & 0xFF) as usize]
-                ^ t[k][(w >> 24) as usize]
-        };
-        c = lane(w0, 12) ^ lane(w1, 8) ^ lane(w2, 4) ^ lane(w3, 0);
+        c = slice_lane(le_word(b) ^ c, 12)
+            ^ slice_lane(le_word(&b[4..]), 8)
+            ^ slice_lane(le_word(&b[8..]), 4)
+            ^ slice_lane(le_word(&b[12..]), 0);
     }
-    crc32_bytewise(c, blocks.remainder())
+    crc32_slicing8(c, blocks.remainder())
 }
 
 /// Advance the raw register over `data` with the fastest kernel this CPU
@@ -123,13 +153,13 @@ fn crc32_slicing16(mut c: u32, data: &[u8]) -> u32 {
 #[inline]
 fn crc32_update(c: u32, data: &[u8]) -> u32 {
     if data.len() < 16 {
-        return crc32_bytewise(c, data);
+        return crc32_slicing8(c, data);
     }
     #[cfg(target_arch = "x86_64")]
     if data.len() >= clmul::FOLD_MIN {
         if let Some(clmul) = clmul::Clmul::detect() {
             let (head, tail) = data.split_at(data.len() & !15);
-            return crc32_bytewise(clmul.fold(c, head), tail);
+            return crc32_slicing8(clmul.fold(c, head), tail);
         }
     }
     crc32_slicing16(c, data)
@@ -244,8 +274,8 @@ mod clmul {
 ///
 /// Each [`update`](Crc32::update) runs the fastest kernel for its slice:
 /// carry-less-multiply folding for slices of 64 B and more on x86_64 CPUs
-/// with PCLMULQDQ (detected at run time), slicing-by-16 otherwise, and a
-/// byte table for what is left under 16 B. All three compute the same
+/// with PCLMULQDQ (detected at run time), slicing-by-16 otherwise, and
+/// slicing-by-8 for what is left under 16 B. All three compute the same
 /// polynomial, so the checksum's bits never depend on the CPU or on how a
 /// buffer is split across calls.
 #[derive(Clone, Copy)]
@@ -288,14 +318,20 @@ pub mod crc32_kernels {
         !super::crc32_bytewise(!0, data)
     }
 
-    /// Slicing-by-16 (the tail under 16 B byte by byte).
+    /// Slicing-by-8 over the whole slice (8 B steps, one 4 B step, the
+    /// last 3 B at most byte by byte).
+    pub fn slicing8(data: &[u8]) -> u32 {
+        !super::crc32_slicing8(!0, data)
+    }
+
+    /// Slicing-by-16 (the tail under 16 B through slicing-by-8).
     pub fn slicing16(data: &[u8]) -> u32 {
         !super::crc32_slicing16(!0, data)
     }
 
     /// Carry-less-multiply folding over the longest multiple of 16 B (when
-    /// at least 64 B), the rest byte by byte; `None` when the CPU lacks
-    /// PCLMULQDQ.
+    /// at least 64 B), the rest through slicing-by-8; `None` when the CPU
+    /// lacks PCLMULQDQ.
     pub fn fold(data: &[u8]) -> Option<u32> {
         #[cfg(target_arch = "x86_64")]
         if let Some(clmul) = super::clmul::Clmul::detect() {
@@ -303,9 +339,9 @@ pub mod crc32_kernels {
             let c = if head.len() >= 64 {
                 clmul.fold(!0, head)
             } else {
-                super::crc32_bytewise(!0, head)
+                super::crc32_slicing8(!0, head)
             };
-            return Some(!super::crc32_bytewise(c, tail));
+            return Some(!super::crc32_slicing8(c, tail));
         }
         let _ = data;
         None

@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 
 use epidb_common::trace::{OrdTag, TraceStep};
-use epidb_common::{ConflictEvent, ConflictSite, ItemId, NodeId, Result};
+use epidb_common::{ConflictEvent, ConflictSite, Error, ItemId, NodeId, Result};
 use epidb_log::LogRecord;
 use epidb_vv::{row, DbVersionVector, VersionVector};
 
@@ -164,15 +164,19 @@ impl Replica {
     /// *recipient* `i = self`, followed by `IntraNodePropagation` (Fig. 4)
     /// for the items copied.
     ///
-    /// For each shipped item: adopt it if its IVV dominates the local
-    /// regular copy's; declare a conflict (and strip its records from the
-    /// tail vector) if the IVVs are concurrent. Then append the surviving
-    /// tails to the local log vector via `AddLogRecord`.
+    /// Validate, journal, apply. [`check_payload`](Self::check_payload)
+    /// refuses a malformed payload whole, before anything is journaled or
+    /// applied. Then, for each shipped item in order: adopt it if its IVV
+    /// dominates the local regular copy's; declare a conflict (and strip
+    /// its records from the tail vector) if the IVVs are concurrent. Then
+    /// append the surviving tails to the local log vector via
+    /// `AddLogRecord`.
     pub fn accept_propagation(
         &mut self,
         source: NodeId,
         payload: PropagationPayload,
     ) -> Result<AcceptOutcome> {
+        self.check_payload(&payload)?;
         self.journal_mutation(crate::journal::MutationRef::Propagation {
             from: source,
             payload: &payload,
@@ -181,7 +185,6 @@ impl Replica {
         let mut refused: HashSet<ItemId> = HashSet::new();
 
         for shipped in payload.items {
-            self.check_item(shipped.item)?;
             let x = shipped.item;
             let mut cmps = 0;
             let ord = {
@@ -319,6 +322,41 @@ impl Replica {
 
         self.post_step_audit("accept-propagation");
         Ok(outcome)
+    }
+
+    /// The read-only first pass of `AcceptPropagation`: refuse a payload
+    /// that does not fit this replica's `n` servers and `N` items — one
+    /// tail per server, every shipped item below `N` with an `n`-wide IVV,
+    /// every tail record naming an item below `N` — with `UnknownItem` or
+    /// `DimensionMismatch`, before anything is written.
+    ///
+    /// It also reads every line the apply will write: each shipped item's
+    /// IVV row and its old value's shared header (dropped on adoption),
+    /// and each tail record's retained slot. At a large `N` these are
+    /// cache misses; taken here, with no write in between, they overlap,
+    /// where the apply would take them one item after another.
+    fn check_payload(&self, payload: &PropagationPayload) -> Result<()> {
+        let n = self.n_nodes();
+        let mut touched = 0u64;
+        for shipped in &payload.items {
+            let local = self.store.get(shipped.item)?;
+            if shipped.ivv.len() != n {
+                return Err(Error::DimensionMismatch { left: n, right: shipped.ivv.len() });
+            }
+            touched ^= local.ivv.iter().fold(local.value.len() as u64, |acc, &e| acc ^ e);
+        }
+        if payload.tails.len() != n {
+            return Err(Error::DimensionMismatch { left: n, right: payload.tails.len() });
+        }
+        for (k, tail) in payload.tails.iter().enumerate() {
+            for rec in tail {
+                self.check_item(rec.item)?;
+                touched ^= self.log.retained(NodeId::from_index(k), rec.item).map_or(0, |r| r.m);
+            }
+        }
+        // Keeps the reads: nothing else uses what they read.
+        std::hint::black_box(touched);
+        Ok(())
     }
 
     /// Resolve a propagation conflict under [`ConflictPolicy::ResolveLww`]:

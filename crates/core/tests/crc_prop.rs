@@ -1,6 +1,6 @@
-//! Property tests for the CRC32 kernels: slicing-by-16 and carry-less-
-//! multiply folding compute the byte table's bits at every length, start
-//! offset and split across `update` calls; the segment-aware `Writer`
+//! Property tests for the CRC32 kernels: slicing-by-8, slicing-by-16 and
+//! carry-less-multiply folding compute the byte table's bits at every
+//! length, start offset and split across `update` calls; the segment-aware `Writer`
 //! checksum equals the checksum of its assembled bytes; and a checked frame
 //! still turns every single-bit flip and every short burst into
 //! `CorruptFrame`.
@@ -35,6 +35,7 @@ fn arb_len() -> impl Strategy<Value = usize> {
 
 fn check_all_kernels(data: &[u8]) {
     let want = crc32_kernels::reference(data);
+    assert_eq!(crc32_kernels::slicing8(data), want, "slicing-by-8, {} B", data.len());
     assert_eq!(crc32_kernels::slicing16(data), want, "slicing-by-16, {} B", data.len());
     if let Some(got) = crc32_kernels::fold(data) {
         assert_eq!(got, want, "clmul fold, {} B", data.len());
@@ -60,6 +61,25 @@ fn every_length_up_to_1k_at_every_offset() {
     for offset in 0..16 {
         for len in 0..=1024 {
             check_all_kernels(&buf[offset..offset + len]);
+        }
+    }
+}
+
+#[test]
+fn every_length_to_96_through_each_path() {
+    // Whole slices under 16 B, and the remainders slicing-by-16 and the
+    // fold leave, all run slicing-by-8's 8 B and 4 B steps: every length
+    // up to 96 B, whole and split at every point across two updates.
+    let buf = noise(11, 96);
+    for len in 0..=96 {
+        let data = &buf[..len];
+        check_all_kernels(data);
+        let want = crc32_kernels::reference(data);
+        for at in 0..=len {
+            let mut c = Crc32::new();
+            c.update(&data[..at]);
+            c.update(&data[at..]);
+            assert_eq!(c.finish(), want, "{len} B split at {at}");
         }
     }
 }

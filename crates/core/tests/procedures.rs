@@ -2,8 +2,10 @@
 //! `SendPropagation` / `AcceptPropagation` exercised directly on the
 //! request/response values rather than through the `pull` orchestrator.
 
-use epidb_common::{ItemId, NodeId};
-use epidb_core::{PropagationResponse, Replica};
+use epidb_common::{Costs, Error, ItemId, NodeId};
+use epidb_core::{
+    ConflictPolicy, PropagationPayload, PropagationResponse, ProtocolCounters, Replica,
+};
 use epidb_store::UpdateOp;
 use epidb_vv::DbVersionVector;
 
@@ -124,6 +126,22 @@ fn accept_rejects_out_of_universe_items() {
 }
 
 #[test]
+fn a_narrow_shipped_ivv_is_refused_not_a_panic() {
+    // A 2-node source's payload at a 3-node recipient: its IVVs are 2
+    // wide. The recipient refuses it whole and is left as it was.
+    let mut source = replica(0, 2);
+    let mut recipient = replica(1, 3);
+    source.update(ItemId(1), UpdateOp::set(&b"narrow"[..])).unwrap();
+    let dbvv = DbVersionVector::zero(2);
+    let PropagationResponse::Payload(p) = source.prepare_propagation(&dbvv) else { panic!() };
+    let before = recipient.fingerprint();
+    let refused = recipient.accept_propagation(NodeId(0), p).unwrap_err();
+    assert_eq!(refused, Error::DimensionMismatch { left: 3, right: 2 });
+    assert_eq!(recipient.fingerprint(), before);
+    recipient.check_invariants().unwrap();
+}
+
+#[test]
 fn cross_origin_tails_are_separated() {
     // Source knows updates from two origins; both tails travel and land in
     // the right components.
@@ -148,4 +166,160 @@ fn cross_origin_tails_are_separated() {
     assert_eq!(fresh.read(ItemId(0)).unwrap().as_bytes(), b"from-a");
     assert_eq!(fresh.read(ItemId(1)).unwrap().as_bytes(), b"from-b");
     fresh.check_invariants().unwrap();
+}
+
+// --- AcceptPropagation's outcomes, pinned --------------------------------
+//
+// Each case below pins what one accept returns and charges, and the
+// recipient's model-checker fingerprint after it, to the values the
+// one-pass loop produced before accept was split into a read-only pass
+// and an apply pass.
+
+/// What one `accept_propagation` call did: its outcome, the `Costs` and
+/// counters it charged, and the recipient's fingerprint afterwards.
+#[derive(Debug, PartialEq)]
+struct Accepted {
+    copied: Vec<ItemId>,
+    conflicts: usize,
+    replayed: u64,
+    aux_discarded: Vec<ItemId>,
+    costs: Costs,
+    counters: ProtocolCounters,
+    fingerprint: u64,
+}
+
+fn accept(recipient: &mut Replica, from: NodeId, p: PropagationPayload) -> Accepted {
+    let (costs, counters) = (recipient.costs(), recipient.counters());
+    let out = recipient.accept_propagation(from, p).unwrap();
+    recipient.check_invariants().unwrap();
+    let now = recipient.counters();
+    Accepted {
+        copied: out.copied,
+        conflicts: out.conflicts,
+        replayed: out.replayed,
+        aux_discarded: out.aux_discarded,
+        costs: recipient.costs() - costs,
+        counters: ProtocolCounters {
+            equal_receipts: now.equal_receipts - counters.equal_receipts,
+            stale_receipts: now.stale_receipts - counters.stale_receipts,
+            lww_resolutions: now.lww_resolutions - counters.lww_resolutions,
+        },
+        fingerprint: recipient.fingerprint(),
+    }
+}
+
+/// The expected [`Accepted`]: nothing replayed or discarded (no case
+/// holds auxiliary state), and `costs` / `counters` as the deltas charged.
+fn pinned(
+    copied: &[u32],
+    conflicts: usize,
+    costs: Costs,
+    counters: ProtocolCounters,
+    fingerprint: u64,
+) -> Accepted {
+    Accepted {
+        copied: copied.iter().map(|&x| ItemId(x)).collect(),
+        conflicts,
+        replayed: 0,
+        aux_discarded: Vec::new(),
+        costs,
+        counters,
+        fingerprint,
+    }
+}
+
+fn payload(source: &mut Replica, recipient_dbvv: &DbVersionVector) -> PropagationPayload {
+    match source.prepare_propagation(recipient_dbvv) {
+        PropagationResponse::Payload(p) => p,
+        other => panic!("expected a payload, got {other:?}"),
+    }
+}
+
+/// Node 0 and node 1 both update item 2; node 0 also updates item 5. The
+/// payload node 1 receives from node 0 ships a concurrent item 2 and a
+/// dominating item 5.
+fn concurrent_pair(policy: ConflictPolicy) -> (Replica, PropagationPayload) {
+    let mut source = replica(0, 3);
+    let mut recipient = Replica::with_policy(NodeId(1), 3, 16, policy);
+    source.update(ItemId(2), UpdateOp::set(&b"src"[..])).unwrap();
+    source.update(ItemId(5), UpdateOp::set(&b"five"[..])).unwrap();
+    recipient.update(ItemId(2), UpdateOp::set(&b"dst"[..])).unwrap();
+    let p = payload(&mut source, &recipient.dbvv().clone());
+    (recipient, p)
+}
+
+#[test]
+fn accept_pins_an_item_shipped_twice() {
+    // Copies A (one update) and B (two) of item 3, shipped as A, B, A:
+    // the second copy is compared against the first one's result, and the
+    // third against the second's.
+    let mut source = replica(0, 3);
+    let mut recipient = replica(1, 3);
+    source.update(ItemId(3), UpdateOp::set(&b"a"[..])).unwrap();
+    let first = payload(&mut source, &recipient.dbvv().clone()).items.remove(0);
+    source.update(ItemId(3), UpdateOp::set(&b"bb"[..])).unwrap();
+    let mut p = payload(&mut source, &recipient.dbvv().clone());
+    p.items = vec![first.clone(), p.items.remove(0), first];
+    let got = accept(&mut recipient, NodeId(0), p);
+    assert_eq!(recipient.read(ItemId(3)).unwrap().as_bytes(), b"bb");
+    let costs = Costs {
+        vv_entry_cmps: 9,
+        log_records_examined: 1,
+        items_copied: 2,
+        redundant_deliveries: 1,
+        ..Costs::ZERO
+    };
+    let counters = ProtocolCounters { stale_receipts: 1, ..ProtocolCounters::default() };
+    assert_eq!(got, pinned(&[3, 3], 0, costs, counters, 7_105_089_585_274_010_212));
+}
+
+#[test]
+fn accept_pins_a_concurrent_copy_under_report() {
+    let (mut recipient, p) = concurrent_pair(ConflictPolicy::Report);
+    let got = accept(&mut recipient, NodeId(0), p);
+    assert_eq!(recipient.read(ItemId(2)).unwrap().as_bytes(), b"dst");
+    assert!(recipient.log().retained(NodeId(0), ItemId(2)).is_none(), "its record is stripped");
+    let costs = Costs {
+        vv_entry_cmps: 6,
+        log_records_examined: 1,
+        items_copied: 1,
+        conflicts_detected: 1,
+        ..Costs::ZERO
+    };
+    let counters = ProtocolCounters::default();
+    assert_eq!(got, pinned(&[5], 1, costs, counters, 4_778_061_609_006_818_943));
+}
+
+#[test]
+fn accept_pins_a_concurrent_copy_under_lww() {
+    let (mut recipient, p) = concurrent_pair(ConflictPolicy::ResolveLww);
+    let got = accept(&mut recipient, NodeId(0), p);
+    let costs = Costs {
+        vv_entry_cmps: 6,
+        log_records_examined: 2,
+        items_copied: 1,
+        conflicts_detected: 1,
+        ..Costs::ZERO
+    };
+    let counters = ProtocolCounters { lww_resolutions: 1, ..ProtocolCounters::default() };
+    assert_eq!(got, pinned(&[2, 5], 1, costs, counters, 4_138_991_495_909_455_582));
+}
+
+#[test]
+fn accept_pins_a_dominated_copy() {
+    // The recipient already holds item 4 and has updated it since: the
+    // re-delivered payload's copy is dominated, and its record is older
+    // than the one retained.
+    let mut source = replica(0, 3);
+    let mut recipient = replica(1, 3);
+    source.update(ItemId(4), UpdateOp::set(&b"old"[..])).unwrap();
+    let p = payload(&mut source, &recipient.dbvv().clone());
+    recipient.accept_propagation(NodeId(0), p.clone()).unwrap();
+    recipient.update(ItemId(4), UpdateOp::set(&b"new"[..])).unwrap();
+    let got = accept(&mut recipient, NodeId(0), p);
+    assert_eq!(recipient.read(ItemId(4)).unwrap().as_bytes(), b"new");
+    let costs =
+        Costs { vv_entry_cmps: 3, log_records_examined: 1, redundant_deliveries: 1, ..Costs::ZERO };
+    let counters = ProtocolCounters { stale_receipts: 1, ..ProtocolCounters::default() };
+    assert_eq!(got, pinned(&[], 0, costs, counters, 14_440_724_531_009_376_697));
 }

@@ -725,6 +725,7 @@ mod tests {
     use crate::testdir::TempDir;
     use epidb_common::ItemId;
     use epidb_core::{oob_copy, pull, PropagationPayload, ShippedItem};
+    use epidb_log::LogRecord;
     use epidb_store::UpdateOp;
     use epidb_vv::{VersionVector, VvOrd};
 
@@ -1105,6 +1106,70 @@ mod tests {
             assert_eq!((report.wal_records_replayed, report.replay_errors), (1, 0));
             assert_same_state(&recovered[0], &replicas[0]);
         }
+    }
+
+    #[test]
+    fn a_refused_propagation_journals_nothing() {
+        // Each payload breaks its structure after a well-formed part: an
+        // unknown item after a good one, a 2-wide IVV, a tail too few, a
+        // tail record naming an unknown item. Each is refused whole before
+        // the sink sees it and before the good item is adopted.
+        let tmp = TempDir::new("group-refused-propagation");
+        let mut cfg = DurabilityConfig::new(tmp.path());
+        cfg.checkpoint_every = 0;
+        let spec = [StreamSpec { id: NodeId(1), n_nodes: N_NODES, n_items: 4 }];
+        let reopen = || {
+            let dir = cfg.dir.join("group");
+            GroupWal::open(&cfg, dir, &spec, ConflictPolicy::Report, 0).unwrap()
+        };
+        let (wal, mut replicas, _) = reopen();
+        wal.attach(0, &mut replicas[0]);
+        replicas[0].update(ItemId(1), UpdateOp::set(&b"kept"[..])).unwrap();
+        wal.wait_durable();
+        let (records, fingerprint) = (wal.wal_records(), replicas[0].fingerprint());
+
+        let shipped = |item: u32, ivv: Vec<u64>| ShippedItem {
+            item: ItemId(item),
+            ivv: VersionVector::from_entries(ivv),
+            value: Bytes::from_static(b"shipped"),
+        };
+        let good = || shipped(2, vec![1, 0, 0]);
+        let tails = |records: Vec<LogRecord>| {
+            let mut tails = vec![Vec::new(); N_NODES];
+            tails[0] = records;
+            tails
+        };
+        let record = |item: u32, m: u64| LogRecord { item: ItemId(item), m };
+        let unknown_item = PropagationPayload {
+            tails: tails(vec![record(2, 1), record(4, 2)]),
+            items: vec![good(), shipped(4, vec![2, 0, 0])],
+        };
+        let narrow_ivv = PropagationPayload {
+            tails: tails(vec![record(2, 1), record(3, 2)]),
+            items: vec![good(), shipped(3, vec![2, 0])],
+        };
+        let short_tails =
+            PropagationPayload { tails: vec![vec![record(2, 1)]], items: vec![good()] };
+        let unknown_record = PropagationPayload {
+            tails: tails(vec![record(2, 1), record(9, 2)]),
+            items: vec![good()],
+        };
+        for (payload, want) in [
+            (unknown_item, Error::UnknownItem(ItemId(4))),
+            (narrow_ivv, Error::DimensionMismatch { left: N_NODES, right: 2 }),
+            (short_tails, Error::DimensionMismatch { left: N_NODES, right: 1 }),
+            (unknown_record, Error::UnknownItem(ItemId(9))),
+        ] {
+            let got = replicas[0].accept_propagation(NodeId(0), payload).unwrap_err();
+            assert_eq!(got, want);
+            assert_eq!(wal.wal_records(), records, "{want}: nothing journaled");
+            assert_eq!(replicas[0].fingerprint(), fingerprint, "{want}: nothing applied");
+        }
+        drop(wal);
+
+        let (_wal, recovered, report) = reopen();
+        assert_eq!((report.wal_records_replayed, report.replay_errors), (1, 0));
+        assert_same_state(&recovered[0], &replicas[0]);
     }
 
     #[test]

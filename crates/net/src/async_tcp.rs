@@ -599,7 +599,13 @@ impl SocketCluster<Unsharded> {
     }
 
     /// Out-of-bound fetch, driven through the engine like every exchange.
+    /// An item outside the database is refused here, before anything is
+    /// sent.
     pub fn oob_fetch(&self, recipient: NodeId, source: NodeId, item: ItemId) -> Result<OobOutcome> {
+        self.checked(recipient)?;
+        if item.index() >= self.map().n_items() {
+            return Err(Error::UnknownItem(item));
+        }
         if recipient == source {
             return Ok(OobOutcome::AlreadyCurrent);
         }
@@ -1115,13 +1121,12 @@ mod tests {
         let unknown = |e: Error| matches!(e, Error::UnknownItem(ItemId(8)));
         assert!(unknown(cluster.update(NodeId(0), ItemId(8), set()).unwrap_err()));
         assert!(unknown(cluster.read(NodeId(0), ItemId(8)).unwrap_err()));
-        // The fetch goes out as ever, and the source refuses it.
-        let refused = cluster.oob_fetch(NodeId(1), NodeId(0), ItemId(8)).unwrap_err();
-        assert!(matches!(&refused, Error::Network(m) if m.contains("unknown item")), "{refused}");
-        assert_eq!(
-            cluster.oob_fetch(NodeId(0), NodeId(0), ItemId(8)),
-            Ok(OobOutcome::AlreadyCurrent)
-        );
+        // The recipient refuses a fetch of an unknown item before sending
+        // it, and so does the self-fetch shortcut.
+        let sent = cluster.node_costs(NodeId(1)).messages_sent;
+        assert!(unknown(cluster.oob_fetch(NodeId(1), NodeId(0), ItemId(8)).unwrap_err()));
+        assert!(unknown(cluster.oob_fetch(NodeId(0), NodeId(0), ItemId(8)).unwrap_err()));
+        assert_eq!(cluster.node_costs(NodeId(1)).messages_sent, sent, "nothing was sent");
         assert!(matches!(cluster.update(NodeId(5), ItemId(1), set()), Err(Error::UnknownNode(_))));
         assert!(matches!(cluster.read(NodeId(5), ItemId(1)), Err(Error::UnknownNode(_))));
         cluster.crash(NodeId(1));
