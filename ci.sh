@@ -45,6 +45,9 @@ cargo run --release -q --offline --manifest-path epibench/Cargo.toml -- --smoke 
 echo "== timing-dependent tests (the group-commit crowd leg) =="
 cargo test -q --release -p epidb-net -- --ignored
 
+echo "== experiments --quick matches its archive (seeded, deterministic) =="
+cargo run --release -q -p epidb-bench --bin experiments -- --quick | diff results/experiments_quick.txt -
+
 echo "== model checker smoke (exhaustive bounded exploration + self-test) =="
 cargo run --release -q -p epidb-bench --bin mc -- --smoke
 

@@ -135,7 +135,7 @@ trait SoakRuntime {
     ) -> epidb_common::Result<PullOutcome>;
     fn oob(&mut self, recipient: NodeId, source: NodeId, item: ItemId);
     fn value(&self, node: NodeId, item: ItemId) -> Vec<u8>;
-    fn converged(&self, n_nodes: usize) -> bool;
+    fn converged(&self) -> bool;
     fn costs(&self, n_nodes: usize) -> Costs;
     fn check_invariants(&self, n_nodes: usize);
 }
@@ -144,7 +144,6 @@ struct InProc(EpidbCluster);
 
 impl SoakRuntime for InProc {
     fn update(&mut self, node: NodeId, item: ItemId, value: Vec<u8>) {
-        use epidb_baselines::SyncProtocol;
         self.0.update(node, item, UpdateOp::set(value)).expect("update");
     }
 
@@ -166,12 +165,8 @@ impl SoakRuntime for InProc {
         self.0.replica(node).read_regular(item).expect("item").as_bytes().to_vec()
     }
 
-    fn converged(&self, n_nodes: usize) -> bool {
-        let reference = self.0.replica(NodeId(0)).dbvv().clone();
-        (0..n_nodes).all(|i| {
-            let r = self.0.replica(NodeId::from_index(i));
-            r.aux_item_count() == 0 && r.dbvv().compare(&reference) == epidb_vv::VvOrd::Equal
-        })
+    fn converged(&self) -> bool {
+        self.0.converged()
     }
 
     fn costs(&self, _n_nodes: usize) -> Costs {
@@ -209,13 +204,8 @@ impl SoakRuntime for AsyncTcp {
         self.0.read(node, item).expect("read")
     }
 
-    fn converged(&self, n_nodes: usize) -> bool {
-        let reference = self.0.with_replica(NodeId(0), |r| r.dbvv().clone());
-        (0..n_nodes).all(|i| {
-            self.0.with_replica(NodeId::from_index(i), |r| {
-                r.aux_item_count() == 0 && r.dbvv().compare(&reference) == epidb_vv::VvOrd::Equal
-            })
-        })
+    fn converged(&self) -> bool {
+        self.0.is_quiescent()
     }
 
     fn costs(&self, n_nodes: usize) -> Costs {
@@ -357,12 +347,12 @@ fn run_soak(
                     .expect("healed pull must succeed");
             }
         }
-        if runtime.converged(n_nodes) {
+        if runtime.converged() {
             break;
         }
     }
 
-    assert!(runtime.converged(n_nodes), "soak did not converge after {MAX_HEAL_SWEEPS} sweeps");
+    assert!(runtime.converged(), "soak did not converge after {MAX_HEAL_SWEEPS} sweeps");
     for (item, want) in expected.iter().enumerate() {
         for node in 0..n_nodes {
             let got = runtime.value(NodeId::from_index(node), ItemId(item as u32));
@@ -485,15 +475,12 @@ fn run_restart_soak(runtime: &mut AsyncTcp, seed: u64, params: SoakParams) -> Re
                 }
             }
         }
-        if runtime.converged(n_nodes) {
+        if runtime.converged() {
             break;
         }
     }
 
-    assert!(
-        runtime.converged(n_nodes),
-        "restart soak did not converge after {MAX_HEAL_SWEEPS} sweeps"
-    );
+    assert!(runtime.converged(), "restart soak did not converge after {MAX_HEAL_SWEEPS} sweeps");
     for (item, want) in expected.iter().enumerate() {
         for node in 0..n_nodes {
             let got = runtime.value(NodeId::from_index(node), ItemId(item as u32));
@@ -586,29 +573,9 @@ trait ShardedSoakRuntime {
     fn oob(&mut self, recipient: NodeId, source: NodeId, item: ItemId);
     fn value(&self, node: NodeId, item: ItemId) -> Vec<u8>;
     fn node_costs(&self, node: NodeId) -> Costs;
-    fn converged(&self, map: &ShardMap) -> bool;
+    fn converged(&self) -> bool;
     fn audits(&self) -> u64;
     fn check_invariants(&self);
-}
-
-/// Per-shard convergence over a probe: all owners of every shard hold
-/// equal shard DBVVs with no auxiliary state.
-fn sharded_converged(
-    map: &ShardMap,
-    probe: impl Fn(NodeId, ShardId) -> Option<(epidb_vv::DbVersionVector, usize)>,
-) -> bool {
-    ShardId::all(map.n_shards()).all(|shard| {
-        let states: Vec<_> = map.owners(shard).iter().filter_map(|&n| probe(n, shard)).collect();
-        match states.split_first() {
-            None => true,
-            Some(((reference, aux0), rest)) => {
-                *aux0 == 0
-                    && rest.iter().all(|(vv, aux)| {
-                        *aux == 0 && vv.compare(reference) == epidb_vv::VvOrd::Equal
-                    })
-            }
-        }
-    })
 }
 
 struct ShardedInProc(ShardedSimCluster);
@@ -636,7 +603,7 @@ impl ShardedSoakRuntime for ShardedInProc {
     fn node_costs(&self, node: NodeId) -> Costs {
         self.0.node_costs(node)
     }
-    fn converged(&self, _map: &ShardMap) -> bool {
+    fn converged(&self) -> bool {
         self.0.converged()
     }
     fn audits(&self) -> u64 {
@@ -672,12 +639,8 @@ impl ShardedSoakRuntime for ShardedTcp {
     fn node_costs(&self, node: NodeId) -> Costs {
         self.0.node_costs(node)
     }
-    fn converged(&self, map: &ShardMap) -> bool {
-        sharded_converged(map, |n, s| {
-            self.0.with_node(n, |node| {
-                node.shard_state(s).map(|r| (r.dbvv().clone(), r.aux_item_count()))
-            })
-        })
+    fn converged(&self) -> bool {
+        self.0.is_quiescent()
     }
     fn audits(&self) -> u64 {
         (0..SHARDED_NODES)
@@ -801,12 +764,12 @@ fn run_sharded_soak(
                 .pull_shard_chaos(*r, *s, *shard, link, &policy)
                 .expect("healed pull must succeed");
         }
-        if runtime.converged(map) {
+        if runtime.converged() {
             break;
         }
     }
 
-    assert!(runtime.converged(map), "sharded soak did not converge after {MAX_HEAL_SWEEPS} sweeps");
+    assert!(runtime.converged(), "sharded soak did not converge after {MAX_HEAL_SWEEPS} sweeps");
     for (item, want) in expected.iter().enumerate() {
         let shard = map.shard_of(ItemId(item as u32)).unwrap();
         for &owner in map.owners(shard) {
@@ -1030,13 +993,7 @@ fn run_sharded_restart_soak(
             revivals += 1;
         }
     }
-    let converged = || {
-        sharded_converged(map, |n, s| {
-            cluster.with_node(n, |node| {
-                node.shard_state(s).map(|r| (r.dbvv().clone(), r.aux_item_count()))
-            })
-        })
-    };
+    let converged = || cluster.is_quiescent();
     let mut heal_sweeps = 0;
     while heal_sweeps < MAX_HEAL_SWEEPS {
         heal_sweeps += 1;

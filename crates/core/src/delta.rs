@@ -317,12 +317,30 @@ impl Replica {
     /// Final step at the recipient: apply the data, then append the
     /// (surviving) tails and run intra-node propagation — identical
     /// semantics to `AcceptPropagation` from here on.
+    ///
+    /// The exchange is checked whole first: an unknown item, an IVV (final
+    /// or an op's pre-state) that is not `n` wide, or a tail vector that
+    /// does not fit refuses it before it is journaled or anything applies.
     pub fn apply_delta(
         &mut self,
         source: NodeId,
         payload: DeltaPayload,
         eval: OfferEvaluation,
     ) -> Result<AcceptOutcome> {
+        for item in &payload.items {
+            match item {
+                DeltaItem::Whole(shipped) => {
+                    self.check_item(shipped.item)?;
+                    self.check_width(&shipped.ivv)?;
+                }
+                DeltaItem::Ops { item, ops, final_ivv } => {
+                    self.check_item(*item)?;
+                    self.check_width(final_ivv)?;
+                    ops.iter().try_for_each(|c| self.check_width(&c.pre_vv))?;
+                }
+            }
+        }
+        self.check_tails(&eval.tails)?;
         self.journal_mutation(crate::journal::MutationRef::Delta {
             from: source,
             payload: &payload,
@@ -359,7 +377,6 @@ impl Replica {
                     }
                 }
                 DeltaItem::Ops { item: x, ops, final_ivv } => {
-                    self.check_item(x)?;
                     // Chain must start exactly at the local state and end
                     // strictly ahead of it; anything else means the states
                     // raced between messages 3 and 4 — fall back by

@@ -415,8 +415,18 @@ impl Engine {
     /// auditing are uniform across transports. Shard-routed requests
     /// ([`ProtocolRequest::Shard`]) are a [`ShardedNode`](crate::ShardedNode)
     /// concern — see [`Engine::handle_sharded`] — and fail here.
+    ///
+    /// A request from a node at or above `n`, or a pull whose DBVV is not
+    /// `n` wide, is refused (`UnknownNode`, `DimensionMismatch`) before any
+    /// state or cost is touched.
     pub fn handle(replica: &mut Replica, req: ProtocolRequest) -> Result<ProtocolResponse> {
         let from = req.from();
+        if from.index() >= replica.n_nodes() {
+            return Err(Error::UnknownNode(from));
+        }
+        if let ProtocolRequest::Pull { dbvv, .. } | ProtocolRequest::DeltaPull { dbvv, .. } = &req {
+            replica.check_width(dbvv.as_vector())?;
+        }
         let resp = match req {
             ProtocolRequest::Pull { dbvv, .. } => {
                 ProtocolResponse::Pull(replica.prepare_propagation(&dbvv))
@@ -709,6 +719,37 @@ mod tests {
             req: Box::new(ProtocolRequest::Oob { from: NodeId(1), item: ItemId(0) }),
         };
         assert!(Engine::handle(&mut a, routed).is_err());
+    }
+
+    #[test]
+    fn a_request_that_does_not_fit_is_refused_untouched() {
+        // Each request decodes fine but does not fit a 2-node replica: a
+        // pull whose DBVV is 3 or 1 wide, or any request from node 2 or
+        // above. Each is refused before any state or cost moves.
+        let (mut a, _) = pair();
+        a.update(ItemId(3), UpdateOp::set(&b"x"[..])).unwrap();
+        let (costs, fingerprint) = (a.costs(), a.fingerprint());
+        let narrow =
+            |from, width| ProtocolRequest::Pull { from, dbvv: DbVersionVector::zero(width) };
+        let cases = [
+            (narrow(NodeId(1), 3), Error::DimensionMismatch { left: 2, right: 3 }),
+            (
+                ProtocolRequest::DeltaPull { from: NodeId(1), dbvv: DbVersionVector::zero(1) },
+                Error::DimensionMismatch { left: 2, right: 1 },
+            ),
+            (narrow(NodeId(2), 2), Error::UnknownNode(NodeId(2))),
+            (
+                ProtocolRequest::Oob { from: NodeId(9), item: ItemId(3) },
+                Error::UnknownNode(NodeId(9)),
+            ),
+            (ProtocolRequest::FullPull { from: NodeId(2) }, Error::UnknownNode(NodeId(2))),
+        ];
+        for (req, want) in cases {
+            let kind = req.kind();
+            assert_eq!(Engine::handle(&mut a, req).unwrap_err(), want, "{kind}");
+            assert_eq!(a.costs(), costs, "{kind}: nothing charged");
+            assert_eq!(a.fingerprint(), fingerprint, "{kind}: nothing changed");
+        }
     }
 
     #[test]

@@ -94,5 +94,7 @@ pub use recon::{pull_recon, ReconDriver, ReconStep};
 pub use replica::{AuxItem, ProtocolCounters, Replica};
 pub use retry::RetryPolicy;
 pub use rounds::{Round, RoundOutcome, RoundStep};
-pub use shard::{LocalShardedTransport, ShardMap, ShardedNode, ShardedOob};
+pub use shard::{
+    shards_agree, LocalShardedTransport, ShardMap, Sharded, ShardedNode, ShardedOob, Unsharded,
+};
 pub use tokens::TokenManager;

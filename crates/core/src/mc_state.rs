@@ -206,13 +206,29 @@ impl ShardedNode {
         })
     }
 
-    /// Build the node a crash-and-recover of `self` would produce: every
-    /// owned shard restarts from its durable image alone (each shard has
-    /// its own WAL/snapshot directory under `epidb-durable`), with the
-    /// delta cache re-enabled at `delta_budget`. Node meta-costs reset;
-    /// the map and moving set are node configuration and survive (durable
-    /// handoff journals them). The full-replication analogue, grounded
-    /// against real disk recovery, is `epidb_durable::crash_recovered_twin`.
+    /// Build the node a crash-and-recover of `self` would produce — the
+    /// crash image, for unsharded (one-shard) and sharded nodes alike.
+    ///
+    /// Because every state change is journaled *before* it applies (see
+    /// [`crate::journal`]), a node's WAL always covers its full in-memory
+    /// durable state: recovery (snapshot + WAL replay, one stream per
+    /// owned shard) rebuilds exactly what [`Replica::to_snapshot`]
+    /// captures right now. A crash therefore loses only the ephemeral
+    /// remainder — cost counters, node meta-costs, pending conflict
+    /// reports, the op cache, traces — and runtime-only configuration the
+    /// operator reapplies on restart. The map and moving set are node
+    /// configuration and survive (durable handoff journals them).
+    ///
+    /// Each shard restarts with a cold op cache, re-enabled at
+    /// `delta_budget` (the journaled WAL-header config). Real recovery is
+    /// cold too: `GroupWal::open` replays the WAL *before* enabling the
+    /// delta cache, so replayed updates cache nothing. A cold cache only
+    /// degrades delta rounds to whole-item shipping; it cannot change
+    /// protocol correctness, which is what the model checker verifies.
+    /// `epidb-durable`'s `crash_twin` tests pin this against a real crash
+    /// and reopen, from a checkpoint and from pure WAL replay (where only
+    /// the `restored` marker legitimately differs: replay rebuilds state
+    /// without a snapshot load).
     pub fn crash_recovered(&self, delta_budget: usize) -> Result<ShardedNode> {
         let mut shards = BTreeMap::new();
         for (&s, r) in &self.shards {

@@ -56,9 +56,13 @@ impl Replica {
     ///   later.
     /// * equal or dominated → no action (the local copy is already as new).
     /// * concurrent → inconsistency is declared; no action.
+    ///
+    /// A reply for an unknown item, or with an IVV that is not `n` wide,
+    /// is refused before it is journaled.
     pub fn accept_oob(&mut self, from: NodeId, reply: OobReply) -> Result<OobOutcome> {
-        self.journal_mutation(crate::journal::MutationRef::Oob { from, reply: &reply });
         self.check_item(reply.item)?;
+        self.check_width(&reply.ivv)?;
+        self.journal_mutation(crate::journal::MutationRef::Oob { from, reply: &reply });
         let x = reply.item;
         let mut cmps = 0;
         let ord = {

@@ -164,7 +164,7 @@ impl Replica {
     /// *recipient* `i = self`, followed by `IntraNodePropagation` (Fig. 4)
     /// for the items copied.
     ///
-    /// Validate, journal, apply. [`check_payload`](Self::check_payload)
+    /// Validate, journal, apply. `check_payload`
     /// refuses a malformed payload whole, before anything is journaled or
     /// applied. Then, for each shipped item in order: adopt it if its IVV
     /// dominates the local regular copy's; declare a conflict (and strip
@@ -340,9 +340,7 @@ impl Replica {
         let mut touched = 0u64;
         for shipped in &payload.items {
             let local = self.store.get(shipped.item)?;
-            if shipped.ivv.len() != n {
-                return Err(Error::DimensionMismatch { left: n, right: shipped.ivv.len() });
-            }
+            self.check_width(&shipped.ivv)?;
             touched ^= local.ivv.iter().fold(local.value.len() as u64, |acc, &e| acc ^ e);
         }
         if payload.tails.len() != n {

@@ -150,6 +150,10 @@ impl Replica {
     /// copy keeps its records out, exactly as Fig. 3 strips tails), and
     /// the source's coverage floor merges in component-wise, so the
     /// recipient never re-serves coverage it did not receive.
+    ///
+    /// Items are checked whole first: an unknown item, an IVV that is not
+    /// `n` wide or a record origin at or above `n` refuses the step before
+    /// it is journaled or any item applies.
     pub fn apply_recon_items(
         &mut self,
         from: NodeId,
@@ -158,6 +162,14 @@ impl Replica {
     ) -> Result<AcceptOutcome> {
         if floor.len() != self.n_nodes() {
             return Err(Error::DimensionMismatch { left: floor.len(), right: self.n_nodes() });
+        }
+        for shipped in &items {
+            self.check_item(shipped.item)?;
+            self.check_width(&shipped.ivv)?;
+            if let Some(&(k, _)) = shipped.records.iter().find(|(k, _)| k.index() >= self.n_nodes())
+            {
+                return Err(Error::UnknownNode(k));
+            }
         }
         // Journal only effective steps: digest-only descent replies touch
         // no durable state and replay as no-ops anyway.
@@ -169,7 +181,6 @@ impl Replica {
         let mut outcome = AcceptOutcome::default();
         let fetched = items.len() as u64;
         for shipped in items {
-            self.check_item(shipped.item)?;
             let x = shipped.item;
             let mut cmps = 0;
             let ord = {
@@ -186,9 +197,6 @@ impl Replica {
                     self.costs.items_copied += 1;
                     outcome.copied.push(x);
                     for &(k, m) in &shipped.records {
-                        if k.index() >= self.n_nodes() {
-                            return Err(Error::UnknownNode(k));
-                        }
                         self.log.add_record(k, LogRecord { item: x, m });
                         self.costs.log_records_examined += 1;
                     }

@@ -610,6 +610,23 @@ impl Replica {
         }
         Ok(())
     }
+
+    /// Internal: refuse a received version vector that is not `n` wide.
+    pub(crate) fn check_width(&self, vv: &[u64]) -> Result<()> {
+        if vv.len() != self.n_nodes() {
+            return Err(Error::DimensionMismatch { left: self.n_nodes(), right: vv.len() });
+        }
+        Ok(())
+    }
+
+    /// Internal: refuse a received tail vector that is not one tail per
+    /// server, or that names an unknown item.
+    pub(crate) fn check_tails(&self, tails: &[Vec<LogRecord>]) -> Result<()> {
+        if tails.len() != self.n_nodes() {
+            return Err(Error::DimensionMismatch { left: self.n_nodes(), right: tails.len() });
+        }
+        tails.iter().flatten().try_for_each(|rec| self.check_item(rec.item))
+    }
 }
 
 #[cfg(test)]

@@ -45,11 +45,13 @@
 //!    source nodes drop their copies ([`ShardedNode::remove_shard`]),
 //!    and targets reopen the window ([`ShardedNode::complete_handoff`]).
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use epidb_common::{Costs, Error, ItemId, NodeId, Result, ShardId};
 use epidb_store::{ItemValue, UpdateOp};
+use epidb_vv::{DbVersionVector, VvOrd};
 
 use crate::engine::{
     unexpected, Engine, ProtocolRequest, ProtocolResponse, ShardTransport, Transport,
@@ -150,6 +152,38 @@ impl ShardMap {
     }
 }
 
+/// A cluster kind: one database replicated at every node. Each node is a
+/// one-shard [`ShardedNode`] on `ShardMap::new(n_items, vec![every node])`
+/// that serves and sends *bare* frames as shard 0, so its wire bytes and
+/// [`Costs`] are those of a lone [`Replica`].
+pub enum Unsharded {}
+
+/// A cluster kind: shards placed by a [`ShardMap`], every exchange in the
+/// shard envelope.
+pub enum Sharded {}
+
+/// The per-shard agreement rule: every reachable owner of every shard
+/// holds an equal DBVV and no auxiliary state. A shard with fewer than
+/// two reachable owners has nothing to compare and counts as agreed.
+///
+/// `state(shard, owner)` is that owner's shard DBVV and auxiliary item
+/// count, or `None` when the owner cannot be reached (crashed, or holding
+/// no state for the shard).
+pub fn shards_agree<V: Borrow<DbVersionVector>>(
+    map: &ShardMap,
+    mut state: impl FnMut(ShardId, NodeId) -> Option<(V, usize)>,
+) -> bool {
+    ShardId::all(map.n_shards()).all(|shard| {
+        let states: Vec<_> = map.owners(shard).iter().filter_map(|&o| state(shard, o)).collect();
+        match states.split_first() {
+            Some(((reference, _), rest)) if !rest.is_empty() => states.iter().all(|(vv, aux)| {
+                *aux == 0 && vv.borrow().compare(reference.borrow()) == VvOrd::Equal
+            }),
+            _ => true,
+        }
+    })
+}
+
 /// A node in a sharded deployment: one [`Replica`] per *owned* shard,
 /// plus the shard map that routes everything else away.
 ///
@@ -233,6 +267,16 @@ impl ShardedNode {
         self.shards.keys().copied().collect()
     }
 
+    /// Every owned shard with its replica state, in shard order.
+    pub fn replicas(&self) -> impl Iterator<Item = (ShardId, &Replica)> {
+        self.shards.iter().map(|(&s, r)| (s, &**r))
+    }
+
+    /// Mutable [`replicas`](Self::replicas).
+    pub fn replicas_mut(&mut self) -> impl Iterator<Item = (ShardId, &mut Replica)> {
+        self.shards.iter_mut().map(|(&s, r)| (s, &mut **r))
+    }
+
     /// Whether `shard` is currently frozen for handoff here.
     pub fn is_moving(&self, shard: ShardId) -> bool {
         self.moving.contains(&shard)
@@ -242,31 +286,26 @@ impl ShardedNode {
     /// [`Engine::handle_sharded`]: mid-handoff shards refuse retryably,
     /// unowned shards refuse with a redirect.
     fn route_check(&self, shard: ShardId) -> Result<()> {
-        if self.moving.contains(&shard) {
-            return Err(Error::ShardMoving(shard));
-        }
-        if self.shards.contains_key(&shard) {
-            return Ok(());
-        }
-        if self.map.owns(self.id, shard) {
-            // The map says this shard is ours but its state has not been
-            // installed yet: the receiving half of a cutover window.
-            return Err(Error::ShardMoving(shard));
-        }
-        Err(Error::NotServedHere { shard, owners: self.map.owners(shard).to_vec() })
+        self.shard(shard).map(|_| ())
     }
 
     /// The serving replica for `shard`, after routing checks.
     pub fn shard(&self, shard: ShardId) -> Result<&Replica> {
-        self.route_check(shard)?;
-        Ok(self.shards.get(&shard).expect("routed"))
+        let moving = self.moving.contains(&shard);
+        match self.shards.get(&shard) {
+            Some(r) if !moving => Ok(r),
+            _ => Err(refusal(&self.map, self.id, shard, moving)),
+        }
     }
 
     /// Mutable access to the serving replica for `shard`, after routing
-    /// checks.
+    /// checks: one map lookup.
     pub fn shard_mut(&mut self, shard: ShardId) -> Result<&mut Replica> {
-        self.route_check(shard)?;
-        Ok(self.shards.get_mut(&shard).expect("routed"))
+        let moving = self.moving.contains(&shard);
+        match self.shards.get_mut(&shard) {
+            Some(r) if !moving => Ok(r),
+            _ => Err(refusal(&self.map, self.id, shard, moving)),
+        }
     }
 
     /// Raw access to a shard's replica state, bypassing routing refusals.
@@ -459,6 +498,18 @@ impl ShardedNode {
         }
         self.moving.remove(&shard);
         Ok(())
+    }
+}
+
+/// Why `node` does not serve `shard`, given whether it is frozen for
+/// handoff: a moving shard refuses retryably; so does one the map assigns
+/// here whose state is not installed yet (the receiving half of a cutover
+/// window); any other shard redirects to its owners.
+fn refusal(map: &ShardMap, node: NodeId, shard: ShardId, moving: bool) -> Error {
+    if moving || map.owns(node, shard) {
+        Error::ShardMoving(shard)
+    } else {
+        Error::NotServedHere { shard, owners: map.owners(shard).to_vec() }
     }
 }
 

@@ -685,36 +685,6 @@ fn decode_group_record(body: &Bytes, n_streams: usize) -> Result<(usize, Mutatio
     Ok((stream, m))
 }
 
-/// Build the replica a crash-and-recover of `live` would produce — the
-/// model checker's crash semantics, grounded against this crate's real
-/// disk recovery.
-///
-/// Because every state change is journaled *before* it applies (see
-/// [`epidb_core::journal`]), the WAL always covers the full in-memory
-/// durable state: recovery (snapshot + WAL replay) reconstructs exactly
-/// what [`Replica::to_snapshot`] captures right now. A crash therefore
-/// loses only the ephemeral remainder — cost counters, pending conflict
-/// reports, the op cache, traces — plus any runtime-only configuration
-/// the operator reapplies on restart.
-///
-/// The twin restarts with a cold op cache, re-enabled at `delta_budget`
-/// (matching the journaled WAL-header config). Real recovery is cold too:
-/// [`GroupWal::open`] replays the WAL *before* enabling the
-/// delta cache, so replayed updates cache nothing. A cold cache only
-/// degrades delta rounds to whole-item shipping — it cannot change
-/// protocol correctness, which is what the checker verifies. The
-/// `crash_twin_matches_disk_recovery` tests pin exact state equality (by
-/// [`Replica::fingerprint`]) against a real crash-and-reopen, both from a
-/// checkpoint and from pure WAL replay (where only the `restored` marker
-/// legitimately differs — replay rebuilds state without a snapshot load).
-pub fn crash_recovered_twin(live: &Replica, delta_budget: usize) -> Result<Replica> {
-    let mut twin = Replica::from_snapshot(&live.to_snapshot())?;
-    if delta_budget > 0 {
-        twin.enable_delta(delta_budget);
-    }
-    Ok(twin)
-}
-
 #[cfg(test)]
 mod tests {
     use std::io::{self, Write};
@@ -724,7 +694,10 @@ mod tests {
     use crate::frames::stream_snapshot;
     use crate::testdir::TempDir;
     use epidb_common::ItemId;
-    use epidb_core::{oob_copy, pull, PropagationPayload, ShippedItem};
+    use epidb_core::{
+        oob_copy, pull, CachedOp, DeltaItem, DeltaOffer, DeltaPayload, OobReply,
+        PropagationPayload, ReconItem, ShippedItem,
+    };
     use epidb_log::LogRecord;
     use epidb_store::UpdateOp;
     use epidb_vv::{VersionVector, VvOrd};
@@ -1164,6 +1137,145 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(wal.wal_records(), records, "{want}: nothing journaled");
             assert_eq!(replicas[0].fingerprint(), fingerprint, "{want}: nothing applied");
+        }
+        drop(wal);
+
+        let (_wal, recovered, report) = reopen();
+        assert_eq!((report.wal_records_replayed, report.replay_errors), (1, 0));
+        assert_same_state(&recovered[0], &replicas[0]);
+    }
+
+    #[test]
+    fn a_refused_oob_recon_or_delta_journals_nothing() {
+        // The other three journaled entry points, each fed an unknown item,
+        // an IVV that is not `n` wide or a record origin at or above `n`,
+        // where one applies — after a well-formed part where there is one.
+        // Each is refused whole before the sink sees it.
+        let tmp = TempDir::new("group-refused-accepts");
+        let mut cfg = DurabilityConfig::new(tmp.path());
+        cfg.checkpoint_every = 0;
+        let spec = [StreamSpec { id: NodeId(1), n_nodes: N_NODES, n_items: 4 }];
+        let reopen = || {
+            let dir = cfg.dir.join("group");
+            GroupWal::open(&cfg, dir, &spec, ConflictPolicy::Report, 0).unwrap()
+        };
+        let (wal, mut replicas, _) = reopen();
+        wal.attach(0, &mut replicas[0]);
+        replicas[0].update(ItemId(1), UpdateOp::set(&b"kept"[..])).unwrap();
+        wal.wait_durable();
+
+        let vv = |e: Vec<u64>| VersionVector::from_entries(e);
+        let value = || Bytes::from_static(b"shipped");
+        let oob = |item: u32, ivv: Vec<u64>| OobReply {
+            item: ItemId(item),
+            ivv: vv(ivv),
+            value: value(),
+            from_aux: false,
+        };
+        let recon = |item: u32, ivv: Vec<u64>, origin: u16| ReconItem {
+            item: ItemId(item),
+            ivv: vv(ivv),
+            value: value(),
+            records: vec![(NodeId(origin), 1)],
+        };
+        let good_recon = || recon(2, vec![1, 0, 0], 0);
+        let whole = |item: u32, ivv: Vec<u64>| {
+            DeltaItem::Whole(ShippedItem { item: ItemId(item), ivv: vv(ivv), value: value() })
+        };
+        let ops = |pre: Vec<Vec<u64>>, final_ivv: Vec<u64>| DeltaItem::Ops {
+            item: ItemId(2),
+            ops: pre
+                .into_iter()
+                .map(|p| CachedOp { pre_vv: vv(p), op: UpdateOp::set(value()) })
+                .collect(),
+            final_ivv: vv(final_ivv),
+        };
+        let mut tails = vec![Vec::new(); N_NODES];
+        tails[0] = vec![LogRecord { item: ItemId(2), m: 1 }];
+        let mut unknown_tail = tails.clone();
+        unknown_tail[0].push(LogRecord { item: ItemId(9), m: 2 });
+        // Evaluating an offer journals nothing: only its apply does.
+        let offer = |tails: Vec<Vec<LogRecord>>| DeltaOffer { tails, offers: Vec::new() };
+        let mut evaluate =
+            |tails| replicas[0].evaluate_delta_offer(NodeId(0), offer(tails)).unwrap().1;
+        let (eval, bad_eval) = (evaluate(tails), evaluate(unknown_tail));
+        let delta = |items: Vec<DeltaItem>| (DeltaPayload { items }, eval.clone());
+        let floor = [0; N_NODES];
+        type Accept<'a> = Box<dyn FnOnce(&mut Replica) -> epidb_common::Result<()> + 'a>;
+        let cases: Vec<(&str, Accept<'_>, Error)> = vec![
+            (
+                "oob: unknown item",
+                Box::new(move |r| r.accept_oob(NodeId(0), oob(4, vec![1, 0, 0])).map(drop)),
+                Error::UnknownItem(ItemId(4)),
+            ),
+            (
+                "oob: narrow IVV",
+                Box::new(move |r| r.accept_oob(NodeId(0), oob(2, vec![1, 0])).map(drop)),
+                Error::DimensionMismatch { left: N_NODES, right: 2 },
+            ),
+            (
+                "recon: unknown item",
+                Box::new(move |r| {
+                    let items = vec![good_recon(), recon(4, vec![2, 0, 0], 0)];
+                    r.apply_recon_items(NodeId(0), items, &floor).map(drop)
+                }),
+                Error::UnknownItem(ItemId(4)),
+            ),
+            (
+                "recon: narrow IVV",
+                Box::new(move |r| {
+                    let items = vec![good_recon(), recon(3, vec![2, 0], 0)];
+                    r.apply_recon_items(NodeId(0), items, &floor).map(drop)
+                }),
+                Error::DimensionMismatch { left: N_NODES, right: 2 },
+            ),
+            (
+                "recon: unknown origin",
+                Box::new(move |r| {
+                    let items = vec![good_recon(), recon(3, vec![2, 0, 0], 5)];
+                    r.apply_recon_items(NodeId(0), items, &floor).map(drop)
+                }),
+                Error::UnknownNode(NodeId(5)),
+            ),
+            (
+                "delta: unknown item",
+                Box::new({
+                    let (payload, eval) =
+                        delta(vec![whole(2, vec![1, 0, 0]), whole(4, vec![1, 0, 0])]);
+                    move |r| r.apply_delta(NodeId(0), payload, eval).map(drop)
+                }),
+                Error::UnknownItem(ItemId(4)),
+            ),
+            (
+                "delta: narrow final IVV",
+                Box::new({
+                    let (payload, eval) = delta(vec![ops(vec![vec![0, 0, 0]], vec![1, 0])]);
+                    move |r| r.apply_delta(NodeId(0), payload, eval).map(drop)
+                }),
+                Error::DimensionMismatch { left: N_NODES, right: 2 },
+            ),
+            (
+                "delta: narrow op pre-IVV",
+                Box::new({
+                    let chain = vec![vec![0, 0, 0], vec![1, 0]];
+                    let (payload, eval) = delta(vec![ops(chain, vec![2, 0, 0])]);
+                    move |r| r.apply_delta(NodeId(0), payload, eval).map(drop)
+                }),
+                Error::DimensionMismatch { left: N_NODES, right: 2 },
+            ),
+            (
+                "delta: unknown tail item",
+                Box::new(move |r| {
+                    r.apply_delta(NodeId(0), DeltaPayload::default(), bad_eval).map(drop)
+                }),
+                Error::UnknownItem(ItemId(9)),
+            ),
+        ];
+        let (records, fingerprint) = (wal.wal_records(), replicas[0].fingerprint());
+        for (case, accept, want) in cases {
+            assert_eq!(accept(&mut replicas[0]).unwrap_err(), want, "{case}");
+            assert_eq!(wal.wal_records(), records, "{case}: nothing journaled");
+            assert_eq!(replicas[0].fingerprint(), fingerprint, "{case}: nothing applied");
         }
         drop(wal);
 

@@ -55,5 +55,5 @@ pub mod testdir;
 
 pub use files::DurabilityConfig;
 pub use frames::{read_frames, write_frame, FrameScan, WAL_FRAME_HEADER};
-pub use group::{crash_recovered_twin, GroupCommitStats, GroupWal, RecoveryReport, StreamSpec};
+pub use group::{GroupCommitStats, GroupWal, RecoveryReport, StreamSpec};
 pub use header::WalHeader;

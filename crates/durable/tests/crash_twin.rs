@@ -1,28 +1,41 @@
 //! Grounds the model checker's crash semantics against real disk
-//! recovery: `crash_recovered_twin` (pure in-memory snapshot round-trip)
-//! must produce the same replica state — by canonical fingerprint — that
-//! `GroupWal::open` reconstructs from the WAL/snapshot files after an
-//! actual crash.
+//! recovery: `ShardedNode::crash_recovered` (a pure in-memory snapshot
+//! round-trip of every owned shard) must produce the same node state — by
+//! canonical fingerprint — that `GroupWal::open` reconstructs from the
+//! WAL/snapshot files after an actual crash, for an unsharded (one-shard)
+//! node and for a node owning two shards.
 
 use std::sync::Arc;
 
-use epidb_common::{ItemId, NodeId};
-use epidb_core::{oob_copy, pull, pull_delta, ConflictPolicy, Replica};
+use epidb_common::{ItemId, NodeId, ShardId};
+use epidb_core::{oob_copy, pull, pull_delta, ConflictPolicy, Replica, ShardMap, ShardedNode};
 use epidb_durable::testdir::TempDir;
-use epidb_durable::{crash_recovered_twin, DurabilityConfig, GroupWal, StreamSpec};
+use epidb_durable::{DurabilityConfig, GroupWal, StreamSpec};
 use epidb_store::UpdateOp;
 
 const N_NODES: usize = 3;
 const N_ITEMS: usize = 12;
 const DELTA_BUDGET: usize = 1 << 16;
+const ME: NodeId = NodeId(1);
 
-fn open(cfg: &DurabilityConfig, id: NodeId) -> (Arc<GroupWal>, Replica) {
-    let spec = [StreamSpec { id, n_nodes: N_NODES, n_items: N_ITEMS }];
-    let (d, mut replicas, _) =
-        GroupWal::open(cfg, cfg.node_dir(id), &spec, ConflictPolicy::Report, DELTA_BUDGET).unwrap();
-    let mut r = replicas.pop().unwrap();
-    d.attach(0, &mut r);
-    (d, r)
+/// Node `ME` of a deployment whose `n_shards` shards are all replicated
+/// everywhere — one shard is the unsharded node — recovered from (or
+/// started on) its group WAL, one stream per owned shard.
+fn open(cfg: &DurabilityConfig, n_shards: usize) -> (Arc<GroupWal>, ShardedNode) {
+    let map = ShardMap::new(N_ITEMS, vec![NodeId::all(N_NODES).collect(); n_shards]);
+    let mut node = ShardedNode::new(ME, N_NODES, map, ConflictPolicy::Report);
+    let spec = vec![StreamSpec { id: ME, n_nodes: N_NODES, n_items: N_ITEMS }; n_shards];
+    let (wal, replicas, _) =
+        GroupWal::open(cfg, cfg.node_dir(ME), &spec, ConflictPolicy::Report, DELTA_BUDGET).unwrap();
+    for (k, mut r) in replicas.into_iter().enumerate() {
+        wal.attach(k, &mut r);
+        node.adopt_shard(ShardId::from_index(k), r);
+    }
+    (wal, node)
+}
+
+fn shard0(node: &mut ShardedNode) -> &mut Replica {
+    node.shard_state_mut(ShardId(0)).unwrap()
 }
 
 /// Every mutation kind the WAL journals: whole-item pulls, delta pulls,
@@ -45,23 +58,24 @@ fn mixed_workload(node: &mut Replica) {
 fn crash_twin_matches_disk_recovery() {
     let tmp = TempDir::new("crash-twin");
     let cfg = DurabilityConfig::new(tmp.path());
-    let (d, mut node) = open(&cfg, NodeId(1));
-    mixed_workload(&mut node);
-    // Checkpoint so the recovered op cache is cold, matching the twin's
-    // deliberate approximation (see `crash_recovered_twin`'s docs).
-    d.checkpoint(&[&node]).unwrap();
+    let (d, mut node) = open(&cfg, 1);
+    mixed_workload(shard0(&mut node));
+    // Checkpoint so the recovered op cache is cold, matching the crash
+    // image's deliberate approximation (see `crash_recovered`'s docs).
+    d.checkpoint(&[node.shard_state(ShardId(0)).unwrap()]).unwrap();
 
-    let twin = crash_recovered_twin(&node, DELTA_BUDGET).unwrap();
+    let twin = node.crash_recovered(DELTA_BUDGET).unwrap();
     drop(d);
     drop(node); // the crash
 
-    let (_d2, recovered) = open(&cfg, NodeId(1));
+    let (_d2, mut recovered) = open(&cfg, 1);
     assert_eq!(
         twin.fingerprint(),
         recovered.fingerprint(),
-        "crash twin diverged from real disk recovery"
+        "crash image diverged from real disk recovery"
     );
-    assert!(twin.is_restored() && recovered.is_restored());
+    let recovered = shard0(&mut recovered);
+    assert!(twin.shard_state(ShardId(0)).unwrap().is_restored() && recovered.is_restored());
     recovered.check_invariants().unwrap();
 }
 
@@ -69,10 +83,12 @@ fn crash_twin_matches_disk_recovery() {
 fn crash_twin_loses_exactly_the_ephemeral_state() {
     let tmp = TempDir::new("crash-twin-ephemeral");
     let cfg = DurabilityConfig::new(tmp.path());
-    let (_d, mut node) = open(&cfg, NodeId(1));
-    mixed_workload(&mut node);
+    let (_d, mut node) = open(&cfg, 1);
+    mixed_workload(shard0(&mut node));
 
-    let twin = crash_recovered_twin(&node, DELTA_BUDGET).unwrap();
+    let twin = node.crash_recovered(DELTA_BUDGET).unwrap();
+    let (node, twin) =
+        (node.shard_state(ShardId(0)).unwrap(), twin.shard_state(ShardId(0)).unwrap());
     // Durable content is intact...
     for x in ItemId::all(N_ITEMS) {
         assert_eq!(node.read(x).unwrap(), twin.read(x).unwrap());
@@ -89,26 +105,50 @@ fn crash_twin_loses_exactly_the_ephemeral_state() {
 fn crash_twin_matches_wal_replay_recovery() {
     // No checkpoint: real recovery is pure WAL replay. It is still
     // cache-cold (`GroupWal::open` enables the delta cache only after
-    // replay),
-    // so the twin must match it exactly too.
+    // replay), so the crash image must match it exactly too.
     let tmp = TempDir::new("crash-twin-replay");
     let cfg = DurabilityConfig::new(tmp.path());
-    let (d, mut node) = open(&cfg, NodeId(1));
-    mixed_workload(&mut node);
+    let (d, mut node) = open(&cfg, 1);
+    mixed_workload(shard0(&mut node));
 
-    let twin = crash_recovered_twin(&node, DELTA_BUDGET).unwrap();
+    let twin = node.crash_recovered(DELTA_BUDGET).unwrap();
     drop(d);
     drop(node);
 
-    let (_d2, recovered) = open(&cfg, NodeId(1));
-    assert!(recovered.op_cache().is_empty(), "replayed updates cache nothing");
+    let (_d2, recovered) = open(&cfg, 1);
+    let (r, t) =
+        (recovered.shard_state(ShardId(0)).unwrap(), twin.shard_state(ShardId(0)).unwrap());
+    assert!(r.op_cache().is_empty(), "replayed updates cache nothing");
     // Pure WAL replay rebuilds state through the normal update path rather
     // than a snapshot load, so `restored` is false there and true on the
-    // twin — the one (deliberate) fingerprint divergence. Everything else
-    // must agree: identical durable bytes, and identical fingerprints once
-    // the recovered node passes through the same snapshot round-trip.
-    assert!(twin.is_restored() && !recovered.is_restored());
-    assert_eq!(twin.to_snapshot(), recovered.to_snapshot());
-    let renormalized = crash_recovered_twin(&recovered, DELTA_BUDGET).unwrap();
+    // crash image — the one (deliberate) fingerprint divergence. Everything
+    // else must agree: identical durable bytes, and identical fingerprints
+    // once the recovered node passes through the same snapshot round-trip.
+    assert!(t.is_restored() && !r.is_restored());
+    assert_eq!(t.to_snapshot(), r.to_snapshot());
+    let renormalized = recovered.crash_recovered(DELTA_BUDGET).unwrap();
     assert_eq!(twin.fingerprint(), renormalized.fingerprint());
+}
+
+#[test]
+fn a_two_shard_crash_image_matches_disk_recovery() {
+    let tmp = TempDir::new("crash-twin-two-shards");
+    let cfg = DurabilityConfig::new(tmp.path());
+    let (d, mut node) = open(&cfg, 2);
+    mixed_workload(shard0(&mut node));
+    let shard1 = node.shard_state_mut(ShardId(1)).unwrap();
+    shard1.update(ItemId(5), UpdateOp::set(&b"second-stream"[..])).unwrap();
+    mixed_workload(shard1);
+    let streams: Vec<&Replica> =
+        node.owned_shards().into_iter().map(|s| node.shard_state(s).unwrap()).collect();
+    d.checkpoint(&streams).unwrap();
+
+    let twin = node.crash_recovered(DELTA_BUDGET).unwrap();
+    drop(d);
+    drop(node);
+
+    let (_d2, recovered) = open(&cfg, 2);
+    assert_eq!(recovered.owned_shards(), vec![ShardId(0), ShardId(1)]);
+    assert_eq!(twin.fingerprint(), recovered.fingerprint(), "two-shard crash image diverged");
+    recovered.check_invariants().unwrap();
 }

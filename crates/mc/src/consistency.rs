@@ -28,12 +28,10 @@
 //! violations.
 
 use epidb_common::{InvariantViolation, ItemId, NodeId, Result, ShardId};
-use epidb_core::{
-    Engine, ProtocolRequest, ProtocolResponse, PullOutcome, Replica, Round, RoundOutcome, RoundStep,
-};
+use epidb_core::{PullOutcome, Replica, Round, RoundOutcome, RoundStep, ShardedNode};
 
-use crate::scenario::{Action, Scenario, Topology};
-use crate::system::{Node, System};
+use crate::scenario::{Action, Scenario};
+use crate::system::{home, serve, System};
 
 /// Healing-sweep cap. Each sweep pulls across every ordered pair, so
 /// information needs at most `n_nodes - 1` sweeps to reach everyone;
@@ -44,27 +42,25 @@ fn violation(node: usize, check: &'static str, detail: String) -> InvariantViola
     InvariantViolation { node: NodeId::from_index(node), check, detail }
 }
 
-/// The (initiator, responder, shard) pull pairs of one healing sweep.
+/// The replica groups to compare for convergence, each with the envelope
+/// its rounds travel in: every shard's owners over that shard (for a full
+/// topology, every node over the one bare shard).
+fn compare_groups(sc: &Scenario) -> Vec<(Vec<usize>, Option<ShardId>)> {
+    let map = sc.topology.map();
+    ShardId::all(map.n_shards())
+        .map(|s| (map.owners(s).iter().map(|o| o.index()).collect(), sc.topology.route(s)))
+        .collect()
+}
+
+/// The (initiator, responder, route) pull pairs of one healing sweep:
+/// every ordered co-owner pair per shard.
 fn sweep_pairs(sc: &Scenario) -> Vec<(usize, usize, Option<ShardId>)> {
     let mut pairs = Vec::new();
-    match &sc.topology {
-        Topology::Full { n_nodes, .. } => {
-            for i in 0..*n_nodes {
-                for j in 0..*n_nodes {
-                    if i != j {
-                        pairs.push((i, j, None));
-                    }
-                }
-            }
-        }
-        Topology::Sharded { groups, .. } => {
-            for (s, owners) in groups.iter().enumerate() {
-                for &i in owners {
-                    for &j in owners {
-                        if i != j {
-                            pairs.push((i, j, Some(ShardId(s as u16))));
-                        }
-                    }
+    for (owners, route) in compare_groups(sc) {
+        for &i in &owners {
+            for &j in &owners {
+                if i != j {
+                    pairs.push((i, j, route));
                 }
             }
         }
@@ -72,38 +68,19 @@ fn sweep_pairs(sc: &Scenario) -> Vec<(usize, usize, Option<ShardId>)> {
     pairs
 }
 
-/// Drive one whole-item pull to completion, initiator ← responder,
-/// optionally shard-routed. Whole-item pulls (not delta) so healing never
-/// depends on op-cache warmth.
+/// Drive one whole-item pull to completion, initiator ← responder, on
+/// `route`. Whole-item pulls (not delta) so healing never depends on
+/// op-cache warmth.
 fn heal_pull(
-    initiator: &mut Node,
-    responder: &mut Node,
-    shard: Option<ShardId>,
+    initiator: &mut ShardedNode,
+    responder: &mut ShardedNode,
+    route: Option<ShardId>,
 ) -> Result<PullOutcome> {
-    let peer = match &*responder {
-        Node::Full(r) => r.id(),
-        Node::Sharded(n) => n.id(),
-    };
-    let ir: &mut Replica = match (initiator, shard) {
-        (Node::Full(r), _) => r,
-        (Node::Sharded(n), Some(s)) => n.shard_state_mut(s).expect("sweep pairs are owners"),
-        (Node::Sharded(_), None) => unreachable!("unrouted heal at a sharded node"),
-    };
+    let peer = responder.id();
+    let ir = initiator.shard_state_mut(home(route)).expect("sweep pairs are owners");
     let (mut round, mut req) = Round::start_pull(ir, peer);
     loop {
-        let resp = match (&mut *responder, shard) {
-            (Node::Full(r), _) => Engine::handle(r, req)?,
-            (Node::Sharded(n), Some(s)) => {
-                match Engine::handle_sharded(
-                    n,
-                    ProtocolRequest::Shard { shard: s, req: Box::new(req) },
-                )? {
-                    ProtocolResponse::Shard { resp, .. } => *resp,
-                    other => other,
-                }
-            }
-            (Node::Sharded(_), None) => unreachable!(),
-        };
+        let resp = serve(responder, route, req)?;
         match round.on_response(ir, resp)? {
             RoundStep::Send(next) => req = next,
             RoundStep::Done(RoundOutcome::Pull(out)) => return Ok(out),
@@ -112,40 +89,18 @@ fn heal_pull(
     }
 }
 
-fn replica_of(node: &Node, shard: Option<ShardId>) -> &Replica {
-    match (node, shard) {
-        (Node::Full(r), _) => r,
-        (Node::Sharded(n), Some(s)) => n.shard_state(s).expect("owner"),
-        (Node::Sharded(_), None) => unreachable!(),
-    }
+fn replica_of(node: &ShardedNode, route: Option<ShardId>) -> &Replica {
+    node.shard_state(home(route)).expect("owner")
 }
 
-/// The replica groups to compare for convergence: every node over the
-/// whole database (full), or each shard's owners over that shard.
-fn compare_groups(sc: &Scenario) -> Vec<(Vec<usize>, Option<ShardId>)> {
-    match &sc.topology {
-        Topology::Full { n_nodes, .. } => vec![((0..*n_nodes).collect(), None)],
-        Topology::Sharded { groups, .. } => groups
-            .iter()
-            .enumerate()
-            .map(|(s, owners)| (owners.clone(), Some(ShardId(s as u16))))
-            .collect(),
-    }
-}
-
-/// Updates fired per origin node, restricted to `shard` when given.
-fn updates_per_origin(sc: &Scenario, shard: Option<ShardId>) -> Vec<u64> {
+/// Updates fired per origin node, restricted to the shard of `route`
+/// when it names one.
+fn updates_per_origin(sc: &Scenario, route: Option<ShardId>) -> Vec<u64> {
+    let map = sc.topology.map();
     let mut counts = vec![0u64; sc.topology.n_nodes()];
     for action in &sc.actions {
         if let Action::Update { node, item, .. } = action {
-            let in_scope = match (shard, &sc.topology) {
-                (None, _) => true,
-                (Some(s), Topology::Sharded { items_per_shard, .. }) => {
-                    (*item as usize) / items_per_shard == s.index()
-                }
-                (Some(_), Topology::Full { .. }) => unreachable!(),
-            };
-            if in_scope {
+            if route.is_none_or(|s| map.shard_of(ItemId(*item)).ok() == Some(s)) {
                 counts[*node] += 1;
             }
         }
@@ -232,9 +187,9 @@ fn check_converged(
         ));
     }
     for (owners, shard) in compare_groups(sc) {
-        let reference = replica_of(healed.nodes()[owners[0]].node(), shard);
+        let reference = replica_of(&healed.nodes()[owners[0]].node, shard);
         for &o in &owners[1..] {
-            let r = replica_of(healed.nodes()[o].node(), shard);
+            let r = replica_of(&healed.nodes()[o].node, shard);
             if reference.dbvv() != r.dbvv() {
                 return Some(violation(
                     o,
@@ -264,7 +219,7 @@ fn check_converged(
         }
         if strict_clean {
             for &o in &owners {
-                let r = replica_of(healed.nodes()[o].node(), shard);
+                let r = replica_of(&healed.nodes()[o].node, shard);
                 if r.costs().conflicts_detected != 0 {
                     return Some(violation(
                         o,
@@ -297,7 +252,7 @@ fn check_accounting(healed: &System, sc: &Scenario) -> Option<InvariantViolation
     for (owners, shard) in compare_groups(sc) {
         let expected = updates_per_origin(sc, shard);
         for &o in &owners {
-            let r = replica_of(healed.nodes()[o].node(), shard);
+            let r = replica_of(&healed.nodes()[o].node, shard);
             for (j, &want) in expected.iter().enumerate() {
                 let got = r.dbvv().get(NodeId::from_index(j));
                 if got != want {

@@ -22,10 +22,17 @@
 //!   production runs.
 //! * **Snapshot/fingerprint surface** ([`epidb_core::mc_state`]): cheap
 //!   forking and a canonical 64-bit digest of behaviorally relevant state.
-//! * **Grounded crash semantics** (`epidb_durable::crash_recovered_twin`,
-//!   [`epidb_core::ShardedNode::crash_recovered`]): a crash replaces a
-//!   node with exactly the state real disk recovery would rebuild, pinned
-//!   against an actual crash-and-reopen by the durable crate's tests.
+//! * **Grounded crash semantics**
+//!   ([`epidb_core::ShardedNode::crash_recovered`], the one crash-image
+//!   rule): a crash replaces a node with exactly the state real disk
+//!   recovery would rebuild, pinned against an actual crash-and-reopen by
+//!   the durable crate's tests.
+//!
+//! Every node is a [`epidb_core::ShardedNode`]: a full topology is the
+//! one-shard map replicated at every node, whose rounds travel bare and
+//! are served on shard 0 — the shape the socket runtime gives an
+//! unsharded node — and a sharded topology's rounds travel in the shard
+//! envelope.
 //!
 //! Every explored state is checked against the seven protocol invariants
 //! (the pure predicates of [`epidb_core::paranoid`]); every *quiescent*

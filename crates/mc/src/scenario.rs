@@ -14,14 +14,16 @@
 //! `Report`-policy runs with genuine concurrent writes are allowed to hold
 //! stable divergence on the conflicted items — but nothing else.
 
-use epidb_core::ConflictPolicy;
+use epidb_common::{NodeId, ShardId};
+use epidb_core::{ConflictPolicy, ShardMap};
 
 use crate::explore::Limits;
 
 /// How nodes replicate.
 #[derive(Clone, Debug)]
 pub enum Topology {
-    /// Every node holds a full replica of the same `n_items`-item database.
+    /// Every node holds a full replica of the same `n_items`-item
+    /// database: a one-shard node whose rounds travel bare.
     Full {
         /// Number of servers.
         n_nodes: usize,
@@ -46,6 +48,26 @@ impl Topology {
     pub fn n_nodes(&self) -> usize {
         match self {
             Topology::Full { n_nodes, .. } | Topology::Sharded { n_nodes, .. } => *n_nodes,
+        }
+    }
+
+    /// The envelope rounds on `shard` travel in: none — bare, served on
+    /// shard 0 — in a full topology.
+    pub(crate) fn route(&self, shard: ShardId) -> Option<ShardId> {
+        matches!(self, Topology::Sharded { .. }).then_some(shard)
+    }
+
+    /// The placement map every node is built on. A full topology is one
+    /// shard replicated at every node.
+    pub fn map(&self) -> ShardMap {
+        match self {
+            Topology::Full { n_nodes, n_items } => {
+                ShardMap::new(*n_items, vec![NodeId::all(*n_nodes).collect()])
+            }
+            Topology::Sharded { items_per_shard, groups, .. } => ShardMap::new(
+                *items_per_shard,
+                groups.iter().map(|g| g.iter().map(|&i| NodeId::from_index(i)).collect()).collect(),
+            ),
         }
     }
 }

@@ -9,8 +9,9 @@
 //!   write applies immediately; a protocol action starts a step-wise
 //!   [`Round`] and puts message 1 in flight.
 //! * **Deliver** — hand a round's pending message to its target. A pending
-//!   request runs [`Engine::handle`] (or the shard-routed variant) at the
-//!   responder and puts the response in flight; a pending response feeds
+//!   request is served at the responder — a bare one by [`Engine::handle`]
+//!   on shard 0, an enveloped one by [`Engine::handle_sharded`] — and puts
+//!   the response in flight; a pending response feeds
 //!   [`Round::on_response`] at the initiator, which either emits the next
 //!   request or completes the round. Delivery to a crashed node loses the
 //!   message and aborts the round. A protocol error aborts the round —
@@ -21,16 +22,20 @@
 //!   failure aborts a blocking `Engine` driver's round.
 //! * **Crash** — replace a node by its crash image: the state
 //!   `epidb-durable` recovery would rebuild, via
-//!   [`crash_recovered_twin`] / [`ShardedNode::crash_recovered`] (grounded
-//!   against real disk recovery by the durable crate's tests). Rounds the
+//!   [`ShardedNode::crash_recovered`] (grounded against real disk recovery
+//!   by the durable crate's tests). Rounds the
 //!   node *initiated* die with it — their state machine lived in its
 //!   memory. Rounds it was only serving survive: a request in flight can
 //!   be delivered after a revival, and an already-emitted response is
 //!   independent of the responder's fate.
 //! * **Revive** — bring a crashed node back up from its crash image.
 //!
+//! Every node is a [`ShardedNode`]. A full topology is the one-shard map
+//! replicated at every node, whose rounds travel bare and are served on
+//! shard 0 — the shape the socket runtime gives an unsharded node.
+//!
 //! Fingerprints cover exactly the state a future schedule can observe:
-//! every node's [`Replica::fingerprint`] (crash images included), every
+//! every node's [`ShardedNode::fingerprint`] (crash images included), every
 //! round's machine state and pending message bytes (via the deterministic
 //! wire codec), the fired-action set, and the remaining fault budgets.
 //! Cross-group out-of-bound fetches charge node meta-costs in production;
@@ -43,9 +48,8 @@ use epidb_common::{InvariantViolation, ItemId, NodeId, Result, ShardId};
 use epidb_core::codec::{encode_request, encode_response};
 use epidb_core::{
     AuditCheck, Engine, FnvHasher, GossipBudget, ProtocolRequest, ProtocolResponse, Replica, Round,
-    RoundStep, ShardMap, ShardedNode,
+    RoundStep, ShardedNode,
 };
-use epidb_durable::crash_recovered_twin;
 use epidb_store::UpdateOp;
 
 use crate::scenario::{Action, Scenario, Topology};
@@ -68,61 +72,49 @@ pub enum Event {
     Revive(u32),
 }
 
-/// A node's protocol state: one full replica, or one replica per owned
-/// shard.
-// Not boxed: a fork clones the replicas' heap state anyway, so the inline
-// variant size is noise next to the per-clone cost the explorer pays.
-#[allow(clippy::large_enum_variant)]
+/// One node's slot: its state, or, while it is down, the crash image a
+/// revive installs.
 #[derive(Clone)]
-pub(crate) enum Node {
-    Full(Replica),
-    Sharded(ShardedNode),
+pub(crate) struct Slot {
+    pub(crate) node: ShardedNode,
+    pub(crate) up: bool,
 }
 
-impl Node {
-    fn fingerprint(&self) -> u64 {
-        match self {
-            Node::Full(r) => r.fingerprint(),
-            Node::Sharded(n) => n.fingerprint(),
-        }
-    }
+/// Run all seven state-invariant predicates on every replica `node`
+/// holds; first violation wins.
+fn first_violation(node: &ShardedNode) -> Option<InvariantViolation> {
+    node.replicas().find_map(|(_, r)| AuditCheck::ALL.iter().find_map(|c| c.run(r).err()))
+}
 
-    fn update(&mut self, item: ItemId, op: UpdateOp) -> Result<()> {
-        match self {
-            Node::Full(r) => r.update(item, op),
-            Node::Sharded(n) => n.update(item, op),
-        }
-    }
-
-    /// Run all seven state-invariant predicates on every replica this node
-    /// holds; first violation wins.
-    fn first_violation(&self) -> Option<InvariantViolation> {
-        let audit = |r: &Replica| AuditCheck::ALL.iter().find_map(|c| c.run(r).err());
-        match self {
-            Node::Full(r) => audit(r),
-            Node::Sharded(n) => n.owned_shards().into_iter().find_map(|s| audit(n.shard_state(s)?)),
+/// Serve `req` at `node`: a bare request (`route` is `None`) on shard 0,
+/// an enveloped one through the node's shard map, unwrapped.
+pub(crate) fn serve(
+    node: &mut ShardedNode,
+    route: Option<ShardId>,
+    req: ProtocolRequest,
+) -> Result<ProtocolResponse> {
+    match route {
+        None => Engine::handle(node.shard_mut(ShardId(0))?, req),
+        Some(shard) => {
+            Engine::handle_sharded(node, ProtocolRequest::Shard { shard, req: Box::new(req) }).map(
+                |resp| match resp {
+                    ProtocolResponse::Shard { resp, .. } => *resp,
+                    other => other,
+                },
+            )
         }
     }
 }
 
-#[derive(Clone)]
-pub(crate) enum Slot {
-    Up(Node),
-    /// Holds the crash image: the durable-only recovery twin, built at
-    /// crash time (with scenario runtime config reapplied), that a revive
-    /// installs.
-    Crashed(Node),
+/// The shard a round on `route` runs on.
+pub(crate) fn home(route: Option<ShardId>) -> ShardId {
+    route.unwrap_or(ShardId(0))
 }
 
-impl Slot {
-    pub(crate) fn node(&self) -> &Node {
-        match self {
-            Slot::Up(n) | Slot::Crashed(n) => n,
-        }
-    }
-
-    pub(crate) fn is_up(&self) -> bool {
-        matches!(self, Slot::Up(_))
+/// Seed the checker's self-test mutation into `node`'s shard 0.
+fn seed_mutant(node: &mut ShardedNode) {
+    if let Some(r) = node.shard_state_mut(ShardId(0)) {
+        r.debug_break_conflict_adopt(true);
     }
 }
 
@@ -150,7 +142,8 @@ pub(crate) enum RoundKind {
 pub(crate) struct RoundCtx {
     pub initiator: usize,
     pub responder: usize,
-    /// `Some` ⇒ messages travel in a `Shard` routing envelope.
+    /// `Some` ⇒ messages travel in a `Shard` routing envelope; `None` ⇒
+    /// bare, on shard 0.
     pub shard: Option<ShardId>,
     pub kind: RoundKind,
     pub pending: Pending,
@@ -168,6 +161,8 @@ pub struct Applied {
 #[derive(Clone)]
 pub struct System {
     nodes: Vec<Slot>,
+    /// A full topology: rounds travel bare.
+    full: bool,
     /// In-flight rounds, keyed by the index of the action that started
     /// them (each action fires once, so the key is stable and replayable).
     rounds: BTreeMap<u32, RoundCtx>,
@@ -188,50 +183,25 @@ impl System {
     /// The scenario's initial state: all nodes up, nothing fired, nothing
     /// in flight.
     pub fn new(sc: &Scenario) -> Result<System> {
-        let nodes = match &sc.topology {
-            Topology::Full { n_nodes, n_items } => (0..*n_nodes)
-                .map(|i| {
-                    let mut r =
-                        Replica::with_policy(NodeId::from_index(i), *n_nodes, *n_items, sc.policy);
-                    if sc.delta_budget > 0 {
-                        r.enable_delta(sc.delta_budget);
-                    }
-                    if sc.log_retention > 0 {
-                        r.set_log_retention(sc.log_retention);
-                    }
-                    if sc.mutant == Some(i) {
-                        r.debug_break_conflict_adopt(true);
-                    }
-                    Slot::Up(Node::Full(r))
-                })
-                .collect(),
-            Topology::Sharded { n_nodes, items_per_shard, groups } => {
-                let owner_ids = groups
-                    .iter()
-                    .map(|g| g.iter().map(|&i| NodeId::from_index(i)).collect())
-                    .collect();
-                let map = ShardMap::new(*items_per_shard, owner_ids);
-                (0..*n_nodes)
-                    .map(|i| {
-                        let mut n = ShardedNode::new(
-                            NodeId::from_index(i),
-                            *n_nodes,
-                            map.clone(),
-                            sc.policy,
-                        );
-                        if sc.delta_budget > 0 {
-                            n.enable_delta(sc.delta_budget);
-                        }
-                        if sc.log_retention > 0 {
-                            n.set_log_retention(sc.log_retention);
-                        }
-                        Slot::Up(Node::Sharded(n))
-                    })
-                    .collect()
-            }
-        };
+        let map = sc.topology.map();
+        let nodes = NodeId::all(sc.topology.n_nodes())
+            .map(|id| {
+                let mut n = ShardedNode::new(id, sc.topology.n_nodes(), map.clone(), sc.policy);
+                if sc.delta_budget > 0 {
+                    n.enable_delta(sc.delta_budget);
+                }
+                if sc.log_retention > 0 {
+                    n.set_log_retention(sc.log_retention);
+                }
+                if sc.mutant == Some(id.index()) {
+                    seed_mutant(&mut n);
+                }
+                Slot { node: n, up: true }
+            })
+            .collect();
         Ok(System {
             nodes,
+            full: matches!(sc.topology, Topology::Full { .. }),
             rounds: BTreeMap::new(),
             fired: vec![false; sc.actions.len()],
             crash_budget: sc.crash_budget,
@@ -248,7 +218,7 @@ impl System {
     /// Run the seven invariant predicates on every replica of every node —
     /// crash images included, since a revive installs them verbatim.
     pub fn first_violation(&self) -> Option<InvariantViolation> {
-        self.nodes.iter().find_map(|slot| slot.node().first_violation())
+        self.nodes.iter().find_map(|slot| first_violation(&slot.node))
     }
 
     /// The enabled transitions of this state, in a fixed deterministic
@@ -256,7 +226,7 @@ impl System {
     pub fn enabled_events(&self, sc: &Scenario) -> Vec<Event> {
         let mut evs = Vec::new();
         for (i, action) in sc.actions.iter().enumerate() {
-            if !self.fired[i] && self.nodes[action.actor()].is_up() {
+            if !self.fired[i] && self.nodes[action.actor()].up {
                 evs.push(Event::Fire(i as u32));
             }
         }
@@ -270,24 +240,23 @@ impl System {
         }
         if self.crash_budget > 0 {
             for (i, slot) in self.nodes.iter().enumerate() {
-                if slot.is_up() {
+                if slot.up {
                     evs.push(Event::Crash(i as u32));
                 }
             }
         }
         for (i, slot) in self.nodes.iter().enumerate() {
-            if !slot.is_up() {
+            if !slot.up {
                 evs.push(Event::Revive(i as u32));
             }
         }
         evs
     }
 
-    fn up_node_mut(&mut self, i: usize) -> &mut Node {
-        match &mut self.nodes[i] {
-            Slot::Up(n) => n,
-            Slot::Crashed(_) => unreachable!("event enabled against a crashed node"),
-        }
+    fn up_node_mut(&mut self, i: usize) -> &mut ShardedNode {
+        let slot = &mut self.nodes[i];
+        assert!(slot.up, "event enabled against a crashed node");
+        &mut slot.node
     }
 
     /// Apply one enabled event. Protocol errors abort the affected round
@@ -306,19 +275,13 @@ impl System {
             }
             Event::Crash(i) => {
                 let i = i as usize;
-                let image = match self.nodes[i].node() {
-                    Node::Full(r) => {
-                        let mut twin = crash_recovered_twin(r, sc.delta_budget)?;
-                        if sc.mutant == Some(i) {
-                            // The mutant models buggy node *software*; a
-                            // restart does not fix it.
-                            twin.debug_break_conflict_adopt(true);
-                        }
-                        Node::Full(twin)
-                    }
-                    Node::Sharded(n) => Node::Sharded(n.crash_recovered(sc.delta_budget)?),
-                };
-                self.nodes[i] = Slot::Crashed(image);
+                let mut image = self.nodes[i].node.crash_recovered(sc.delta_budget)?;
+                if sc.mutant == Some(i) {
+                    // The mutant models buggy node *software*; a restart
+                    // does not fix it.
+                    seed_mutant(&mut image);
+                }
+                self.nodes[i] = Slot { node: image, up: false };
                 self.crash_budget -= 1;
                 // Rounds this node initiated lived in its memory.
                 let before = self.rounds.len();
@@ -326,12 +289,9 @@ impl System {
                 applied.aborted_rounds += (before - self.rounds.len()) as u32;
             }
             Event::Revive(i) => {
-                let i = i as usize;
-                let slot = std::mem::replace(&mut self.nodes[i], Slot::Crashed(placeholder()));
-                let Slot::Crashed(image) = slot else {
-                    unreachable!("revive enabled against an up node")
-                };
-                self.nodes[i] = Slot::Up(image);
+                let slot = &mut self.nodes[i as usize];
+                assert!(!slot.up, "revive enabled against an up node");
+                slot.up = true;
             }
         }
         Ok(applied)
@@ -339,127 +299,86 @@ impl System {
 
     fn fire(&mut self, sc: &Scenario, i: usize) -> Result<()> {
         self.fired[i] = true;
-        match &sc.actions[i] {
-            Action::Update { node, item, value } => {
-                self.up_node_mut(*node).update(ItemId(*item), UpdateOp::set(value.clone()))?;
+        let budget = gossip_budget(sc);
+        match sc.actions[i] {
+            Action::Update { node, item, ref value } => {
+                self.up_node_mut(node).update(ItemId(item), UpdateOp::set(value.clone()))?;
             }
             Action::Pull { node, peer } => {
-                let peer_id = NodeId::from_index(*peer);
-                let Node::Full(r) = self.up_node_mut(*node) else {
-                    unreachable!("Pull action in a sharded scenario")
-                };
-                let (round, req) = Round::start_pull(r, peer_id);
-                self.insert_round(i, *node, *peer, None, round, req);
+                self.start_round(sc, i, node, peer, ShardId(0), Round::start_pull)?;
             }
             Action::Delta { node, peer } => {
-                let peer_id = NodeId::from_index(*peer);
-                let budget = gossip_budget(sc);
-                let Node::Full(r) = self.up_node_mut(*node) else {
-                    unreachable!("Delta action in a sharded scenario")
-                };
-                let (round, req) = Round::start_delta(r, peer_id, &budget);
-                self.insert_round(i, *node, *peer, None, round, req);
+                self.start_round(sc, i, node, peer, ShardId(0), |r, p| {
+                    Round::start_delta(r, p, &budget)
+                })?;
             }
             Action::ReconPull { node, peer } => {
-                let peer_id = NodeId::from_index(*peer);
-                let budget = gossip_budget(sc);
-                let Node::Full(r) = self.up_node_mut(*node) else {
-                    unreachable!("ReconPull action in a sharded scenario")
-                };
-                let (round, req) = Round::start_recon(r, peer_id, &budget);
-                self.insert_round(i, *node, *peer, None, round, req);
+                self.start_round(sc, i, node, peer, ShardId(0), |r, p| {
+                    Round::start_recon(r, p, &budget)
+                })?;
             }
             Action::Oob { node, peer, item } => {
-                let peer_id = NodeId::from_index(*peer);
-                match self.up_node_mut(*node) {
-                    Node::Full(r) => {
-                        let (round, req) = Round::start_oob(r, peer_id, ItemId(*item));
-                        self.insert_round(i, *node, *peer, None, round, req);
-                    }
-                    Node::Sharded(n) => {
-                        let shard = n.map().shard_of(ItemId(*item))?;
-                        let local = n.map().local_item(ItemId(*item));
-                        let r = n.shard_mut(shard)?;
-                        let (round, req) = Round::start_oob(r, peer_id, local);
-                        self.insert_round(i, *node, *peer, Some(shard), round, req);
-                    }
-                }
+                let (shard, local) = self.locate(node, item)?;
+                self.start_round(sc, i, node, peer, shard, |r, p| Round::start_oob(r, p, local))?;
             }
             Action::ShardPull { node, peer, shard } => {
-                let peer_id = NodeId::from_index(*peer);
-                let shard = ShardId(*shard as u16);
-                let Node::Sharded(n) = self.up_node_mut(*node) else {
-                    unreachable!("ShardPull action in a full-replication scenario")
-                };
-                let r = n.shard_mut(shard)?;
-                let (round, req) = Round::start_pull(r, peer_id);
-                self.insert_round(i, *node, *peer, Some(shard), round, req);
+                self.start_round(sc, i, node, peer, ShardId(shard as u16), Round::start_pull)?;
             }
             Action::CrossOob { node, peer, item } => {
-                let Node::Sharded(n) = self.up_node_mut(*node) else {
-                    unreachable!("CrossOob action in a full-replication scenario")
+                let (shard, local) = self.locate(node, item)?;
+                let req = ProtocolRequest::Oob { from: NodeId::from_index(node), item: local };
+                let ctx = RoundCtx {
+                    initiator: node,
+                    responder: peer,
+                    shard: sc.topology.route(shard),
+                    kind: RoundKind::CrossFetch,
+                    pending: Pending::Request(req),
                 };
-                let shard = n.map().shard_of(ItemId(*item))?;
-                let local = n.map().local_item(ItemId(*item));
-                let req = ProtocolRequest::Oob { from: n.id(), item: local };
-                self.rounds.insert(
-                    i as u32,
-                    RoundCtx {
-                        initiator: *node,
-                        responder: *peer,
-                        shard: Some(shard),
-                        kind: RoundKind::CrossFetch,
-                        pending: Pending::Request(req),
-                    },
-                );
+                self.rounds.insert(i as u32, ctx);
             }
         }
         Ok(())
     }
 
-    fn insert_round(
+    /// The shard of global `item` and its shard-local id, by `node`'s map.
+    fn locate(&self, node: usize, item: u32) -> Result<(ShardId, ItemId)> {
+        let map = self.nodes[node].node.map();
+        Ok((map.shard_of(ItemId(item))?, map.local_item(ItemId(item))))
+    }
+
+    /// Start action `action`'s round at `initiator` on `shard` against
+    /// `responder`, and put its first request in flight.
+    fn start_round(
         &mut self,
+        sc: &Scenario,
         action: usize,
         initiator: usize,
         responder: usize,
-        shard: Option<ShardId>,
-        round: Round,
-        req: ProtocolRequest,
-    ) {
-        self.rounds.insert(
-            action as u32,
-            RoundCtx {
-                initiator,
-                responder,
-                shard,
-                kind: RoundKind::Replica(Box::new(round)),
-                pending: Pending::Request(req),
-            },
-        );
+        shard: ShardId,
+        start: impl FnOnce(&mut Replica, NodeId) -> (Round, ProtocolRequest),
+    ) -> Result<()> {
+        let r = self.up_node_mut(initiator).shard_mut(shard)?;
+        let (round, req) = start(r, NodeId::from_index(responder));
+        let ctx = RoundCtx {
+            initiator,
+            responder,
+            shard: sc.topology.route(shard),
+            kind: RoundKind::Replica(Box::new(round)),
+            pending: Pending::Request(req),
+        };
+        self.rounds.insert(action as u32, ctx);
+        Ok(())
     }
 
     fn deliver(&mut self, rid: u32, applied: &mut Applied) {
         let mut ctx = self.rounds.remove(&rid).expect("deliver of a live round");
         match ctx.pending {
             Pending::Request(req) => {
-                if !self.nodes[ctx.responder].is_up() {
+                if !self.nodes[ctx.responder].up {
                     applied.aborted_rounds += 1;
                     return; // lost at a dead host; the round is gone
                 }
-                let resp = match (self.up_node_mut(ctx.responder), ctx.shard) {
-                    (Node::Full(r), _) => Engine::handle(r, req),
-                    (Node::Sharded(n), Some(shard)) => Engine::handle_sharded(
-                        n,
-                        ProtocolRequest::Shard { shard, req: Box::new(req) },
-                    )
-                    .map(|resp| match resp {
-                        ProtocolResponse::Shard { resp, .. } => *resp,
-                        other => other,
-                    }),
-                    (Node::Sharded(_), None) => {
-                        unreachable!("unrouted request at a sharded node")
-                    }
-                };
+                let resp = serve(self.up_node_mut(ctx.responder), ctx.shard, req);
                 match resp {
                     Ok(resp) => {
                         ctx.pending = Pending::Response(resp);
@@ -477,16 +396,9 @@ impl System {
                 let step = match &mut ctx.kind {
                     RoundKind::CrossFetch => return, // fetch completed; nothing to apply
                     RoundKind::Replica(round) => {
-                        let shard = ctx.shard;
-                        let r: &mut Replica = match (self.up_node_mut(ctx.initiator), shard) {
-                            (Node::Full(r), _) => r,
-                            (Node::Sharded(n), Some(s)) => {
-                                n.shard_state_mut(s).expect("round runs on an owned shard")
-                            }
-                            (Node::Sharded(_), None) => {
-                                unreachable!("unrouted round at a sharded node")
-                            }
-                        };
+                        let r = (self.up_node_mut(ctx.initiator))
+                            .shard_state_mut(home(ctx.shard))
+                            .expect("round runs on an owned shard");
                         round.on_response(r, resp)
                     }
                 };
@@ -508,8 +420,8 @@ impl System {
     pub fn fingerprint(&self) -> u64 {
         let mut h = FnvHasher::new();
         for slot in &self.nodes {
-            h.write_u8(u8::from(slot.is_up()));
-            h.write_u64(slot.node().fingerprint());
+            h.write_u8(u8::from(slot.up));
+            h.write_u64(slot.node.fingerprint());
         }
         h.write_u64(self.rounds.len() as u64);
         for (&rid, ctx) in &self.rounds {
@@ -554,45 +466,27 @@ impl System {
     /// diagnostics surface for regression tests that pin cost accounting
     /// along a fixed schedule.
     pub fn replica(&self, node: usize) -> Option<&Replica> {
-        match self.nodes.get(node)?.node() {
-            Node::Full(r) => Some(r),
-            Node::Sharded(_) => None,
-        }
+        self.nodes.get(node)?.node.shard_state(ShardId(0)).filter(|_| self.full)
     }
 
     /// Enable tracing on every replica (used when rendering a
     /// counterexample replay).
     pub fn enable_tracing(&mut self, capacity: usize) {
         for slot in &mut self.nodes {
-            let node = match slot {
-                Slot::Up(n) | Slot::Crashed(n) => n,
-            };
-            match node {
-                Node::Full(r) => r.enable_tracing(capacity),
-                Node::Sharded(n) => {
-                    for s in n.owned_shards() {
-                        if let Some(r) = n.shard_state_mut(s) {
-                            r.enable_tracing(capacity);
-                        }
-                    }
-                }
+            for (_, r) in slot.node.replicas_mut() {
+                r.enable_tracing(capacity);
             }
         }
     }
 
-    /// Per-replica trace dumps, labeled, for counterexample rendering.
+    /// Per-replica trace dumps, labeled `n{i}` in a full topology and
+    /// `n{i}/{shard}` otherwise, for counterexample rendering.
     pub fn trace_dumps(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for (i, slot) in self.nodes.iter().enumerate() {
-            match slot.node() {
-                Node::Full(r) => out.push((format!("n{i}"), r.trace().dump())),
-                Node::Sharded(n) => {
-                    for s in n.owned_shards() {
-                        if let Some(r) = n.shard_state(s) {
-                            out.push((format!("n{i}/{s}"), r.trace().dump()));
-                        }
-                    }
-                }
+            for (s, r) in slot.node.replicas() {
+                let label = if self.full { format!("n{i}") } else { format!("n{i}/{s}") };
+                out.push((label, r.trace().dump()));
             }
         }
         out
@@ -652,15 +546,17 @@ impl System {
     }
 
     /// Disjoint mutable access to two *up* nodes (for healing pulls).
-    pub(crate) fn two_up_nodes_mut(&mut self, a: usize, b: usize) -> (&mut Node, &mut Node) {
+    pub(crate) fn two_up_nodes_mut(
+        &mut self,
+        a: usize,
+        b: usize,
+    ) -> (&mut ShardedNode, &mut ShardedNode) {
         assert_ne!(a, b);
         let (lo, hi, swap) = if a < b { (a, b, false) } else { (b, a, true) };
         let (left, right) = self.nodes.split_at_mut(hi);
         let (x, y) = (&mut left[lo], &mut right[0]);
-        let (x, y) = match (x, y) {
-            (Slot::Up(x), Slot::Up(y)) => (x, y),
-            _ => unreachable!("healing runs with every node revived"),
-        };
+        assert!(x.up && y.up, "healing runs with every node revived");
+        let (x, y) = (&mut x.node, &mut y.node);
         if swap {
             (y, x)
         } else {
@@ -670,16 +566,7 @@ impl System {
 
     pub(crate) fn revive_all(&mut self) {
         for slot in &mut self.nodes {
-            if !slot.is_up() {
-                let old = std::mem::replace(slot, Slot::Crashed(placeholder()));
-                let Slot::Crashed(image) = old else { unreachable!() };
-                *slot = Slot::Up(image);
-            }
+            slot.up = true;
         }
     }
-}
-
-/// A throwaway slot value for `std::mem::replace`; never observed.
-fn placeholder() -> Node {
-    Node::Full(Replica::new(NodeId(0), 1, 1))
 }

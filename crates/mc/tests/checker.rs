@@ -4,9 +4,25 @@
 
 use epidb_mc::{explore, Limits, Scenario, Strategy, System};
 
+/// Each clean scenario's smoke exploration, pinned: states, transitions,
+/// deduped transitions, goals checked, rounds aborted and the deepest
+/// schedule. The walk is deterministic, so any change to how nodes are
+/// built, fingerprinted or served shows here as a changed count.
+const SMOKE_COUNTS: [(&str, [u64; 6]); 6] = [
+    ("two-node-full", [5927, 23579, 17653, 102, 8669, 14]),
+    ("three-node-relay", [6384, 26431, 20048, 113, 8436, 15]),
+    ("two-node-lww-conflict", [1051, 2323, 1273, 79, 279, 12]),
+    ("two-node-report-conflict", [971, 2212, 1242, 57, 262, 12]),
+    ("sharded-two-group", [3996, 13719, 9724, 44, 950, 13]),
+    ("cold-start-recon", [3718, 11121, 7404, 150, 3865, 14]),
+];
+
 #[test]
 fn all_clean_scenarios_hold_every_invariant() {
-    for sc in Scenario::all_clean() {
+    let scenarios = Scenario::all_clean();
+    assert_eq!(scenarios.len(), SMOKE_COUNTS.len(), "every clean scenario has pinned counts");
+    for (sc, (name, want)) in scenarios.into_iter().zip(SMOKE_COUNTS) {
+        assert_eq!(sc.name, name);
         let limits = sc.smoke_limits();
         let report = explore(&sc, Strategy::Bfs, &limits).unwrap();
         assert!(
@@ -29,6 +45,16 @@ fn all_clean_scenarios_hold_every_invariant() {
             limits.max_depth
         );
         assert!(!report.stats.state_cap_hit, "'{}' hit the state cap", sc.name);
+        let s = &report.stats;
+        let got = [
+            s.states_explored,
+            s.transitions,
+            s.deduped,
+            s.goals_checked,
+            s.rounds_aborted,
+            s.max_depth_seen as u64,
+        ];
+        assert_eq!(got, want, "'{}' explored a different space: {s}", sc.name);
     }
 }
 
@@ -36,6 +62,7 @@ fn all_clean_scenarios_hold_every_invariant() {
 fn seeded_mutant_is_caught_and_minimized() {
     let sc = Scenario::seeded_mutant();
     let report = explore(&sc, Strategy::Bfs, &Limits::smoke()).unwrap();
+    assert_eq!(report.stats.states_explored, 21, "{}", report.stats);
     let cx = report.counterexample.expect("the dbvv-sum mutant must be caught");
     assert_eq!(cx.check, "dbvv-sum");
     // The shortest trigger is exactly five events: both concurrent writes,

@@ -1135,30 +1135,46 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// A service whose first request panics; later ones reach `node`.
+    struct PanicsOnce {
+        armed: AtomicBool,
+        node: Node,
+    }
+
+    impl FrameService for PanicsOnce {
+        fn serve(&self, body: &[u8], out: &mut Writer) -> bool {
+            assert!(!self.armed.swap(false, Ordering::Relaxed), "the service panics");
+            self.node.serve(body, out)
+        }
+    }
+
     #[test]
     fn a_request_that_panics_its_service_closes_only_its_connection() {
-        // A CRC-valid pull whose DBVV is 2 wide, at a 3-node replica, still
-        // panics the engine. The reactor closes that connection, counts it,
-        // and serves the next one on the same workers.
+        // The first request panics its service. The reactor closes that
+        // connection, counts it, and serves the next one on the same
+        // workers. A pull whose DBVV is 2 wide, at a 3-node replica, is
+        // refused in-band, not panicked on.
         let node = ShardedNode::new(
             NodeId(0),
             3,
             ShardMap::new(8, vec![vec![NodeId(0)]]),
             ConflictPolicy::Report,
         );
+        let service = PanicsOnce { armed: AtomicBool::new(true), node: Node::new(node, true) };
         let server =
-            AsyncServer::bind(vec![Arc::new(Node::new(node, true)) as Arc<dyn FrameService>], 1)
-                .unwrap();
-        let narrow = Replica::new(NodeId(1), 2, 8).dbvv().clone();
+            AsyncServer::bind(vec![Arc::new(service) as Arc<dyn FrameService>], 1).unwrap();
+        let pull = |width| ProtocolRequest::Pull {
+            from: NodeId(1),
+            dbvv: Replica::new(NodeId(1), width, 8).dbvv().clone(),
+        };
         let mut stream = TcpStream::connect(server.addrs()[0]).unwrap();
-        stream
-            .write_all(&request_frame(&ProtocolRequest::Pull { from: NodeId(1), dbvv: narrow }))
-            .unwrap();
+        stream.write_all(&request_frame(&pull(3))).unwrap();
         assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "no response, then EOF");
         settle("the panic is counted", || server.serve_panics() == 1);
-        let dbvv = Replica::new(NodeId(1), 3, 8).dbvv().clone();
         let mut stream = TcpStream::connect(server.addrs()[0]).unwrap();
-        stream.write_all(&request_frame(&ProtocolRequest::Pull { from: NodeId(1), dbvv })).unwrap();
+        stream.write_all(&request_frame(&pull(2))).unwrap();
+        assert!(matches!(read_response(&mut stream), ProtocolResponse::Error(_)));
+        stream.write_all(&request_frame(&pull(3))).unwrap();
         assert!(matches!(
             read_response(&mut stream),
             ProtocolResponse::Pull(PropagationResponse::YouAreCurrent)

@@ -25,12 +25,12 @@ use std::time::Duration;
 use epidb_common::{Costs, Error, ItemId, NodeId, Result, ShardId};
 use epidb_core::codec::{decode_request_checked, encode_response_to, Writer};
 use epidb_core::{
-    ConflictPolicy, Engine, ProtocolRequest, ProtocolResponse, Replica, ReplicaHost, RetryPolicy,
-    ShardMap, ShardTransport, ShardedNode, Transport,
+    shards_agree, ConflictPolicy, Engine, ProtocolRequest, ProtocolResponse, Replica, ReplicaHost,
+    RetryPolicy, ShardMap, ShardTransport, ShardedNode, Transport,
 };
+pub use epidb_core::{Sharded, Unsharded};
 use epidb_durable::{GroupCommitStats, GroupWal, StreamSpec};
 use epidb_store::UpdateOp;
-use epidb_vv::VvOrd;
 use parking_lot::Mutex;
 
 use crate::async_tcp::{AsyncServer, FrameService};
@@ -85,8 +85,7 @@ impl Node {
         let Some(wal) = self.wal.lock().clone() else { return };
         if wal.wait_durable_checkpoint_due() {
             let node = self.node.lock();
-            let streams: Vec<&Replica> =
-                node.owned_shards().into_iter().filter_map(|s| node.shard_state(s)).collect();
+            let streams: Vec<&Replica> = node.replicas().map(|(_, r)| r).collect();
             wal.maybe_checkpoint(&streams).expect("durable: checkpoint failed");
         }
     }
@@ -203,14 +202,6 @@ impl FrameService for Node {
         true
     }
 }
-
-/// [`SocketCluster`]'s kind for one database replicated at every node:
-/// [`AsyncTcpCluster`](crate::AsyncTcpCluster).
-pub enum Unsharded {}
-
-/// [`SocketCluster`]'s kind for shards placed by a [`ShardMap`]:
-/// [`ShardedTcpCluster`](crate::ShardedTcpCluster).
-pub enum Sharded {}
 
 /// Nodes served by one reactor and gossiping over localhost TCP, each
 /// exchange a CRC-framed request/response pair on a real socket carrying
@@ -436,25 +427,15 @@ impl<K> SocketCluster<K> {
         policy.poll_until("quiescence", timeout, || self.is_quiescent())
     }
 
-    /// A shard with fewer than two alive owners has nothing to compare.
-    fn is_quiescent(&self) -> bool {
-        ShardId::all(self.map.n_shards()).all(|shard| {
-            let states: Vec<_> = (self.map.owners(shard).iter())
-                .map(|o| &self.nodes[o.index()])
-                .filter(|n| n.alive())
-                .filter_map(|n| {
-                    n.with(|n| n.shard_state(shard).map(|r| (r.dbvv().clone(), r.aux_item_count())))
-                })
-                .collect();
-            match states.split_first() {
-                Some(((reference, aux), rest)) if !rest.is_empty() => {
-                    *aux == 0
-                        && rest
-                            .iter()
-                            .all(|(vv, aux)| *aux == 0 && vv.compare(reference) == VvOrd::Equal)
-                }
-                _ => true,
+    /// True when every shard's alive owners agree ([`shards_agree`]):
+    /// equal shard DBVVs and no auxiliary state.
+    pub fn is_quiescent(&self) -> bool {
+        shards_agree(&self.map, |shard, owner| {
+            let n = &self.nodes[owner.index()];
+            if !n.alive() {
+                return None;
             }
+            n.with(|n| n.shard_state(shard).map(|r| (r.dbvv().clone(), r.aux_item_count())))
         })
     }
 

@@ -10,6 +10,9 @@
 //! scans, bytes shipped), so results are exactly reproducible and
 //! independent of machine speed. Wall-clock benchmarks live in
 //! `epidb-bench` on top of the same machinery.
+//! Its one cluster, [`SimCluster`], holds [`epidb_core::ShardedNode`]s:
+//! [`EpidbCluster`] is the unsharded view, [`ShardedSimCluster`] the
+//! sharded one.
 
 pub mod audit;
 pub mod cluster;
@@ -21,7 +24,7 @@ pub mod table;
 pub mod workload;
 
 pub use audit::{histories_conflict, run_audit, AuditConfig, AuditReport};
-pub use cluster::EpidbCluster;
+pub use cluster::{EpidbCluster, SimCluster};
 pub use driver::{Driver, DriverConfig};
 pub use schedule::Schedule;
 pub use sharded::ShardedSimCluster;

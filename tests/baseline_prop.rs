@@ -74,7 +74,7 @@ proptest! {
         run_steps(&mut lotus, &steps);
         run_steps(&mut wb, &steps);
 
-        prop_assert!(epidb.converged());
+        prop_assert!(SyncProtocol::converged(&epidb) && epidb.converged());
         for x in ItemId::all(N_ITEMS) {
             let reference = epidb.value(NodeId(0), x);
             prop_assert_eq!(&pivv.value(NodeId(0), x), &reference, "per-item-vv at {}", x);
